@@ -1,6 +1,5 @@
-//! A tiny JSON value type with a strict parser and a writer whose
-//! formatting is byte-compatible with the hand-rolled encoders used by
-//! the legacy endpoints (`om_compare::json` and om-server's router):
+//! A tiny JSON value type with a strict parser and a writer with one
+//! fixed formatting — the wire format of every `/v1` body:
 //! finite floats render via Rust's shortest round-trip `Display`,
 //! non-finite floats render as `null`, and strings escape `"`, `\`,
 //! `\n`, `\r`, `\t` plus all other control characters as `\u00XX`.
@@ -43,8 +42,8 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Escape a string for a JSON string literal (same rules as the legacy
-/// encoders).
+/// Escape a string for a JSON string literal: `"`, `\`, `\n`, `\r`,
+/// `\t` by name, every other control character as `\u00XX`.
 #[must_use]
 pub fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -65,8 +64,8 @@ pub fn esc(s: &str) -> String {
     out
 }
 
-/// Format a float the way the legacy encoders do: shortest round-trip
-/// representation, `null` for non-finite values (JSON has no NaN/Inf).
+/// Format a float for the wire: shortest round-trip representation,
+/// `null` for non-finite values (JSON has no NaN/Inf).
 #[must_use]
 pub fn num(x: f64) -> String {
     if x.is_finite() {
@@ -95,7 +94,7 @@ impl Json {
         Ok(value)
     }
 
-    /// Serialize canonically (insertion order, legacy float formatting).
+    /// Serialize canonically (insertion order, [`num`] float formatting).
     #[must_use]
     pub fn encode(&self) -> String {
         let mut out = String::with_capacity(64);
@@ -501,7 +500,7 @@ mod tests {
     }
 
     #[test]
-    fn floats_format_like_the_legacy_encoders() {
+    fn floats_format_shortest_round_trip_or_null() {
         assert_eq!(Json::Num(0.5).encode(), "0.5");
         assert_eq!(Json::Num(f64::NAN).encode(), "null");
         assert_eq!(Json::Num(f64::INFINITY).encode(), "null");
@@ -509,7 +508,7 @@ mod tests {
     }
 
     #[test]
-    fn escapes_match_legacy_rules() {
+    fn escapes_follow_the_wire_rules() {
         let v = Json::Str("a\"b\\c\nd\te\u{1}".to_owned());
         assert_eq!(v.encode(), "\"a\\\"b\\\\c\\nd\\te\\u0001\"");
         assert_eq!(Json::parse(&v.encode()).unwrap(), v);

@@ -8,16 +8,14 @@
 //!
 //! Layout:
 //! - [`json`] — a small strict JSON value type ([`json::Json`]) with a
-//!   parser and an encoder whose float/escape formatting is
-//!   byte-identical to the legacy hand-rolled encoders.
+//!   parser and an encoder with one fixed float/escape formatting.
 //! - [`error`] — the uniform `/v1` error envelope
 //!   `{"error":{"code","message","retry_after_ms"?,"row"?}}` and the
 //!   code → HTTP-status mapping.
 //! - [`request`] — typed request bodies (`POST /v1/compare`, `/drill`,
 //!   `/gi`, `/cube/slice`, `/ingest`, `/compare/batch`).
-//! - [`response`] — typed response bodies; their encoders reproduce
-//!   the legacy GET bodies byte-for-byte, which is what lets `/v1`
-//!   answers stay identical to the deprecated endpoints.
+//! - [`response`] — typed response bodies; their encoders are the
+//!   one JSON writer of the whole stack (server, coordinator, CLI).
 //! - [`internal`] — shard-internal wire types for cluster mode
 //!   (`/internal/*`): base64 carriage of encoded stores and schema
 //!   datasets between om-server shards and the om-cluster coordinator.

@@ -1,8 +1,8 @@
 //! Typed `/v1` request bodies.
 //!
-//! Field names mirror the legacy GET query parameters (`attr`, `v1`,
-//! `v2`, `class`, `depth`, `min_score`, `top`, `by`), so migrating a
-//! client is a mechanical move from the query string into a JSON body.
+//! Every body is a flat JSON object of named fields (`attr`, `v1`,
+//! `v2`, `class`, `depth`, `min_score`, `top`, `by`, ...); unknown
+//! keys are rejected.
 
 use crate::de::{check_keys, opt_bool, opt_f64, opt_str, opt_u64, req_arr, req_str, req_u64};
 use crate::json::Json;
@@ -93,9 +93,8 @@ impl PathStep {
 /// `POST /v1/drill` — drill-down from a named comparison.
 ///
 /// With an empty `path` the walk is automated (condition on each
-/// level's top finding, exactly the legacy `/drill`); a non-empty
-/// `path` fixes the conditions instead: level *i* is the comparison
-/// conditioned on `path[..i]`.
+/// level's top finding); a non-empty `path` fixes the conditions
+/// instead: level *i* is the comparison conditioned on `path[..i]`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DrillRequest {
     pub attr: String,

@@ -1,12 +1,11 @@
 //! Typed response bodies for every `/v1` endpoint.
 //!
 //! These are *wire* mirrors: they hold exactly what the JSON carries,
-//! and their encoders are byte-identical to the legacy hand-rolled
-//! encoders (`om_compare::json::to_json` and om-server's router), so a
-//! `/v1` body equals the corresponding legacy body for the same engine
-//! result. Non-finite floats encode as `null` and decode as NaN — the
-//! wire cannot distinguish NaN from ±Inf, so equality on wire types
-//! treats all non-finite values as equal.
+//! and their encoders write fields in declaration order with the
+//! [`crate::json`] float and escape rules, pinned byte-for-byte by
+//! om-server's golden files. Non-finite floats encode as `null` and
+//! decode as NaN — the wire cannot distinguish NaN from ±Inf, so
+//! equality on wire types treats all non-finite values as equal.
 
 use std::fmt::Write as _;
 
@@ -274,7 +273,6 @@ fn opt_coverage(v: &Json) -> Result<Option<CoverageWire>, String> {
 }
 
 /// The full comparison body (`/v1/compare`, and each drill level).
-/// Encodes byte-identically to `om_compare::json::to_json`.
 #[derive(Debug, Clone)]
 pub struct CompareResponse {
     pub attribute: String,
@@ -394,7 +392,7 @@ pub struct DrillLevelWire {
     pub result: CompareResponse,
 }
 
-/// The drill body (`/v1/drill`): same shape as legacy `/drill`.
+/// The drill body (`/v1/drill`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DrillResponse {
     pub levels: Vec<DrillLevelWire>,
@@ -734,7 +732,7 @@ impl PartialEq for InfluenceWire {
     }
 }
 
-/// The general-impressions body (`/v1/gi`): same shape as legacy `/gi`.
+/// The general-impressions body (`/v1/gi`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct GiResponse {
     pub trends: Vec<TrendWire>,
@@ -902,7 +900,7 @@ pub struct PairCellWire {
 }
 
 /// The cube-slice body (`/v1/cube/slice`): one-dimensional, or a pair
-/// heatmap when `by` was given. Same shapes as legacy `/cube/slice`.
+/// heatmap when `by` was given.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SliceResponse {
     OneDim {
@@ -1076,7 +1074,7 @@ impl SliceResponse {
     }
 }
 
-/// The ingest acknowledgement (`/v1/ingest` and legacy `/ingest`).
+/// The ingest acknowledgement (`/v1/ingest`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IngestResponse {
     pub accepted: u64,
@@ -1350,7 +1348,7 @@ mod tests {
         let full = sample_compare();
         assert!(
             !full.encode().contains("coverage"),
-            "full-coverage bodies must stay byte-identical to the legacy wire"
+            "full-coverage bodies carry no coverage key"
         );
         let mut partial = sample_compare();
         partial.coverage = Some(CoverageWire {

@@ -87,7 +87,6 @@ fn main() {
         Arc::clone(&om),
         ServerConfig {
             n_workers: 2,
-            cache_capacity: 0,
             engine_budget: None,
             ..ServerConfig::default()
         },

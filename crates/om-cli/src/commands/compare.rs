@@ -62,7 +62,7 @@ pub fn run(parsed: &mut Parsed, out: &mut dyn Write) -> CliResult {
 
     let result = om.run_compare_by_name(&attr, &v1, &v2, &target, om.exec_ctx(Some(&budget)))?;
     if format == "json" {
-        writeln!(out, "{}", om_compare::json::to_json(&result)).ok();
+        writeln!(out, "{}", om_server::v1::compare_wire(&result).encode()).ok();
         return Ok(());
     }
     if format != "text" {

@@ -13,9 +13,8 @@ const HELP: &str = "\
 opmap serve — run the HTTP query daemon
 
 Builds the engine once (discretization + full cube store), then serves
-read-only queries: /compare, /drill, /gi, /cube/slice, /healthz, /metrics,
-plus the typed POST /v1/* API (see docs/api.md) including the batched
-/v1/compare/batch endpoint.
+the typed POST /v1/* API (compare, drill, gi, cube/slice, explore,
+compare/batch, ingest — see docs/api.md) plus GET /healthz and /metrics.
 
 OPTIONS:
   --data <csv>         Dataset to serve (with --class); omitted → synthetic
@@ -30,14 +29,13 @@ OPTIONS:
   --workers <n>        HTTP worker threads [4]
   --exec-workers <n>   Engine comparison shards per request; 1 = serial,
                        0 = one per core [1]
-  --cache <n>          Response-cache capacity, 0 disables [256]
   --timeout-ms <ms>    Per-request read timeout [5000]
   --queue <n>          Admission queue depth; overflow is shed with 503 [64]
   --budget-ms <ms>     Per-request engine budget, 0 disables; exhausted
                        budgets answer 503 with Retry-After [2000]
   --retry-after <s>    Retry-After seconds on 503 responses [1]
   --duration-ms <ms>   Serve for this long then exit; 0 = forever [0]
-  --ingest-wal <dir>   Enable live ingestion: POST /ingest appends rows,
+  --ingest-wal <dir>   Enable live ingestion: POST /v1/ingest appends rows,
                        durably logged to a WAL under <dir>
   --seal-rows <n>      Rows per WAL segment before it is sealed into a
                        delta cube (with --ingest-wal) [4096]
@@ -61,7 +59,6 @@ pub fn run(parsed: &mut Parsed, out: &mut dyn Write) -> CliResult {
         .optional("addr")
         .unwrap_or_else(|| "127.0.0.1:7878".to_owned());
     let n_workers = parsed.parse_or("workers", 4usize)?;
-    let cache_capacity = parsed.parse_or("cache", 256usize)?;
     let timeout_ms = parsed.parse_or("timeout-ms", 5000u64)?;
     let queue_capacity = parsed.parse_or("queue", 64usize)?;
     let budget_ms = parsed.parse_or("budget-ms", 2000u64)?;
@@ -109,7 +106,6 @@ pub fn run(parsed: &mut Parsed, out: &mut dyn Write) -> CliResult {
         ServerConfig {
             addr,
             n_workers,
-            cache_capacity,
             request_timeout: Duration::from_millis(timeout_ms),
             queue_capacity,
             engine_budget: (budget_ms > 0).then(|| Duration::from_millis(budget_ms)),
@@ -124,7 +120,7 @@ pub fn run(parsed: &mut Parsed, out: &mut dyn Write) -> CliResult {
     if let Some(dir) = &ingest_wal {
         writeln!(
             out,
-            "live ingestion enabled: POST /ingest, WAL at {dir}, sealing every {seal_rows} row(s)"
+            "live ingestion enabled: POST /v1/ingest, WAL at {dir}, sealing every {seal_rows} row(s)"
         )
         .ok();
     }
@@ -144,14 +140,12 @@ pub fn run(parsed: &mut Parsed, out: &mut dyn Write) -> CliResult {
     }
     writeln!(
         out,
-        "served {} request(s), {} error(s), cache {} hit(s) / {} miss(es)",
+        "served {} request(s), {} error(s)",
         om_server::metrics::Endpoint::ALL
             .iter()
             .map(|&e| metrics.requests(e))
             .sum::<u64>(),
-        metrics.errors(),
-        metrics.cache_hits(),
-        metrics.cache_misses()
+        metrics.errors()
     )
     .ok();
     Ok(())

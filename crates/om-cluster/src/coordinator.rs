@@ -1382,9 +1382,8 @@ impl Coordinator {
                     self.overloaded(format!("prefix validation aborted: {e}")),
                 ));
             }
-            // The zero-row twin runs the same validity checks as a
-            // shard's sub_population (they depend only on the schema).
-            if let Err(e) = self.om.dataset().sub_population(cond.attr, cond.value) {
+            // The same schema-only validity check a shard's narrow applies.
+            if let Err(e) = schema.check_condition(cond.attr, cond.value) {
                 return Err(PrefixError::Invalid(format!(
                     "condition {} is invalid: {e}",
                     cond.display(schema)
@@ -1455,14 +1454,12 @@ impl DrillPopulation for ClusterPopulation<'_> {
     }
 
     fn descend(&mut self, condition: Condition) -> Result<bool, CompareError> {
-        // Validity first, on the zero-row twin — the exact checks a
-        // single node's sub_population applies (schema-only), with an
-        // invalid condition ending the walk cleanly just like there.
+        // Validity first — the schema-only check a single node's narrow
+        // applies, with an invalid condition ending the walk cleanly
+        // just like there.
         if self
-            .co
-            .om
-            .dataset()
-            .sub_population(condition.attr, condition.value)
+            .schema()
+            .check_condition(condition.attr, condition.value)
             .is_err()
         {
             return Ok(false);

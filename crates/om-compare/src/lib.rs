@@ -29,7 +29,6 @@ pub mod baselines;
 pub mod drill;
 pub mod groups;
 pub mod interval;
-pub mod json;
 pub mod measure;
 pub mod property;
 pub mod rank;

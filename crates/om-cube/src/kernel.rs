@@ -188,13 +188,7 @@ impl PopulationSelector {
     /// walk (out-of-domain value, continuous attribute), so callers that
     /// render them keep byte-identical messages.
     pub fn narrow(&self, attr: usize, value: ValueId) -> Result<PopulationSelector, DataError> {
-        let card = self.index.schema.attribute(attr).cardinality() as ValueId;
-        if value >= card {
-            return Err(DataError::UnknownValue {
-                attribute: self.index.schema.attribute(attr).name().to_owned(),
-                value: format!("id {value} (domain size {card})"),
-            });
-        }
+        self.index.schema.check_condition(attr, value)?;
         let maps = self.index.bitmaps.get(&attr).ok_or_else(|| {
             DataError::Invalid(format!(
                 "attribute {:?} is continuous; discretize first",

@@ -2,7 +2,7 @@
 //! workflow: cubes are built overnight (Fig. 10/11 cost) and reloaded for
 //! interactive analysis.
 //!
-//! # Frame format (V2)
+//! # Frame format
 //!
 //! Every encoded artifact is wrapped in an integrity frame:
 //!
@@ -14,8 +14,7 @@
 //! `payload_len + 4` bytes past the header and verifies the IEEE CRC32
 //! of the payload, so truncation, trailing garbage, and any single-bit
 //! flip (including in the length field) is rejected with a typed error —
-//! never a panic and never a silently-wrong cube. Version-1 frames
-//! (magic + version + raw payload, no checksum) are still readable.
+//! never a panic and never a silently-wrong cube.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -26,9 +25,7 @@ use crate::cube::{CubeDim, RuleCube};
 
 const MAGIC: &[u8; 4] = b"OMRC";
 const STORE_MAGIC: &[u8; 4] = b"OMCS";
-/// Legacy unchecksummed frames; still decodable.
-const VERSION_V1: u8 = 1;
-/// Current frames: length-prefixed payload followed by CRC32.
+/// The one frame version: length-prefixed payload followed by CRC32.
 const VERSION: u8 = 2;
 
 /// IEEE CRC32 (the ubiquitous zip/PNG polynomial), table-driven.
@@ -86,7 +83,7 @@ fn get_str(buf: &mut Bytes) -> Result<String, DataError> {
     String::from_utf8(raw.to_vec()).map_err(|e| DataError::Decode(format!("invalid UTF-8: {e}")))
 }
 
-/// Wrap `payload` in the V2 integrity frame.
+/// Wrap `payload` in the integrity frame.
 fn frame(magic: &[u8; 4], payload: &[u8]) -> Bytes {
     let mut buf = BytesMut::with_capacity(payload.len() + 17);
     buf.put_slice(magic);
@@ -97,8 +94,7 @@ fn frame(magic: &[u8; 4], payload: &[u8]) -> Bytes {
     buf.freeze()
 }
 
-/// Strip and verify a frame, returning the raw payload. Accepts both
-/// the checksummed V2 frame and the legacy V1 header.
+/// Strip and verify a frame, returning the raw payload.
 fn open_frame(mut buf: Bytes, magic: &[u8; 4], what: &str) -> Result<Bytes, DataError> {
     if buf.remaining() < 5 {
         return Err(DataError::Decode(format!("{what} payload too short")));
@@ -111,35 +107,33 @@ fn open_frame(mut buf: Bytes, magic: &[u8; 4], what: &str) -> Result<Bytes, Data
             "bad magic (not an {tag} payload)"
         )));
     }
-    match buf.get_u8() {
-        VERSION_V1 => Ok(buf),
-        VERSION => {
-            if buf.remaining() < 8 {
-                return Err(DataError::Decode(format!("truncated {what} frame header")));
-            }
-            let len = buf.get_u64_le();
-            // Exact-length check: a flipped bit in the length field (or
-            // truncation, or trailing garbage) can never line up with
-            // the bytes actually present.
-            let expected_remaining = len.checked_add(4).ok_or_else(|| {
-                DataError::Decode(format!("{what} frame length overflows"))
-            })?;
-            if buf.remaining() as u64 != expected_remaining {
-                return Err(DataError::Decode(format!(
-                    "{what} frame length mismatch: header says {len} payload bytes, {} present",
-                    (buf.remaining() as u64).saturating_sub(4)
-                )));
-            }
-            let payload = buf.copy_to_bytes(len as usize);
-            let expected = buf.get_u32_le();
-            let found = crc32(&payload);
-            if expected != found {
-                return Err(DataError::ChecksumMismatch { expected, found });
-            }
-            Ok(payload)
-        }
-        v => Err(DataError::Decode(format!("unsupported version {v}"))),
+    let version = buf.get_u8();
+    if version != VERSION {
+        return Err(DataError::Decode(format!("unsupported version {version}")));
     }
+    if buf.remaining() < 8 {
+        return Err(DataError::Decode(format!("truncated {what} frame header")));
+    }
+    let len = buf.get_u64_le();
+    // Exact-length check: a flipped bit in the length field (or
+    // truncation, or trailing garbage) can never line up with the bytes
+    // actually present.
+    let expected_remaining = len
+        .checked_add(4)
+        .ok_or_else(|| DataError::Decode(format!("{what} frame length overflows")))?;
+    if buf.remaining() as u64 != expected_remaining {
+        return Err(DataError::Decode(format!(
+            "{what} frame length mismatch: header says {len} payload bytes, {} present",
+            (buf.remaining() as u64).saturating_sub(4)
+        )));
+    }
+    let payload = buf.copy_to_bytes(len as usize);
+    let expected = buf.get_u32_le();
+    let found = crc32(&payload);
+    if expected != found {
+        return Err(DataError::ChecksumMismatch { expected, found });
+    }
+    Ok(payload)
 }
 
 fn encode_cube_body(cube: &RuleCube) -> Result<BytesMut, DataError> {
@@ -222,7 +216,7 @@ fn decode_cube_body(mut buf: Bytes) -> Result<RuleCube, DataError> {
     Ok(cube)
 }
 
-/// Serialize a rule cube in the current (checksummed) frame format.
+/// Serialize a rule cube in the checksummed frame format.
 ///
 /// # Errors
 /// Fails if any label is too large for its length prefix.
@@ -230,23 +224,7 @@ pub fn encode_cube(cube: &RuleCube) -> Result<Bytes, DataError> {
     Ok(frame(MAGIC, &encode_cube_body(cube)?))
 }
 
-/// Serialize a rule cube in the legacy V1 frame (no checksum). Exists so
-/// compatibility with pre-V2 artifacts stays testable; new code should
-/// use [`encode_cube`].
-///
-/// # Errors
-/// Fails if any label is too large for its length prefix.
-pub fn encode_cube_v1(cube: &RuleCube) -> Result<Bytes, DataError> {
-    let body = encode_cube_body(cube)?;
-    let mut buf = BytesMut::with_capacity(body.len() + 5);
-    buf.put_slice(MAGIC);
-    buf.put_u8(VERSION_V1);
-    buf.put_slice(&body);
-    Ok(buf.freeze())
-}
-
-/// Deserialize a rule cube produced by [`encode_cube`] (or the legacy
-/// V1 encoder).
+/// Deserialize a rule cube produced by [`encode_cube`].
 ///
 /// # Errors
 /// Fails on bad magic/version, truncation, or checksum mismatch.
@@ -255,10 +233,7 @@ pub fn decode_cube(buf: Bytes) -> Result<RuleCube, DataError> {
     decode_cube_body(open_frame(buf, MAGIC, "cube")?)
 }
 
-fn encode_store_body(
-    store: &crate::store::CubeStore,
-    encode: fn(&RuleCube) -> Result<Bytes, DataError>,
-) -> Result<BytesMut, DataError> {
+fn encode_store_body(store: &crate::store::CubeStore) -> Result<BytesMut, DataError> {
     let mut buf = BytesMut::with_capacity(1024);
     buf.put_u32_le(store.attrs().len() as u32);
     for &a in store.attrs() {
@@ -274,7 +249,7 @@ fn encode_store_body(
     buf.put_u64_le(store.total_records());
 
     let put_cube = |buf: &mut BytesMut, cube: &RuleCube| -> Result<(), DataError> {
-        let blob = encode(cube)?;
+        let blob = encode_cube(cube)?;
         buf.put_u64_le(blob.len() as u64);
         buf.put_slice(&blob);
         Ok(())
@@ -308,22 +283,7 @@ fn encode_store_body(
 /// # Errors
 /// Fails if any label is too large for its length prefix.
 pub fn encode_store(store: &crate::store::CubeStore) -> Result<Bytes, DataError> {
-    Ok(frame(STORE_MAGIC, &encode_store_body(store, encode_cube)?))
-}
-
-/// Serialize a cube store in the legacy V1 frame (no checksums, nested
-/// V1 cubes). Exists for compatibility testing; new code should use
-/// [`encode_store`].
-///
-/// # Errors
-/// Fails if any label is too large for its length prefix.
-pub fn encode_store_v1(store: &crate::store::CubeStore) -> Result<Bytes, DataError> {
-    let body = encode_store_body(store, encode_cube_v1)?;
-    let mut buf = BytesMut::with_capacity(body.len() + 5);
-    buf.put_slice(STORE_MAGIC);
-    buf.put_u8(VERSION_V1);
-    buf.put_slice(&body);
-    Ok(buf.freeze())
+    Ok(frame(STORE_MAGIC, &encode_store_body(store)?))
 }
 
 fn decode_store_body(mut buf: Bytes) -> Result<crate::store::CubeStore, DataError> {
@@ -391,8 +351,8 @@ fn decode_store_body(mut buf: Bytes) -> Result<crate::store::CubeStore, DataErro
     ))
 }
 
-/// Deserialize a cube store written by [`encode_store`] (or the legacy
-/// V1 encoder). The result is always an eager store.
+/// Deserialize a cube store written by [`encode_store`]. The result is
+/// always an eager store.
 ///
 /// # Errors
 /// Fails on bad magic/version, truncation, checksum mismatch, or
@@ -438,17 +398,6 @@ mod store_tests {
     fn store_round_trip() {
         let original = store();
         let back = decode_store(encode_store(&original).unwrap()).unwrap();
-        assert_stores_equal(&back, &original);
-    }
-
-    #[test]
-    fn legacy_v1_store_still_loads() {
-        let original = store();
-        let v1 = encode_store_v1(&original).unwrap();
-        let v2 = encode_store(&original).unwrap();
-        assert_ne!(v1, v2);
-        assert_eq!(v1[4], 1, "legacy frame advertises version 1");
-        let back = decode_store(v1).unwrap();
         assert_stores_equal(&back, &original);
     }
 
@@ -539,14 +488,6 @@ mod tests {
         assert_eq!(back, cube);
         assert_eq!(back.total(), cube.total());
         assert_eq!(back.dims()[1].attr_index, 5);
-    }
-
-    #[test]
-    fn legacy_v1_cube_still_loads() {
-        let cube = sample();
-        let v1 = encode_cube_v1(&cube).unwrap();
-        assert_eq!(v1[4], 1, "legacy frame advertises version 1");
-        assert_eq!(decode_cube(v1).unwrap(), cube);
     }
 
     #[test]

@@ -4,11 +4,9 @@
 //! V2 framing must catch every corruption of a valid blob.
 
 use bytes::Bytes;
-use om_cube::persist::{
-    decode_cube, decode_store, encode_cube, encode_cube_v1, encode_store,
-};
+use om_cube::persist::{decode_cube, decode_store, encode_cube, encode_store};
 use om_cube::{build_cube, CubeStore, RuleCube, StoreBuildOptions};
-use om_data::{Cell, DatasetBuilder};
+use om_data::{Cell, DataError, DatasetBuilder};
 use proptest::prelude::*;
 
 fn small_cube() -> RuleCube {
@@ -54,22 +52,30 @@ proptest! {
         let _ = decode_store(Bytes::from(raw));
     }
 
-    /// Arbitrary bytes behind a valid magic+version prefix exercise the
-    /// body parsers rather than bouncing off the magic check.
+    /// Arbitrary bytes behind a valid magic exercise the frame and body
+    /// parsers rather than bouncing off the magic check. Version 2 is
+    /// the one frame; any other version byte — 1 included — is the same
+    /// typed error.
     #[test]
     fn garbage_behind_valid_prefixes_never_panics(
         body in proptest::collection::vec(0u8..=255, 0usize..256),
-        version in 1u8..=2,
+        version in 0u8..=3,
     ) {
-        let mut cube_blob = b"OMC1".to_vec();
+        let mut cube_blob = b"OMRC".to_vec();
         cube_blob.push(version);
         cube_blob.extend_from_slice(&body);
-        let _ = decode_cube(Bytes::from(cube_blob));
+        let cube = decode_cube(Bytes::from(cube_blob));
 
-        let mut store_blob = b"OMS1".to_vec();
+        let mut store_blob = b"OMCS".to_vec();
         store_blob.push(version);
         store_blob.extend_from_slice(&body);
-        let _ = decode_store(Bytes::from(store_blob));
+        let store = decode_store(Bytes::from(store_blob));
+
+        if version != 2 {
+            let expected = format!("unsupported version {version}");
+            prop_assert!(matches!(cube, Err(DataError::Decode(why)) if why == expected));
+            prop_assert!(matches!(store, Err(DataError::Decode(why)) if why == expected));
+        }
     }
 
     /// Every proper prefix of a real V2 artifact is rejected cleanly.
@@ -95,16 +101,5 @@ proptest! {
             decode_cube(Bytes::from(bytes)).is_err(),
             "flip of bit {bit} at byte {pos} went undetected"
         );
-    }
-
-    /// Legacy V1 blobs (no checksum) keep decoding, and truncating them
-    /// still errors instead of panicking.
-    #[test]
-    fn v1_blobs_decode_and_truncate_cleanly(cut in 0usize..1000) {
-        let cube = small_cube();
-        let blob = encode_cube_v1(&cube).unwrap();
-        prop_assert_eq!(decode_cube(blob.clone()).unwrap(), cube);
-        let cut = cut % blob.len();
-        prop_assert!(decode_cube(blob.slice(0..cut)).is_err());
     }
 }

@@ -161,13 +161,7 @@ impl Dataset {
     /// # Errors
     /// Fails if the attribute is continuous or the value id out of range.
     pub fn sub_population(&self, attr: usize, value: ValueId) -> Result<Dataset> {
-        let card = self.schema.attribute(attr).cardinality() as ValueId;
-        if value >= card {
-            return Err(DataError::UnknownValue {
-                attribute: self.schema.attribute(attr).name().to_owned(),
-                value: format!("id {value} (domain size {card})"),
-            });
-        }
+        self.schema.check_condition(attr, value)?;
         let ids = self.categorical(attr)?;
         let rows: Vec<usize> = ids
             .iter()

@@ -226,6 +226,26 @@ impl Schema {
         &mut self.attributes[idx]
     }
 
+    /// Whether `attr = value` can condition a sub-population: `value`
+    /// must be an id of the attribute's domain (a continuous attribute's
+    /// domain is empty, so every value fails). Every conditioning path —
+    /// the record walk, the counting kernel, the cluster coordinator —
+    /// validates through here, so they fail with the same message.
+    ///
+    /// # Errors
+    /// [`DataError::UnknownValue`] naming the attribute and the id.
+    pub fn check_condition(&self, attr: usize, value: ValueId) -> Result<()> {
+        let attribute = self.attribute(attr);
+        let card = attribute.cardinality() as ValueId;
+        if value >= card {
+            return Err(DataError::UnknownValue {
+                attribute: attribute.name().to_owned(),
+                value: format!("id {value} (domain size {card})"),
+            });
+        }
+        Ok(())
+    }
+
     /// Index of the attribute named `name`.
     pub fn attr_index(&self, name: &str) -> Option<usize> {
         self.attributes.iter().position(|a| a.name() == name)

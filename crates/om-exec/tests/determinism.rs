@@ -1,5 +1,5 @@
 //! Determinism: sharded ranking must be byte-identical to the serial
-//! comparator — same scores, same order, same JSON bytes — for any
+//! comparator — same scores, same order, same `{:?}` rendering — for any
 //! dataset shape and any worker width. Runs the comparison over
 //! property-generated datasets at widths 1, 2 and 8.
 
@@ -16,7 +16,8 @@ use proptest::test_runner::ProptestConfig;
 const WIDTHS: [usize; 3] = [1, 2, 8];
 
 /// Run the serial comparator and every sharded width over one dataset,
-/// asserting byte-identical canonical JSON.
+/// asserting byte-identical `{:?}` renderings (shortest-round-trip
+/// floats, and NaN compares equal to NaN as text).
 fn assert_widths_agree(n_attrs: usize, n_records: usize, seed: u64, attr: usize) {
     let ds = generate_scaleup(&ScaleUpConfig {
         n_attrs,
@@ -55,13 +56,13 @@ fn assert_widths_agree(n_attrs: usize, n_records: usize, seed: u64, attr: usize)
             return;
         }
     };
-    let serial_bytes = om_compare::json::to_json(&serial);
+    let serial_bytes = format!("{serial:?}");
     for workers in WIDTHS {
         let exec = Executor::new(&ExecConfig { workers });
         let parallel =
             rank_parallel(&exec, &store, &config, &spec, &Budget::unlimited()).unwrap();
         assert_eq!(
-            om_compare::json::to_json(&parallel),
+            format!("{parallel:?}"),
             serial_bytes,
             "workers={workers}, n_attrs={n_attrs}, n_records={n_records}, seed={seed}"
         );
@@ -95,7 +96,7 @@ fn paper_scenario_is_byte_identical_across_widths() {
     };
     let store = Arc::new(CubeStore::build(&ds, &StoreBuildOptions::default()).unwrap());
     let serial = Comparator::new(&store).compare(&spec).unwrap();
-    let serial_bytes = om_compare::json::to_json(&serial);
+    let serial_bytes = format!("{serial:?}");
     for workers in WIDTHS {
         let exec = Executor::new(&ExecConfig { workers });
         let parallel = rank_parallel(
@@ -106,6 +107,6 @@ fn paper_scenario_is_byte_identical_across_widths() {
             &Budget::unlimited(),
         )
         .unwrap();
-        assert_eq!(om_compare::json::to_json(&parallel), serial_bytes, "workers={workers}");
+        assert_eq!(format!("{parallel:?}"), serial_bytes, "workers={workers}");
     }
 }

@@ -105,7 +105,7 @@ mod tests {
             ],
             manifests: vec![],
             docs: vec![TextFile {
-                rel: "docs/server.md".into(),
+                rel: "docs/api.md".into(),
                 text: doc.into(),
             }],
             config: CheckConfig::default(),

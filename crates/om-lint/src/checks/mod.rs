@@ -107,7 +107,7 @@ mod tests {
     #[test]
     fn metric_name_extraction() {
         let names: Vec<String> = metric_names(
-            "om_requests_total{endpoint=\"x\"} plus om_compare::json and om_queue_depth, om_ingest",
+            "om_requests_total{endpoint=\"x\"} plus om_compare::drill and om_queue_depth, om_ingest",
         )
         .into_iter()
         .map(|(n, _)| n)

@@ -1,9 +1,8 @@
 //! Minimal, bounded HTTP/1.1 request parsing and response writing.
 //!
-//! The daemon only ever serves small `GET` requests from trusted
-//! analysts, so the parser is deliberately strict and size-bounded:
-//! every limit violation or syntax error becomes a clean `400` instead
-//! of a panic or an unbounded allocation.
+//! The parser is deliberately strict and size-bounded: every limit
+//! violation or syntax error becomes a clean `400` instead of a panic
+//! or an unbounded allocation.
 
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -14,7 +13,7 @@ pub const MAX_REQUEST_LINE: usize = 4096;
 pub const MAX_HEADER_LINE: usize = 1024;
 /// Upper bound on the number of headers.
 pub const MAX_HEADERS: usize = 64;
-/// Default upper bound on a request body (`POST /ingest` uploads).
+/// Default upper bound on a request body (`POST /v1/ingest` uploads).
 pub const DEFAULT_MAX_BODY_BYTES: usize = 1 << 20;
 
 /// Why a request could not be parsed.
@@ -47,51 +46,10 @@ impl std::fmt::Display for ParseError {
 pub struct Request {
     pub method: String,
     pub path: String,
-    /// Query parameters, percent-decoded, in sorted key order (which
-    /// also canonicalizes the cache key).
+    /// Query parameters, percent-decoded, in sorted key order.
     pub params: BTreeMap<String, String>,
     /// The request body (empty without a `Content-Length` header).
     pub body: String,
-}
-
-impl Request {
-    /// The canonical cache key of this request: path plus sorted,
-    /// re-encoded query parameters.
-    #[must_use]
-    pub fn canonical_key(&self) -> String {
-        let mut key = self.path.clone();
-        for (i, (k, v)) in self.params.iter().enumerate() {
-            key.push(if i == 0 { '?' } else { '&' });
-            key.push_str(k);
-            key.push('=');
-            key.push_str(v);
-        }
-        key
-    }
-
-    /// A required parameter.
-    ///
-    /// # Errors
-    /// Returns the missing key's name for a `400` response.
-    pub fn required(&self, key: &str) -> Result<&str, String> {
-        self.params
-            .get(key)
-            .map(String::as_str)
-            .ok_or_else(|| format!("missing required query parameter {key:?}"))
-    }
-
-    /// An optional parameter parsed as `T`, defaulting when absent.
-    ///
-    /// # Errors
-    /// Returns a message naming the key when present but unparsable.
-    pub fn parse_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.params.get(key) {
-            None => Ok(default),
-            Some(raw) => raw
-                .parse::<T>()
-                .map_err(|_| format!("query parameter {key:?} has invalid value {raw:?}")),
-        }
-    }
 }
 
 /// Read one line terminated by `\n`, enforcing `limit` bytes.
@@ -471,17 +429,13 @@ mod tests {
     }
 
     #[test]
-    fn parses_and_canonicalizes_query() {
-        let r = parse_str(
-            "GET /compare?v2=ph2&attr=Phone%20Model&v1=ph1&class=dropped HTTP/1.1\r\n\r\n",
-        )
-        .unwrap();
-        assert_eq!(r.required("attr").unwrap(), "Phone Model");
-        assert_eq!(
-            r.canonical_key(),
-            "/compare?attr=Phone Model&class=dropped&v1=ph1&v2=ph2"
-        );
-        assert_eq!(r.parse_or("top", 10usize).unwrap(), 10);
+    fn parses_query_in_sorted_key_order() {
+        let r = parse_str("GET /internal/store?expect=3&attr=Phone%20Model HTTP/1.1\r\n\r\n")
+            .unwrap();
+        assert_eq!(r.path, "/internal/store");
+        assert_eq!(r.params.keys().collect::<Vec<_>>(), ["attr", "expect"]);
+        assert_eq!(r.params["attr"], "Phone Model");
+        assert_eq!(r.params["expect"], "3");
     }
 
     #[test]

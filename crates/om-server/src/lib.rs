@@ -13,7 +13,7 @@
 //!
 //! ```text
 //! accept thread ── crossbeam::channel ──▶ worker 0..n
-//!                                         │  parse → cache? → router
+//!                                         │  parse → router
 //!                                         ▼
 //!                                 Arc<OpportunityMap> (read-only)
 //! ```
@@ -27,7 +27,6 @@
 // panic-path check enforces the same rule with suppression reasons).
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod cache;
 pub mod http;
 mod internal;
 pub mod metrics;
@@ -47,11 +46,10 @@ use crossbeam::channel::TrySendError;
 use om_engine::{IngestHandle, OpportunityMap};
 use om_fault::{fail, Budget, CancelToken};
 
-use crate::cache::ResponseCache;
 use crate::http::{ParseError, Response};
 use crate::internal::StoreWireCache;
 use crate::metrics::{Endpoint, Metrics};
-use crate::ops::EngineOps;
+use crate::ops::{EngineBackend, EngineOps};
 use crate::router::RouteOptions;
 
 /// Server tuning knobs.
@@ -61,8 +59,6 @@ pub struct ServerConfig {
     pub addr: String,
     /// Worker threads answering requests.
     pub n_workers: usize,
-    /// Maximum cached responses (0 disables the cache).
-    pub cache_capacity: usize,
     /// Per-request socket read timeout; a stalled request gets `408`.
     pub request_timeout: Duration,
     /// Admission queue depth: connections beyond what the workers hold
@@ -73,7 +69,7 @@ pub struct ServerConfig {
     pub engine_budget: Option<Duration>,
     /// `Retry-After` seconds on overload (`503`) responses.
     pub retry_after_secs: u64,
-    /// Upper bound on a request body (`POST /ingest` uploads); larger
+    /// Upper bound on a request body (`POST /v1/ingest` uploads); larger
     /// uploads get `400` before a single body byte is read.
     pub max_body_bytes: usize,
     /// Log one line per request to stderr.
@@ -85,7 +81,6 @@ impl Default for ServerConfig {
         Self {
             addr: "127.0.0.1:0".to_owned(),
             n_workers: 4,
-            cache_capacity: 256,
             request_timeout: Duration::from_secs(5),
             queue_capacity: 64,
             engine_budget: Some(Duration::from_secs(2)),
@@ -112,22 +107,19 @@ pub struct Server {
 enum Backend {
     Engine {
         om: Arc<OpportunityMap>,
-        /// `Some` when live ingestion is enabled; `POST /ingest` appends
-        /// through it and `/metrics` includes its counters.
+        /// `Some` when live ingestion is enabled; `POST /v1/ingest`
+        /// appends through it and `/metrics` includes its counters.
         ingest: Option<IngestHandle>,
         /// Encoded-store body for `/internal/store`, cached per generation.
         store_wire: StoreWireCache,
     },
-    /// Health, metrics and `/v1` only: no response cache (the backend
-    /// owns its own generation-keyed caching), no legacy GET endpoints,
-    /// no `/internal/*`.
+    /// Health, metrics and `/v1` only: no `/internal/*`.
     Custom(Arc<dyn EngineOps>),
 }
 
 /// Everything a worker needs, shared across the pool.
 struct Shared {
     backend: Backend,
-    cache: ResponseCache,
     metrics: Arc<Metrics>,
     request_timeout: Duration,
     engine_budget: Option<Duration>,
@@ -146,8 +138,9 @@ impl Server {
         Self::start_with_ingest(om, config, None)
     }
 
-    /// [`start`](Self::start) with live ingestion enabled: `POST /ingest`
-    /// appends through `ingest`, and `/metrics` includes its counters.
+    /// [`start`](Self::start) with live ingestion enabled: `POST
+    /// /v1/ingest` appends through `ingest`, and `/metrics` includes its
+    /// counters.
     ///
     /// # Errors
     /// Fails if the address cannot be bound or a thread cannot be spawned.
@@ -168,9 +161,7 @@ impl Server {
 
     /// Serve a custom [`EngineOps`] backend — the om-cluster
     /// coordinator's entry point. Only `/healthz`, `/metrics` and the
-    /// typed `/v1` API are routed; the legacy GET endpoints and
-    /// `/internal/*` answer `404`, and the response cache is disabled
-    /// (a distributed backend owns its own generation-keyed caching).
+    /// typed `/v1` API are routed; `/internal/*` answers `404`.
     ///
     /// # Errors
     /// Fails if the address cannot be bound or a thread cannot be spawned.
@@ -189,7 +180,6 @@ impl Server {
 
         let shared = Arc::new(Shared {
             backend,
-            cache: ResponseCache::new(config.cache_capacity),
             metrics: Arc::new(Metrics::default()),
             request_timeout: config.request_timeout,
             engine_budget: config.engine_budget,
@@ -304,7 +294,7 @@ fn shed(mut stream: TcpStream, retry_after_secs: u64) {
     }
 }
 
-/// Serve one connection: parse, consult the cache, route, respond.
+/// Serve one connection: parse, route, respond.
 fn handle_connection(stream: TcpStream, shared: &Shared) {
     let started = Instant::now();
     let _ = stream.set_read_timeout(Some(shared.request_timeout));
@@ -324,7 +314,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
             // A panicking handler must not take the worker thread (and
             // with it a slot of the pool) down; the engine is read-only,
             // so no shared state can be left torn mid-update.
-            let outcome = catch_unwind(AssertUnwindSafe(|| respond(req, endpoint, shared)));
+            let outcome = catch_unwind(AssertUnwindSafe(|| respond(req, shared)));
             let response = outcome.unwrap_or_else(|_| {
                 shared.metrics.record_panic_caught();
                 Response::error(500, "internal error: request handler panicked")
@@ -370,7 +360,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     if shared.verbose {
         let target = parsed
             .as_ref()
-            .map(|(r, _)| r.canonical_key())
+            .map(|(r, _)| format!("{} {}", r.method, r.path))
             .unwrap_or_else(|e| format!("<{e}>"));
         eprintln!(
             "om-server: {} {} {}us",
@@ -379,8 +369,8 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     }
 }
 
-/// Compute or recall the response for a well-formed request.
-fn respond(req: &http::Request, endpoint: Endpoint, shared: &Shared) -> Response {
+/// Compute the response for a well-formed request.
+fn respond(req: &http::Request, shared: &Shared) -> Response {
     // Chaos seam: a configured failpoint here injects an error (-> 500)
     // or a panic (caught by the worker's isolation barrier) before any
     // real work happens. Compiles to nothing without `failpoints`.
@@ -392,72 +382,28 @@ fn respond(req: &http::Request, endpoint: Endpoint, shared: &Shared) -> Response
         retry_after_secs: shared.retry_after_secs,
         metrics: Some(Arc::clone(&shared.metrics)),
     };
+    let route = |ops: &dyn EngineOps| {
+        router::route(req, ops, &opts, || {
+            let mut body = shared.metrics.render();
+            body.push_str(&ops.extra_metrics());
+            body
+        })
+    };
     let response = match &shared.backend {
-        Backend::Custom(ops) => {
-            let metrics_body = || {
-                let mut body = shared.metrics.render();
-                body.push_str(&ops.extra_metrics());
-                body
-            };
-            router::route_custom(req, ops.as_ref(), &opts, metrics_body)
-        }
+        Backend::Custom(ops) => route(ops.as_ref()),
         Backend::Engine {
             om,
             ingest,
             store_wire,
         } => {
-            // The shard-internal cluster protocol bypasses cache and
-            // legacy routing entirely.
+            // The shard-internal cluster protocol has its own dispatch.
             if req.path.starts_with("/internal/") {
                 return internal::route_internal(req, om, ingest.as_ref(), store_wire);
             }
-            let metrics_body = || {
-                let mut body = shared.metrics.render();
-                if let Some(handle) = ingest {
-                    body.push_str(&handle.render_metrics());
-                }
-                body
-            };
-            // Only the engine-backed query endpoints cache: /healthz and
-            // /metrics are live signals, ingestion is a write, and
-            // unroutable paths are cheap 404s.
-            let cacheable = req.method == "GET"
-                && matches!(
-                    endpoint,
-                    Endpoint::Compare | Endpoint::Drill | Endpoint::Gi | Endpoint::CubeSlice
-                );
-            if !cacheable {
-                router::route(req, om, ingest.as_ref(), &opts, metrics_body)
-            } else {
-                // With live ingestion the store advances under the cache,
-                // so the generation joins the key: entries computed
-                // against superseded generations stop matching and age
-                // out of the LRU.
-                let generation = ingest.is_some().then(|| om.store_generation());
-                let key = match generation {
-                    Some(g) => format!("g{g}:{}", req.canonical_key()),
-                    None => req.canonical_key(),
-                };
-                if let Some(hit) = shared.cache.get(&key) {
-                    shared.metrics.record_cache_hit();
-                    return (*hit).clone();
-                }
-                shared.metrics.record_cache_miss();
-                let response = router::route(req, om, ingest.as_ref(), &opts, metrics_body);
-                // The handlers pin their own snapshot, so a publish
-                // between the key read and the route can hand back a body
-                // computed against a newer generation. Generations are
-                // monotonic, so if the current generation still matches
-                // the key's, the body provably came from that generation;
-                // otherwise skip the insert rather than cache a
-                // mislabeled entry.
-                let key_still_current =
-                    generation.is_none_or(|g| om.store_generation() == g);
-                if response.status == 200 && key_still_current {
-                    shared.cache.insert(key, Arc::new(response.clone()));
-                }
-                response
-            }
+            route(&EngineBackend {
+                om,
+                ingest: ingest.as_ref(),
+            })
         }
     };
     if response.status == 503 {

@@ -41,18 +41,17 @@ impl Endpoint {
         Endpoint::Other,
     ];
 
-    /// Classify a decoded request path. The `/v1` routes share their
-    /// legacy twin's label — same engine work, same series.
+    /// Classify a decoded request path.
     #[must_use]
     pub fn classify(path: &str) -> Self {
         match path {
             "/healthz" => Endpoint::Healthz,
             "/metrics" => Endpoint::Metrics,
-            "/compare" | "/v1/compare" => Endpoint::Compare,
-            "/drill" | "/v1/drill" => Endpoint::Drill,
-            "/gi" | "/v1/gi" => Endpoint::Gi,
-            "/cube/slice" | "/v1/cube/slice" => Endpoint::CubeSlice,
-            "/ingest" | "/v1/ingest" => Endpoint::Ingest,
+            "/v1/compare" => Endpoint::Compare,
+            "/v1/drill" => Endpoint::Drill,
+            "/v1/gi" => Endpoint::Gi,
+            "/v1/cube/slice" => Endpoint::CubeSlice,
+            "/v1/ingest" => Endpoint::Ingest,
             "/v1/compare/batch" => Endpoint::Batch,
             "/v1/explore" => Endpoint::Explore,
             _ => Endpoint::Other,
@@ -147,8 +146,6 @@ impl Histogram {
 pub struct Metrics {
     requests: [AtomicU64; Endpoint::ALL.len()],
     errors: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
     shed: AtomicU64,
     deadline_exceeded: AtomicU64,
     panics_caught: AtomicU64,
@@ -188,16 +185,6 @@ impl Metrics {
     /// Count one non-2xx response.
     pub fn record_error(&self) {
         self.errors.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count a response served from the LRU cache.
-    pub fn record_cache_hit(&self) {
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count a response computed by the engine.
-    pub fn record_cache_miss(&self) {
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Record one request's wall-clock latency.
@@ -267,18 +254,6 @@ impl Metrics {
         self.errors.load(Ordering::Relaxed)
     }
 
-    /// Cache hits so far.
-    #[must_use]
-    pub fn cache_hits(&self) -> u64 {
-        self.cache_hits.load(Ordering::Relaxed)
-    }
-
-    /// Cache misses so far.
-    #[must_use]
-    pub fn cache_misses(&self) -> u64 {
-        self.cache_misses.load(Ordering::Relaxed)
-    }
-
     /// Connections shed at admission so far.
     #[must_use]
     pub fn shed(&self) -> u64 {
@@ -335,8 +310,6 @@ impl Metrics {
             );
         }
         let _ = writeln!(out, "om_errors_total {}", self.errors());
-        let _ = writeln!(out, "om_cache_hits_total {}", self.cache_hits());
-        let _ = writeln!(out, "om_cache_misses_total {}", self.cache_misses());
         let _ = writeln!(out, "om_shed_total {}", self.shed());
         let _ = writeln!(
             out,
@@ -386,9 +359,6 @@ mod tests {
 
     #[test]
     fn endpoint_classification() {
-        assert_eq!(Endpoint::classify("/compare"), Endpoint::Compare);
-        assert_eq!(Endpoint::classify("/cube/slice"), Endpoint::CubeSlice);
-        assert_eq!(Endpoint::classify("/ingest"), Endpoint::Ingest);
         assert_eq!(Endpoint::classify("/v1/compare"), Endpoint::Compare);
         assert_eq!(Endpoint::classify("/v1/drill"), Endpoint::Drill);
         assert_eq!(Endpoint::classify("/v1/gi"), Endpoint::Gi);
@@ -396,7 +366,9 @@ mod tests {
         assert_eq!(Endpoint::classify("/v1/ingest"), Endpoint::Ingest);
         assert_eq!(Endpoint::classify("/v1/compare/batch"), Endpoint::Batch);
         assert_eq!(Endpoint::classify("/v1/explore"), Endpoint::Explore);
-        assert_eq!(Endpoint::classify("/nope"), Endpoint::Other);
+        for retired in ["/nope", "/compare", "/drill", "/gi", "/cube/slice", "/ingest"] {
+            assert_eq!(Endpoint::classify(retired), Endpoint::Other, "{retired}");
+        }
     }
 
     #[test]
@@ -435,15 +407,11 @@ mod tests {
         m.record_request(Endpoint::Compare);
         m.record_request(Endpoint::Compare);
         m.record_error();
-        m.record_cache_hit();
-        m.record_cache_miss();
         m.record_latency_us(120);
         let text = m.render();
         assert!(text.contains("om_requests_total{endpoint=\"compare\"} 2"));
         assert!(text.contains("om_requests_total{endpoint=\"drill\"} 0"));
         assert!(text.contains("om_errors_total 1"));
-        assert!(text.contains("om_cache_hits_total 1"));
-        assert!(text.contains("om_cache_misses_total 1"));
         assert!(text.contains("om_latency_samples_total 1"));
         assert!(text.contains("om_latency_us{quantile=\"0.99\"}"));
     }

@@ -2,11 +2,10 @@
 //!
 //! Every `/v1` handler runs against [`EngineOps`] instead of a concrete
 //! engine. [`EngineBackend`] delegates verbatim to a resident
-//! [`OpportunityMap`] — that is the single-node server, byte-identical
-//! to the pre-trait handlers. The om-cluster coordinator provides the
-//! second implementation: the same methods answered by fanning out over
-//! shard processes and merging, which is what lets a coordinator serve
-//! the `/v1` contract unchanged.
+//! [`OpportunityMap`] — that is the single-node server. The om-cluster
+//! coordinator provides the second implementation: the same methods
+//! answered by fanning out over shard processes and merging, which is
+//! what lets a coordinator serve the `/v1` contract unchanged.
 
 use std::sync::Arc;
 
@@ -18,10 +17,9 @@ use om_engine::{
 };
 
 /// A backend failure, in one of the two shapes the handlers map from:
-/// an engine error (classified exactly like the legacy status mapping)
-/// or a ready-made `/v1` envelope (the cluster coordinator's native
-/// error shape — shard failures arrive with code, message and retry
-/// hint already decided).
+/// an engine error (classified by the `/v1` handlers) or a ready-made
+/// `/v1` envelope (the cluster coordinator's native error shape — shard
+/// failures arrive with code, message and retry hint already decided).
 #[derive(Debug)]
 pub enum OpsError {
     /// A single-node engine failure.
@@ -173,7 +171,7 @@ pub trait EngineOps: Send + Sync {
 
     /// Pin one store generation for a cube-slice read. The resident
     /// backend ignores `budget` — slices read precomputed counts, and
-    /// `/cube/slice` answers even on an expired budget. A distributed
+    /// `/v1/cube/slice` answers even on an expired budget. A distributed
     /// backend may need `budget` to bound shard fan-out and is the one
     /// place a slice can fail with an overload envelope.
     ///

@@ -1,17 +1,13 @@
 //! Request routing: decoded requests in, responses out.
 //!
-//! The router is a pure function of (request, engine) — no I/O, no
-//! shared mutable state — which is what makes responses safely cacheable
-//! and the whole path trivially testable without sockets.
+//! The router is a pure function of (request, backend) — no I/O, no
+//! shared mutable state — which makes the whole path trivially testable
+//! without sockets.
 
-use std::fmt::Write as _;
-
-use om_compare::DrillConfig;
-use om_cube::CubeView;
-use om_engine::{Budget, EngineError, IngestHandle, OpportunityMap};
-use om_gi::Trend;
+use om_engine::Budget;
 
 use crate::http::{Request, Response};
+use crate::ops::EngineOps;
 
 /// Per-request routing context: the cooperative budget the engine runs
 /// under, and what to tell shed/expired clients via `Retry-After`.
@@ -37,378 +33,15 @@ impl Default for RouteOptions {
     }
 }
 
-/// JSON string escaping (mirrors `om_compare::json`, which keeps `esc`
-/// private).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// JSON-safe float rendering (NaN/Infinity → null).
-fn num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_owned()
-    }
-}
-
-/// Map engine failures onto HTTP statuses: unknown names are client
-/// lookup errors (`404`); overload faults (deadline, cancellation) are
-/// `503` with a `Retry-After` hint; injected faults are server-side
-/// `500`s; everything else is a valid request the engine could not
-/// satisfy (`422`).
-fn engine_error(e: &EngineError, opts: &RouteOptions) -> Response {
-    if e.is_overload() {
-        return Response::error(503, &e.to_string()).with_retry_after(opts.retry_after_secs);
-    }
-    let status = match e {
-        EngineError::Unknown(_) => 404,
-        EngineError::Fault(_) => 500,
-        _ => 422,
-    };
-    Response::error(status, &e.to_string())
-}
-
-fn compare(req: &Request, om: &OpportunityMap, opts: &RouteOptions) -> Result<Response, Response> {
-    let attr = req.required("attr").map_err(|m| Response::error(400, &m))?;
-    let v1 = req.required("v1").map_err(|m| Response::error(400, &m))?;
-    let v2 = req.required("v2").map_err(|m| Response::error(400, &m))?;
-    let class = req.required("class").map_err(|m| Response::error(400, &m))?;
-    let result = om
-        .run_compare_by_name(attr, v1, v2, class, om.exec_ctx(Some(&opts.budget)))
-        .map_err(|e| engine_error(&e, opts))?;
-    Ok(Response::json(om_compare::json::to_json(&result)))
-}
-
-fn drill(req: &Request, om: &OpportunityMap, opts: &RouteOptions) -> Result<Response, Response> {
-    let attr = req.required("attr").map_err(|m| Response::error(400, &m))?;
-    let v1 = req.required("v1").map_err(|m| Response::error(400, &m))?;
-    let v2 = req.required("v2").map_err(|m| Response::error(400, &m))?;
-    let class = req.required("class").map_err(|m| Response::error(400, &m))?;
-    let defaults = DrillConfig::default();
-    let config = DrillConfig {
-        compare: om.config().compare.clone(),
-        max_depth: req
-            .parse_or("depth", defaults.max_depth)
-            .map_err(|m| Response::error(400, &m))?,
-        min_normalized_score: req
-            .parse_or("min_score", defaults.min_normalized_score)
-            .map_err(|m| Response::error(400, &m))?,
-    };
-    let levels = om
-        .run_drill_down_by_name(attr, v1, v2, class, &config, om.exec_ctx(Some(&opts.budget)))
-        .map_err(|e| engine_error(&e, opts))?;
-    let mut body = String::with_capacity(1024);
-    body.push_str("{\"levels\":[");
-    for (i, level) in levels.iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        body.push_str("{\"conditions\":[");
-        for (j, label) in level.condition_labels.iter().enumerate() {
-            if j > 0 {
-                body.push(',');
-            }
-            let _ = write!(body, "\"{}\"", esc(label));
-        }
-        body.push_str("],\"result\":");
-        body.push_str(&om_compare::json::to_json(&level.result));
-        body.push('}');
-    }
-    body.push_str("]}");
-    Ok(Response::json(body))
-}
-
-fn gi(req: &Request, om: &OpportunityMap, opts: &RouteOptions) -> Result<Response, Response> {
-    let top = req
-        .parse_or("top", 10usize)
-        .map_err(|m| Response::error(400, &m))?;
-    let report = om
-        .run_general_impressions(om.exec_ctx(Some(&opts.budget)))
-        .map_err(|e| engine_error(&e, opts))?;
-    let mut body = String::with_capacity(2048);
-    body.push_str("{\"trends\":[");
-    let mut first = true;
-    for t in &report.trends {
-        let label = match t.trend {
-            Trend::Increasing => "increasing",
-            Trend::Decreasing => "decreasing",
-            Trend::Stable => "stable",
-            Trend::None => continue,
-        };
-        if !first {
-            body.push(',');
-        }
-        first = false;
-        let _ = write!(
-            body,
-            "{{\"attr\":\"{}\",\"class\":\"{}\",\"trend\":\"{label}\",\"slope\":{},\"r_squared\":{}}}",
-            esc(&t.attr_name),
-            esc(&t.class_label),
-            num(t.slope),
-            num(t.r_squared)
-        );
-    }
-    body.push_str("],\"exceptions\":[");
-    for (i, e) in report.exceptions.iter().take(top).enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        let kind = match e.kind {
-            om_gi::ExceptionKind::High => "high",
-            om_gi::ExceptionKind::Low => "low",
-        };
-        let _ = write!(
-            body,
-            "{{\"attr\":\"{}\",\"value\":\"{}\",\"class\":\"{}\",\"kind\":\"{kind}\",\"confidence\":{},\"rest_confidence\":{},\"z\":{}}}",
-            esc(&e.attr_name),
-            esc(&e.value_label),
-            esc(&e.class_label),
-            num(e.confidence),
-            num(e.rest_confidence),
-            num(e.z)
-        );
-    }
-    body.push_str("],\"influence\":[");
-    for (i, r) in report.influence.iter().take(top).enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        let _ = write!(
-            body,
-            "{{\"attr\":\"{}\",\"chi2\":{},\"p_value\":{},\"info_gain\":{}}}",
-            esc(&r.attr_name),
-            num(r.chi2),
-            num(r.p_value),
-            num(r.info_gain)
-        );
-    }
-    body.push_str("]}");
-    Ok(Response::json(body))
-}
-
-fn one_dim_slice(
-    om: &OpportunityMap,
-    attr: usize,
-    opts: &RouteOptions,
-) -> Result<Response, Response> {
-    let cube = om.store().one_dim(attr).map_err(|e| {
-        engine_error(&EngineError::Unknown(format!("cube error: {e}")), opts)
-    })?;
-    let view = CubeView::from_cube(&cube)
-        .map_err(|e| Response::error(422, &format!("cube error: {e}")))?;
-    let mut body = String::with_capacity(1024);
-    let _ = write!(
-        body,
-        "{{\"attr\":\"{}\",\"total\":{},\"classes\":[",
-        esc(view.attr_name()),
-        view.total()
-    );
-    for (i, c) in view.class_labels().iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        let _ = write!(body, "\"{}\"", esc(c));
-    }
-    body.push_str("],\"values\":[");
-    for v in 0..view.n_values() as u32 {
-        if v > 0 {
-            body.push(',');
-        }
-        let _ = write!(
-            body,
-            "{{\"label\":\"{}\",\"total\":{},\"counts\":[",
-            // om-lint: allow(panic-path) — v < n_values() == value_labels().len() by the loop bound
-            esc(&view.value_labels()[v as usize]),
-            view.value_total(v)
-        );
-        for c in 0..view.n_classes() as u32 {
-            if c > 0 {
-                body.push(',');
-            }
-            let _ = write!(body, "{}", view.count(v, c));
-        }
-        body.push_str("],\"confidences\":[");
-        for c in 0..view.n_classes() as u32 {
-            if c > 0 {
-                body.push(',');
-            }
-            body.push_str(
-                &view
-                    .confidence(v, c)
-                    .map_or("null".to_owned(), num),
-            );
-        }
-        body.push_str("]}");
-    }
-    body.push_str("]}");
-    Ok(Response::json(body))
-}
-
-fn pair_slice(om: &OpportunityMap, a: usize, b: usize) -> Result<Response, Response> {
-    let cube = om
-        .store()
-        .pair(a, b)
-        .map_err(|e| Response::error(404, &format!("cube error: {e}")))?;
-    let mut body = String::with_capacity(2048);
-    body.push_str("{\"dims\":[");
-    for (i, dim) in cube.dims().iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        let _ = write!(body, "{{\"attr\":\"{}\",\"labels\":[", esc(&dim.name));
-        for (j, label) in dim.labels.iter().enumerate() {
-            if j > 0 {
-                body.push(',');
-            }
-            let _ = write!(body, "\"{}\"", esc(label));
-        }
-        body.push_str("]}");
-    }
-    body.push_str("],\"classes\":[");
-    for (i, c) in cube.class_labels().iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        let _ = write!(body, "\"{}\"", esc(c));
-    }
-    let _ = write!(body, "],\"total\":{},\"cells\":[", cube.total());
-    let mut first = true;
-    for (coords, class, count) in cube.iter_cells() {
-        if count == 0 {
-            continue;
-        }
-        if !first {
-            body.push(',');
-        }
-        first = false;
-        let _ = write!(
-            body,
-            "{{\"coords\":[{},{}],\"class\":{class},\"count\":{count}}}",
-            // om-lint: allow(panic-path) — slice cells are 2-D by CubeView construction
-            coords[0], coords[1]
-        );
-    }
-    body.push_str("]}");
-    Ok(Response::json(body))
-}
-
-fn cube_slice(req: &Request, om: &OpportunityMap, opts: &RouteOptions) -> Result<Response, Response> {
-    let attr_name = req.required("attr").map_err(|m| Response::error(400, &m))?;
-    let attr = om.attr_index(attr_name).map_err(|e| engine_error(&e, opts))?;
-    match req.params.get("by") {
-        None => one_dim_slice(om, attr, opts),
-        Some(by_name) => {
-            let by = om.attr_index(by_name).map_err(|e| engine_error(&e, opts))?;
-            pair_slice(om, attr, by)
-        }
-    }
-}
-
-/// `POST /ingest`: append the CSV body to the live store. All-or-nothing
-/// per request — one bad row rejects the whole batch with `400` naming
-/// the row. Accepted rows are WAL-durable before the `200`; the merge
-/// into the served cubes is asynchronous, so `generation` in the reply
-/// is the generation at append time, not necessarily the one that will
-/// contain the rows.
-fn ingest(
-    req: &Request,
-    handle: Option<&IngestHandle>,
-    opts: &RouteOptions,
-) -> Result<Response, Response> {
-    let Some(handle) = handle else {
-        return Err(Response::error(
-            404,
-            "live ingestion is not enabled (start the server with an ingest WAL)",
-        ));
-    };
-    // Writes obey the same budget discipline as queries: an expired
-    // deadline sheds the batch before any WAL I/O.
-    opts.budget.check().map_err(|e| {
-        Response::error(503, &e.to_string()).with_retry_after(opts.retry_after_secs)
-    })?;
-    match handle.append_csv(&req.body) {
-        Ok(accepted) => {
-            let stats = handle.stats();
-            Ok(Response::json(format!(
-                "{{\"accepted\":{accepted},\"rows_total\":{},\"generation\":{}}}",
-                stats.rows_total, stats.store_generation
-            )))
-        }
-        Err(e) if e.is_bad_request() => Err(Response::error(400, &e.to_string())),
-        Err(e) => Err(Response::error(500, &e.to_string())),
-    }
-}
-
-/// Route one parsed request under `opts`' budget. `metrics_body` is the
-/// pre-rendered `/metrics` text (rendered by the caller, which owns the
-/// counters); `ingest_handle` is `Some` when live ingestion is enabled.
+/// Route one parsed request under `opts`' budget against `ops` — the
+/// resident engine ([`crate::ops::EngineBackend`]) or a cluster
+/// coordinator: health, metrics and the versioned `/v1` API; anything
+/// else is a `404`. `metrics_body` renders the `/metrics` text (the
+/// caller owns the counters).
 #[must_use]
 pub fn route(
     req: &Request,
-    om: &OpportunityMap,
-    ingest_handle: Option<&IngestHandle>,
-    opts: &RouteOptions,
-    metrics_body: impl FnOnce() -> String,
-) -> Response {
-    // The versioned API has its own dispatch, methods and error shape;
-    // it runs against the EngineOps seam, here backed by the resident
-    // engine (verbatim delegation, so answers are unchanged).
-    if req.path.starts_with("/v1/") {
-        let ops = crate::ops::EngineBackend {
-            om,
-            ingest: ingest_handle,
-        };
-        return crate::v1::route_v1(req, &ops, opts);
-    }
-    // The one non-GET legacy endpoint; everything else below is read-only.
-    if req.path == "/ingest" {
-        if req.method != "POST" {
-            return Response::error(
-                405,
-                &format!("method {} not allowed for /ingest (use POST)", req.method),
-            );
-        }
-        return ingest(req, ingest_handle, opts).unwrap_or_else(|error| error);
-    }
-    if req.method != "GET" {
-        return Response::error(405, &format!("method {} not allowed", req.method));
-    }
-    let outcome = match req.path.as_str() {
-        "/healthz" => Ok(Response::text("ok\n")),
-        "/metrics" => Ok(Response::text(metrics_body())),
-        "/compare" => compare(req, om, opts),
-        "/drill" => drill(req, om, opts),
-        "/gi" => gi(req, om, opts),
-        "/cube/slice" => cube_slice(req, om, opts),
-        other => Err(Response::error(404, &format!("no route for {other:?}"))),
-    };
-    outcome.unwrap_or_else(|error| error)
-}
-
-/// Route one request against a custom [`EngineOps`] backend (a cluster
-/// coordinator): health, metrics and the versioned `/v1` API only. The
-/// legacy GET query endpoints and `/ingest` are deliberately absent —
-/// they predate the typed contract and stay single-node — so they 404
-/// exactly like any unknown path.
-#[must_use]
-pub fn route_custom(
-    req: &Request,
-    ops: &dyn crate::ops::EngineOps,
+    ops: &dyn EngineOps,
     opts: &RouteOptions,
     metrics_body: impl FnOnce() -> String,
 ) -> Response {
@@ -428,7 +61,8 @@ pub fn route_custom(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use om_engine::EngineConfig;
+    use crate::ops::EngineBackend;
+    use om_engine::{EngineConfig, OpportunityMap};
     use om_synth::paper_scenario;
     use std::collections::BTreeMap;
     use std::sync::OnceLock;
@@ -441,111 +75,65 @@ mod tests {
         })
     }
 
-    fn get(path: &str, params: &[(&str, &str)]) -> Response {
-        get_with(path, params, &RouteOptions::default())
-    }
-
-    fn get_with(path: &str, params: &[(&str, &str)], opts: &RouteOptions) -> Response {
+    fn send(method: &str, path: &str, body: &str, opts: &RouteOptions) -> Response {
         let req = Request {
-            method: "GET".into(),
+            method: method.into(),
             path: path.into(),
-            params: params
-                .iter()
-                .map(|(k, v)| ((*k).to_owned(), (*v).to_owned()))
-                .collect::<BTreeMap<_, _>>(),
-            body: String::new(),
-        };
-        route(&req, engine(), None, opts, || "metrics\n".to_owned())
-    }
-
-    fn post_ingest(
-        om: &OpportunityMap,
-        handle: Option<&IngestHandle>,
-        body: &str,
-        opts: &RouteOptions,
-    ) -> Response {
-        let req = Request {
-            method: "POST".into(),
-            path: "/ingest".into(),
             params: BTreeMap::new(),
-            body: body.to_owned(),
+            body: body.into(),
         };
-        route(&req, om, handle, opts, String::new)
+        let ops = EngineBackend {
+            om: engine(),
+            ingest: None,
+        };
+        route(&req, &ops, opts, || "metrics\n".to_owned())
     }
 
-    /// Row 0 of the engine's discretized dataset as a CSV line (interval
-    /// labels contain commas, so they go out quoted).
-    fn csv_row_of(om: &OpportunityMap) -> String {
-        let ds = om.dataset();
-        (0..ds.schema().n_attributes())
-            .map(|i| {
-                let id = ds.column(i).as_categorical().expect("discretized")[0];
-                let label = ds.schema().attribute(i).domain().label(id).unwrap();
-                if label.contains(',') {
-                    format!("\"{label}\"")
-                } else {
-                    label.to_owned()
-                }
-            })
-            .collect::<Vec<_>>()
-            .join(",")
+    fn get(path: &str) -> Response {
+        send("GET", path, "", &RouteOptions::default())
     }
+
+    fn post(path: &str, body: &str) -> Response {
+        send("POST", path, body, &RouteOptions::default())
+    }
+
+    const COMPARE: &str = r#"{"attr":"PhoneModel","v1":"ph1","v2":"ph2","class":"dropped"}"#;
 
     #[test]
     fn healthz_and_metrics() {
-        assert_eq!(get("/healthz", &[]).body, "ok\n");
-        assert_eq!(get("/metrics", &[]).body, "metrics\n");
+        assert_eq!(get("/healthz").body, "ok\n");
+        assert_eq!(get("/metrics").body, "metrics\n");
     }
 
     #[test]
     fn compare_matches_direct_engine_call() {
-        let params = [
-            ("attr", "PhoneModel"),
-            ("v1", "ph1"),
-            ("v2", "ph2"),
-            ("class", "dropped"),
-        ];
-        let response = get("/compare", &params);
+        let response = post("/v1/compare", COMPARE);
         assert_eq!(response.status, 200);
         let om = engine();
         let direct = om
             .run_compare_by_name("PhoneModel", "ph1", "ph2", "dropped", om.exec_ctx(None))
             .unwrap();
-        assert_eq!(response.body, om_compare::json::to_json(&direct));
+        assert_eq!(response.body, crate::v1::compare_wire(&direct).encode());
     }
 
     #[test]
-    fn compare_missing_param_is_400() {
-        let r = get("/compare", &[("attr", "PhoneModel")]);
+    fn malformed_bodies_are_400_and_unknown_names_404() {
+        let r = post("/v1/compare", r#"{"attr":"PhoneModel"}"#);
         assert_eq!(r.status, 400);
-        assert!(r.body.contains("v1"));
-    }
-
-    #[test]
-    fn compare_unknown_name_is_404() {
-        let r = get(
-            "/compare",
-            &[
-                ("attr", "Bogus"),
-                ("v1", "a"),
-                ("v2", "b"),
-                ("class", "dropped"),
-            ],
+        assert!(r.body.contains("v1"), "{}", r.body);
+        assert_eq!(post("/v1/gi", r#"{"top":"lots"}"#).status, 400);
+        let r = post(
+            "/v1/compare",
+            r#"{"attr":"Bogus","v1":"a","v2":"b","class":"dropped"}"#,
         );
         assert_eq!(r.status, 404);
     }
 
     #[test]
     fn drill_returns_levels() {
-        let r = get(
-            "/drill",
-            &[
-                ("attr", "PhoneModel"),
-                ("v1", "ph1"),
-                ("v2", "ph2"),
-                ("class", "dropped"),
-                ("depth", "1"),
-            ],
+        let r = post(
+            "/v1/drill",
+            r#"{"attr":"PhoneModel","v1":"ph1","v2":"ph2","class":"dropped","depth":1}"#,
         );
         assert_eq!(r.status, 200);
         assert!(r.body.starts_with("{\"levels\":["));
@@ -554,7 +142,7 @@ mod tests {
 
     #[test]
     fn gi_sections_present() {
-        let r = get("/gi", &[("top", "3")]);
+        let r = post("/v1/gi", r#"{"top":3}"#);
         assert_eq!(r.status, 200);
         assert!(r.body.contains("\"trends\":["));
         assert!(r.body.contains("\"exceptions\":["));
@@ -562,116 +150,45 @@ mod tests {
     }
 
     #[test]
-    fn gi_bad_top_is_400() {
-        assert_eq!(get("/gi", &[("top", "lots")]).status, 400);
-    }
-
-    #[test]
-    fn cube_slice_one_dim() {
-        let r = get("/cube/slice", &[("attr", "PhoneModel")]);
+    fn cube_slices() {
+        let r = post("/v1/cube/slice", r#"{"attr":"PhoneModel"}"#);
         assert_eq!(r.status, 200);
         assert!(r.body.contains("\"attr\":\"PhoneModel\""));
         assert!(r.body.contains("\"label\":\"ph1\""));
         assert!(r.body.contains("\"confidences\":["));
-    }
 
-    #[test]
-    fn cube_slice_pair() {
-        let r = get(
-            "/cube/slice",
-            &[("attr", "PhoneModel"), ("by", "TimeOfCall")],
-        );
+        let r = post("/v1/cube/slice", r#"{"attr":"PhoneModel","by":"TimeOfCall"}"#);
         assert_eq!(r.status, 200);
         assert!(r.body.contains("\"dims\":["));
         assert!(r.body.contains("\"cells\":["));
-    }
 
-    #[test]
-    fn cube_slice_same_attr_pair_is_422() {
-        let r = get(
-            "/cube/slice",
-            &[("attr", "PhoneModel"), ("by", "PhoneModel")],
-        );
+        let r = post("/v1/cube/slice", r#"{"attr":"PhoneModel","by":"PhoneModel"}"#);
         assert_eq!(r.status, 404, "store rejects the self-pair: {}", r.body);
     }
 
     #[test]
     fn unknown_route_is_404() {
-        assert_eq!(get("/nope", &[]).status, 404);
+        assert_eq!(get("/nope").status, 404);
+        // The retired pre-/v1 surface is as unknown as any other path.
+        for path in ["/compare", "/drill", "/gi", "/cube/slice"] {
+            assert_eq!(get(path).status, 404, "{path}");
+        }
+        assert_eq!(post("/ingest", "a,b\n").status, 404);
     }
 
     #[test]
-    fn non_get_is_405() {
-        let req = Request {
-            method: "POST".into(),
-            path: "/healthz".into(),
-            params: BTreeMap::new(),
-            body: String::new(),
-        };
-        let r = route(&req, engine(), None, &RouteOptions::default(), String::new);
-        assert_eq!(r.status, 405);
-    }
-
-    #[test]
-    fn ingest_without_handle_is_404_and_get_is_405() {
-        let r = post_ingest(engine(), None, "x", &RouteOptions::default());
-        assert_eq!(r.status, 404);
-        assert!(r.body.contains("not enabled"));
-        let req = Request {
-            method: "GET".into(),
-            path: "/ingest".into(),
-            params: BTreeMap::new(),
-            body: String::new(),
-        };
-        let r = route(&req, engine(), None, &RouteOptions::default(), String::new);
+    fn wrong_methods_are_405() {
+        assert_eq!(post("/healthz", "").status, 405);
+        let r = get("/v1/ingest");
         assert_eq!(r.status, 405);
         assert!(r.body.contains("POST"));
     }
 
     #[test]
-    fn ingest_roundtrip_bad_rows_and_budget() {
-        use om_engine::IngestConfig;
-        // A private engine: ingesting into the shared static one would
-        // shift the ground under the other routing tests.
-        let (ds, _) = paper_scenario(5_000, 7);
-        let om = OpportunityMap::build(ds, EngineConfig::default()).unwrap();
-        let dir = std::env::temp_dir().join(format!("om-route-ingest-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let handle = om
-            .start_ingest(&IngestConfig {
-                sync_writes: false,
-                ..IngestConfig::new(&dir)
-            })
-            .unwrap();
-        let opts = RouteOptions::default();
-
-        let row = csv_row_of(&om);
-        let ok = post_ingest(&om, Some(&handle), &format!("{row}\n{row}\n"), &opts);
-        assert_eq!(ok.status, 200, "{}", ok.body);
-        assert!(ok.body.contains("\"accepted\":2"), "{}", ok.body);
-        assert!(ok.body.contains("\"generation\":"), "{}", ok.body);
-
-        let bad = post_ingest(
-            &om,
-            Some(&handle),
-            &format!("{row}\nnot,nearly,enough\n"),
-            &opts,
-        );
-        assert_eq!(bad.status, 400, "{}", bad.body);
-        assert!(bad.body.contains("row 2"), "{}", bad.body);
-        assert_eq!(handle.stats().rows_total, 2, "bad batch committed nothing");
-
-        let spent = RouteOptions {
-            budget: Budget::with_timeout(std::time::Duration::ZERO),
-            retry_after_secs: 3,
-            ..RouteOptions::default()
-        };
-        let shed = post_ingest(&om, Some(&handle), &row, &spent);
-        assert_eq!(shed.status, 503, "{}", shed.body);
-        assert_eq!(shed.retry_after, Some(3));
-
-        handle.shutdown();
-        let _ = std::fs::remove_dir_all(&dir);
+    fn ingest_without_handle_is_404() {
+        let r = post("/v1/ingest", r#"{"rows":[]}"#);
+        assert_eq!(r.status, 404);
+        assert!(r.body.contains("not enabled"));
     }
 
     #[test]
@@ -681,36 +198,17 @@ mod tests {
             retry_after_secs: 7,
             ..RouteOptions::default()
         };
-        for (path, params) in [
-            (
-                "/compare",
-                &[
-                    ("attr", "PhoneModel"),
-                    ("v1", "ph1"),
-                    ("v2", "ph2"),
-                    ("class", "dropped"),
-                ][..],
-            ),
-            ("/gi", &[][..]),
-        ] {
-            let r = get_with(path, params, &opts);
+        for (path, body) in [("/v1/compare", COMPARE), ("/v1/gi", "{}")] {
+            let r = send("POST", path, body, &opts);
             assert_eq!(r.status, 503, "{path}: {}", r.body);
             assert_eq!(r.retry_after, Some(7), "{path}");
             assert!(r.body.contains("deadline exceeded"), "{path}: {}", r.body);
         }
-    }
-
-    #[test]
-    fn expired_budget_leaves_cheap_routes_alone() {
-        let opts = RouteOptions {
-            budget: Budget::with_timeout(std::time::Duration::ZERO),
-            retry_after_secs: 1,
-            ..RouteOptions::default()
-        };
-        assert_eq!(get_with("/healthz", &[], &opts).status, 200);
-        assert_eq!(get_with("/metrics", &[], &opts).status, 200);
-        // Cube slices read precomputed counts — no engine budget needed.
-        let r = get_with("/cube/slice", &[("attr", "PhoneModel")], &opts);
+        // Cheap routes need no engine budget; cube slices read
+        // precomputed counts.
+        assert_eq!(send("GET", "/healthz", "", &opts).status, 200);
+        assert_eq!(send("GET", "/metrics", "", &opts).status, 200);
+        let r = send("POST", "/v1/cube/slice", r#"{"attr":"PhoneModel"}"#, &opts);
         assert_eq!(r.status, 200);
     }
 }

@@ -4,8 +4,8 @@
 //! [`om_api`] request types, runs its backend through the
 //! [`EngineOps`] seam — the resident engine on a single node, the
 //! om-cluster coordinator in cluster mode — and encodes its response
-//! through the [`om_api`] wire types, which reproduce the legacy bodies
-//! byte for byte. Failures always answer with the uniform envelope
+//! through the [`om_api`] wire types. Failures always answer with the
+//! uniform envelope
 //! `{"error":{"code","message","retry_after_ms"?,"row"?}}`; the HTTP
 //! status is derived from the code.
 
@@ -62,7 +62,10 @@ fn attr_score_wire(s: &AttrScore) -> AttrScoreWire {
     }
 }
 
-pub(crate) fn compare_wire(r: &ComparisonResult) -> CompareResponse {
+/// The wire form of one comparison — the body of `POST /v1/compare`
+/// and of `opmap compare --format json`.
+#[must_use]
+pub fn compare_wire(r: &ComparisonResult) -> CompareResponse {
     CompareResponse {
         attribute: r.attr_name.clone(),
         value_1: r.value_1_label.clone(),
@@ -196,8 +199,10 @@ fn overloaded(message: String, opts: &RouteOptions) -> ErrorEnvelope {
     }
 }
 
-/// The `/v1` twin of the legacy status mapping: same classes, expressed
-/// as envelope codes instead of bare statuses.
+/// Map engine failures onto envelope codes: unknown names are lookup
+/// errors (`404`), overload faults (deadline, cancellation) are `503`
+/// with a retry hint, injected faults are `500`, anything else is a
+/// valid request the engine could not satisfy (`422`).
 fn engine_envelope(e: &EngineError, opts: &RouteOptions) -> ErrorEnvelope {
     if e.is_overload() {
         return overloaded(e.to_string(), opts);
@@ -211,8 +216,8 @@ fn engine_envelope(e: &EngineError, opts: &RouteOptions) -> ErrorEnvelope {
 }
 
 /// Collapse a backend failure to its envelope: engine errors go
-/// through the legacy-equivalent mapping, coordinator envelopes pass
-/// through verbatim (they arrive with code and retry hint decided).
+/// through [`engine_envelope`], coordinator envelopes pass through
+/// verbatim (they arrive with code and retry hint decided).
 fn ops_envelope(e: &OpsError, opts: &RouteOptions) -> ErrorEnvelope {
     match e {
         OpsError::Engine(e) => engine_envelope(e, opts),
@@ -373,7 +378,7 @@ fn cube_slice(
                     total: view.value_total(v),
                     counts: (0..view.n_classes() as u32).map(|c| view.count(v, c)).collect(),
                     // NaN is the wire's spelling of "empty value": it
-                    // encodes as `null`, exactly like the legacy body.
+                    // encodes as `null`.
                     confidences: (0..view.n_classes() as u32)
                         .map(|c| view.confidence(v, c).unwrap_or(f64::NAN))
                         .collect(),

@@ -45,11 +45,9 @@ fn engine() -> Arc<OpportunityMap> {
 }
 
 /// One raw request; returns (status, full head, body).
-fn request(addr: std::net::SocketAddr, target: &str) -> (u16, String, String) {
+fn request(addr: std::net::SocketAddr, raw: &str) -> (u16, String, String) {
     let mut stream = TcpStream::connect(addr).unwrap();
-    stream
-        .write_all(format!("GET {target} HTTP/1.1\r\nHost: x\r\n\r\n").as_bytes())
-        .unwrap();
+    stream.write_all(raw.as_bytes()).unwrap();
     let mut response = String::new();
     stream.read_to_string(&mut response).unwrap();
     let (head, body) = response
@@ -63,7 +61,27 @@ fn request(addr: std::net::SocketAddr, target: &str) -> (u16, String, String) {
     (status, head.to_owned(), body.to_owned())
 }
 
-const COMPARE: &str = "/compare?attr=PhoneModel&v1=ph1&v2=ph2&class=dropped";
+fn get(addr: std::net::SocketAddr, target: &str) -> (u16, String, String) {
+    request(addr, &format!("GET {target} HTTP/1.1\r\nHost: x\r\n\r\n"))
+}
+
+fn post(addr: std::net::SocketAddr, path: &str, body: &str) -> (u16, String, String) {
+    request(
+        addr,
+        &format!(
+            "POST {path} HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        ),
+    )
+}
+
+fn compare(addr: std::net::SocketAddr) -> (u16, String, String) {
+    post(
+        addr,
+        "/v1/compare",
+        r#"{"attr":"PhoneModel","v1":"ph1","v2":"ph2","class":"dropped"}"#,
+    )
+}
 
 #[test]
 fn expensive_query_times_out_while_cheap_queries_succeed() {
@@ -76,7 +94,6 @@ fn expensive_query_times_out_while_cheap_queries_succeed() {
         engine(),
         ServerConfig {
             engine_budget: Some(budget),
-            cache_capacity: 0,
             ..ServerConfig::default()
         },
     )
@@ -88,9 +105,9 @@ fn expensive_query_times_out_while_cheap_queries_succeed() {
         .map(|_| {
             std::thread::spawn(move || {
                 for _ in 0..5 {
-                    let (status, _, body) = request(addr, "/healthz");
+                    let (status, _, body) = get(addr, "/healthz");
                     assert_eq!(status, 200, "{body}");
-                    let (status, _, _) = request(addr, "/cube/slice?attr=PhoneModel");
+                    let (status, _, _) = post(addr, "/v1/cube/slice", r#"{"attr":"PhoneModel"}"#);
                     assert_eq!(status, 200);
                 }
             })
@@ -98,7 +115,7 @@ fn expensive_query_times_out_while_cheap_queries_succeed() {
         .collect();
 
     let started = Instant::now();
-    let (status, head, body) = request(addr, COMPARE);
+    let (status, head, body) = compare(addr);
     let elapsed = started.elapsed();
     assert_eq!(status, 503, "{body}");
     assert!(head.contains("Retry-After:"), "{head}");
@@ -122,7 +139,6 @@ fn injected_panic_is_500_and_the_worker_pool_survives() {
         engine(),
         ServerConfig {
             n_workers: 1, // one worker: a lost thread would hang the test
-            cache_capacity: 0,
             ..ServerConfig::default()
         },
     )
@@ -131,17 +147,17 @@ fn injected_panic_is_500_and_the_worker_pool_survives() {
 
     fail::configure("server.respond", Action::Panic("chaos".into()));
     for _ in 0..3 {
-        let (status, _, body) = request(addr, "/healthz");
+        let (status, _, body) = get(addr, "/healthz");
         assert_eq!(status, 500, "{body}");
         assert!(body.contains("panicked"), "{body}");
     }
 
     // Disarmed, the same (sole) worker keeps serving.
     fail::remove("server.respond");
-    let (status, _, body) = request(addr, "/healthz");
+    let (status, _, body) = get(addr, "/healthz");
     assert_eq!(status, 200, "{body}");
     assert_eq!(server.metrics().panics_caught(), 3);
-    let (_, _, metrics) = request(addr, "/metrics");
+    let (_, _, metrics) = get(addr, "/metrics");
     assert!(metrics.contains("om_panics_caught_total 3"), "{metrics}");
     server.shutdown();
 }
@@ -150,15 +166,8 @@ fn injected_panic_is_500_and_the_worker_pool_survives() {
 fn injected_error_is_500_with_the_injected_message() {
     let _chaos = chaos();
     fail::configure("engine.compare", Action::Error("chaos wire fault".into()));
-    let server = Server::start(
-        engine(),
-        ServerConfig {
-            cache_capacity: 0,
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
-    let (status, _, body) = request(server.local_addr(), COMPARE);
+    let server = Server::start(engine(), ServerConfig::default()).unwrap();
+    let (status, _, body) = compare(server.local_addr());
     assert_eq!(status, 500, "{body}");
     assert!(body.contains("chaos wire fault"), "{body}");
     server.shutdown();
@@ -176,7 +185,6 @@ fn full_admission_queue_sheds_overflow_with_503() {
         ServerConfig {
             n_workers: 1,
             queue_capacity: 1,
-            cache_capacity: 0,
             retry_after_secs: 2,
             ..ServerConfig::default()
         },
@@ -185,7 +193,7 @@ fn full_admission_queue_sheds_overflow_with_503() {
     let addr = server.local_addr();
 
     let clients: Vec<_> = (0..6)
-        .map(|_| std::thread::spawn(move || request(addr, COMPARE)))
+        .map(|_| std::thread::spawn(move || compare(addr)))
         .collect();
     let results: Vec<_> = clients.into_iter().map(|h| h.join().unwrap()).collect();
 
@@ -217,7 +225,6 @@ fn graceful_shutdown_drains_queued_requests() {
         ServerConfig {
             n_workers: 1,
             queue_capacity: 4,
-            cache_capacity: 0,
             ..ServerConfig::default()
         },
     )
@@ -226,7 +233,7 @@ fn graceful_shutdown_drains_queued_requests() {
 
     // One request being served, one parked in the admission queue.
     let clients: Vec<_> = (0..2)
-        .map(|_| std::thread::spawn(move || request(addr, COMPARE)))
+        .map(|_| std::thread::spawn(move || compare(addr)))
         .collect();
     std::thread::sleep(Duration::from_millis(50));
 

@@ -1,4 +1,4 @@
-//! Golden-file wire tests: every legacy and `/v1` response shape is
+//! Golden-file wire tests: every `/v1` response shape is
 //! pinned byte-for-byte against files under `tests/golden/`.
 //!
 //! Regenerate after an intentional wire change with
@@ -11,6 +11,7 @@ use std::sync::OnceLock;
 
 use om_engine::{Budget, EngineConfig, OpportunityMap};
 use om_server::http::{Request, Response};
+use om_server::ops::EngineBackend;
 use om_server::router::{self, RouteOptions};
 use om_synth::paper_scenario;
 
@@ -20,19 +21,6 @@ fn engine() -> &'static OpportunityMap {
         let (ds, _) = paper_scenario(20_000, 33);
         OpportunityMap::build(ds, EngineConfig::default()).unwrap()
     })
-}
-
-fn get(path: &str, params: &[(&str, &str)]) -> Response {
-    let req = Request {
-        method: "GET".into(),
-        path: path.into(),
-        params: params
-            .iter()
-            .map(|(k, v)| ((*k).to_owned(), (*v).to_owned()))
-            .collect::<BTreeMap<_, _>>(),
-        body: String::new(),
-    };
-    route(&req, &RouteOptions::default())
 }
 
 fn post(path: &str, body: &str) -> Response {
@@ -50,7 +38,11 @@ fn post_with(path: &str, body: &str, opts: &RouteOptions) -> Response {
 }
 
 fn route(req: &Request, opts: &RouteOptions) -> Response {
-    router::route(req, engine(), None, opts, || "metrics\n".to_owned())
+    let ops = EngineBackend {
+        om: engine(),
+        ingest: None,
+    };
+    router::route(req, &ops, opts, || "metrics\n".to_owned())
 }
 
 /// Compare `actual` against `tests/golden/<name>`, or rewrite the file
@@ -74,85 +66,26 @@ fn check_golden(name: &str, actual: &str) {
     );
 }
 
-const COMPARE_PARAMS: [(&str, &str); 4] = [
-    ("attr", "PhoneModel"),
-    ("v1", "ph1"),
-    ("v2", "ph2"),
-    ("class", "dropped"),
-];
-
 const V1_COMPARE_BODY: &str =
     r#"{"attr":"PhoneModel","v1":"ph1","v2":"ph2","class":"dropped"}"#;
 
 #[test]
-fn legacy_compare_shape() {
-    let r = get("/compare", &COMPARE_PARAMS);
-    assert_eq!(r.status, 200);
-    check_golden("legacy_compare.json", &r.body);
-}
-
-#[test]
-fn legacy_drill_shape() {
-    let mut params = COMPARE_PARAMS.to_vec();
-    params.push(("depth", "1"));
-    let r = get("/drill", &params);
-    assert_eq!(r.status, 200);
-    check_golden("legacy_drill.json", &r.body);
-}
-
-#[test]
-fn legacy_gi_shape() {
-    let r = get("/gi", &[("top", "3")]);
-    assert_eq!(r.status, 200);
-    check_golden("legacy_gi.json", &r.body);
-}
-
-#[test]
-fn legacy_slice_shapes() {
-    let one = get("/cube/slice", &[("attr", "PhoneModel")]);
-    assert_eq!(one.status, 200);
-    check_golden("legacy_slice_one_dim.json", &one.body);
-    let pair = get(
-        "/cube/slice",
-        &[("attr", "PhoneModel"), ("by", "TimeOfCall")],
-    );
-    assert_eq!(pair.status, 200);
-    check_golden("legacy_slice_pair.json", &pair.body);
-}
-
-#[test]
-fn legacy_error_shape() {
-    let r = get(
-        "/compare",
-        &[("attr", "Bogus"), ("v1", "a"), ("v2", "b"), ("class", "dropped")],
-    );
-    assert_eq!(r.status, 404);
-    check_golden("legacy_error_unknown.json", &r.body);
-}
-
-#[test]
-fn v1_compare_shape_matches_legacy_bytes() {
+fn v1_compare_shape() {
     let v1 = post("/v1/compare", V1_COMPARE_BODY);
     assert_eq!(v1.status, 200);
     check_golden("v1_compare.json", &v1.body);
-    let legacy = get("/compare", &COMPARE_PARAMS);
-    assert_eq!(v1.body, legacy.body, "v1 compare body must be byte-identical to legacy");
     let parsed = om_api::CompareResponse::parse(&v1.body).unwrap();
     assert_eq!(parsed.encode(), v1.body, "om-api round-trip must be lossless");
 }
 
 #[test]
-fn v1_drill_shape_matches_legacy_bytes() {
+fn v1_drill_shape() {
     let v1 = post(
         "/v1/drill",
         r#"{"attr":"PhoneModel","v1":"ph1","v2":"ph2","class":"dropped","depth":1}"#,
     );
     assert_eq!(v1.status, 200);
     check_golden("v1_drill.json", &v1.body);
-    let mut params = COMPARE_PARAMS.to_vec();
-    params.push(("depth", "1"));
-    let legacy = get("/drill", &params);
-    assert_eq!(v1.body, legacy.body, "v1 drill body must be byte-identical to legacy");
     let parsed = om_api::DrillResponse::parse(&v1.body).unwrap();
     assert_eq!(parsed.encode(), v1.body);
 }
@@ -172,31 +105,24 @@ fn v1_drill_with_fixed_path() {
 }
 
 #[test]
-fn v1_gi_shape_matches_legacy_bytes() {
+fn v1_gi_shape() {
     let v1 = post("/v1/gi", r#"{"top":3}"#);
     assert_eq!(v1.status, 200);
     check_golden("v1_gi.json", &v1.body);
-    let legacy = get("/gi", &[("top", "3")]);
-    assert_eq!(v1.body, legacy.body, "v1 gi body must be byte-identical to legacy");
     let parsed = om_api::GiResponse::parse(&v1.body).unwrap();
     assert_eq!(parsed.encode(), v1.body);
 }
 
 #[test]
-fn v1_slice_shapes_match_legacy_bytes() {
+fn v1_slice_shapes() {
     let one = post("/v1/cube/slice", r#"{"attr":"PhoneModel"}"#);
     assert_eq!(one.status, 200);
     check_golden("v1_slice_one_dim.json", &one.body);
-    assert_eq!(one.body, get("/cube/slice", &[("attr", "PhoneModel")]).body);
     assert_eq!(om_api::SliceResponse::parse(&one.body).unwrap().encode(), one.body);
 
     let pair = post("/v1/cube/slice", r#"{"attr":"PhoneModel","by":"TimeOfCall"}"#);
     assert_eq!(pair.status, 200);
     check_golden("v1_slice_pair.json", &pair.body);
-    assert_eq!(
-        pair.body,
-        get("/cube/slice", &[("attr", "PhoneModel"), ("by", "TimeOfCall")]).body
-    );
     assert_eq!(om_api::SliceResponse::parse(&pair.body).unwrap().encode(), pair.body);
 }
 
@@ -332,7 +258,11 @@ fn v1_ingest_roundtrip() {
             params: BTreeMap::new(),
             body: body.to_owned(),
         };
-        router::route(&req, &om, Some(&handle), opts, || "metrics\n".to_owned())
+        let ops = EngineBackend {
+            om: &om,
+            ingest: Some(&handle),
+        };
+        router::route(&req, &ops, opts, || "metrics\n".to_owned())
     };
 
     let row = row_fields_of(&om);
@@ -395,7 +325,15 @@ fn v1_error_envelopes() {
     assert_eq!(missing.status, 404);
     check_golden("v1_error_not_found.json", &missing.body);
 
-    let wrong_method = get("/v1/compare", &[]);
+    let wrong_method = route(
+        &Request {
+            method: "GET".into(),
+            path: "/v1/compare".into(),
+            params: BTreeMap::new(),
+            body: String::new(),
+        },
+        &RouteOptions::default(),
+    );
     assert_eq!(wrong_method.status, 405);
     check_golden("v1_error_method.json", &wrong_method.body);
 

@@ -7,6 +7,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use om_engine::{EngineConfig, OpportunityMap};
+use om_server::metrics::Endpoint;
 use om_server::{Server, ServerConfig};
 use om_synth::paper_scenario;
 
@@ -62,6 +63,27 @@ fn get(addr: std::net::SocketAddr, target: &str) -> (u16, String) {
     )
 }
 
+fn post_request(path: &str, body: &str) -> String {
+    format!(
+        "POST {path} HTTP/1.1\r\nHost: localhost\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+}
+
+fn post(addr: std::net::SocketAddr, path: &str, body: &str) -> (u16, String) {
+    raw_request(addr, &post_request(path, body))
+}
+
+const COMPARE: &str = r#"{"attr":"PhoneModel","v1":"ph1","v2":"ph2","class":"dropped"}"#;
+
+/// The `/v1/compare` body the engine itself would produce for [`COMPARE`].
+fn direct_compare() -> String {
+    let direct = engine()
+        .run_compare_by_name("PhoneModel", "ph1", "ph2", "dropped", engine().exec_ctx(None))
+        .unwrap();
+    om_server::v1::compare_wire(&direct).encode()
+}
+
 #[test]
 fn unknown_path_upload_gets_404_without_draining_the_body() {
     // A server with a raised upload allowance: POSTing a body declared
@@ -77,37 +99,45 @@ fn unknown_path_upload_gets_404_without_draining_the_body() {
         },
     )
     .unwrap();
-    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-    stream
-        .write_all(
-            format!(
-                "POST /v1/nope HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n",
-                48 << 20
+    // A path that never existed and the retired bare `/ingest` are
+    // equally unrouted.
+    for (path, why) in [("/v1/nope", "not_found"), ("/ingest", "no route for")] {
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream
+            .write_all(
+                format!(
+                    "POST {path} HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n",
+                    48 << 20
+                )
+                .as_bytes(),
             )
-            .as_bytes(),
-        )
-        .unwrap();
-    // Send nothing further and read the response directly (the server
-    // keeps the socket open briefly for its politeness drain, so don't
-    // wait for close). With the pre-fix behavior the server would sit
-    // in the body read until its 5 s timeout and this 2 s client read
-    // would expire empty-handed.
-    stream
-        .set_read_timeout(Some(Duration::from_secs(2)))
-        .unwrap();
-    let mut response = String::new();
-    let mut buf = [0u8; 4096];
-    while !response.contains("\r\n\r\n") || !response.ends_with('}') {
-        match stream.read(&mut buf) {
-            Ok(0) | Err(_) => break,
-            Ok(n) => response.push_str(std::str::from_utf8(&buf[..n]).unwrap()),
+            .unwrap();
+        // Send nothing further and read the response directly (the
+        // server keeps the socket open briefly for its politeness drain,
+        // so don't wait for close). A server that waited for the body
+        // would sit in the read until its 5 s timeout and this 2 s
+        // client read would expire empty-handed.
+        stream
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .unwrap();
+        let mut response = String::new();
+        let mut buf = [0u8; 4096];
+        while !response.contains("\r\n\r\n") || !response.ends_with('}') {
+            match stream.read(&mut buf) {
+                Ok(0) | Err(_) => break,
+                Ok(n) => response.push_str(std::str::from_utf8(&buf[..n]).unwrap()),
+            }
         }
+        assert!(
+            response.starts_with("HTTP/1.1 404"),
+            "{path}: expected a head-only 404: {response:?}"
+        );
+        assert!(response.contains(why), "{path}: {response:?}");
     }
-    assert!(
-        response.starts_with("HTTP/1.1 404"),
-        "expected a head-only 404: {response:?}"
-    );
-    assert!(response.contains("not_found"), "{response:?}");
+    // Small uploads to the retired path are read and still 404.
+    assert_eq!(post(server.local_addr(), "/ingest", "a,b\n").0, 404);
+    assert_eq!(server.metrics().requests(Endpoint::Other), 3);
+    assert_eq!(server.metrics().requests(Endpoint::Ingest), 0);
     server.shutdown();
 }
 
@@ -123,15 +153,9 @@ fn healthz_answers() {
 #[test]
 fn compare_matches_direct_engine_call() {
     let server = start_server();
-    let (status, body) = get(
-        server.local_addr(),
-        "/compare?attr=PhoneModel&v1=ph1&v2=ph2&class=dropped",
-    );
+    let (status, body) = post(server.local_addr(), "/v1/compare", COMPARE);
     assert_eq!(status, 200);
-    let direct = engine()
-        .run_compare_by_name("PhoneModel", "ph1", "ph2", "dropped", engine().exec_ctx(None))
-        .unwrap();
-    assert_eq!(body, om_compare::json::to_json(&direct));
+    assert_eq!(body, direct_compare());
     server.shutdown();
 }
 
@@ -140,7 +164,7 @@ fn gi_and_cube_slice_match_direct_calls() {
     let server = start_server();
     let addr = server.local_addr();
 
-    let (status, gi_body) = get(addr, "/gi?top=5");
+    let (status, gi_body) = post(addr, "/v1/gi", r#"{"top":5}"#);
     assert_eq!(status, 200);
     let report = engine().run_general_impressions(engine().exec_ctx(None)).unwrap();
     // Spot-check against the direct engine report: the top influence
@@ -148,7 +172,7 @@ fn gi_and_cube_slice_match_direct_calls() {
     assert!(gi_body.contains(&format!("\"attr\":\"{}\"", report.influence[0].attr_name)));
     assert!(gi_body.contains("\"trends\":["));
 
-    let (status, slice_body) = get(addr, "/cube/slice?attr=PhoneModel");
+    let (status, slice_body) = post(addr, "/v1/cube/slice", r#"{"attr":"PhoneModel"}"#);
     assert_eq!(status, 200);
     let cube = engine()
         .store()
@@ -165,9 +189,10 @@ fn gi_and_cube_slice_match_direct_calls() {
 #[test]
 fn drill_answers_with_levels() {
     let server = start_server();
-    let (status, body) = get(
+    let (status, body) = post(
         server.local_addr(),
-        "/drill?attr=PhoneModel&v1=ph1&v2=ph2&class=dropped&depth=1",
+        "/v1/drill",
+        r#"{"attr":"PhoneModel","v1":"ph1","v2":"ph2","class":"dropped","depth":1}"#,
     );
     assert_eq!(status, 200);
     assert!(body.starts_with("{\"levels\":["));
@@ -185,15 +210,19 @@ fn malformed_requests_get_400_and_server_survives() {
     let (status, _) = raw_request(addr, "GET /x HTTP/9.9\r\n\r\n");
     assert_eq!(status, 400);
 
-    let (status, _) = raw_request(addr, "GET /compare?a=%zz HTTP/1.1\r\n\r\n");
+    let (status, _) = raw_request(addr, "GET /healthz?a=%zz HTTP/1.1\r\n\r\n");
     assert_eq!(status, 400);
 
     let long = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(10_000));
     let (status, _) = raw_request(addr, &long);
     assert_eq!(status, 400);
 
-    let (status, _) = raw_request(addr, "POST /healthz HTTP/1.1\r\n\r\n");
+    assert_eq!(post(addr, "/v1/compare", "not json").0, 400);
+
+    assert_eq!(post(addr, "/healthz", "").0, 405);
+    let (status, body) = get(addr, "/v1/compare");
     assert_eq!(status, 405);
+    assert!(body.contains("method_not_allowed"), "{body}");
 
     // The process is still alive and serving.
     let (status, body) = get(addr, "/healthz");
@@ -203,27 +232,35 @@ fn malformed_requests_get_400_and_server_survives() {
 }
 
 #[test]
-fn missing_params_and_unknown_names() {
+fn unknown_names_and_unknown_routes_are_404() {
     let server = start_server();
     let addr = server.local_addr();
-    assert_eq!(get(addr, "/compare?attr=PhoneModel").0, 400);
     assert_eq!(
-        get(addr, "/compare?attr=Nope&v1=a&v2=b&class=dropped").0,
+        post(addr, "/v1/compare", r#"{"attr":"Nope","v1":"a","v2":"b","class":"dropped"}"#).0,
         404
     );
     assert_eq!(get(addr, "/no/such/route").0, 404);
+    // The retired pre-/v1 GET surface is as unknown as any other path.
+    for target in [
+        "/compare?attr=PhoneModel&v1=ph1&v2=ph2&class=dropped",
+        "/drill?attr=PhoneModel&v1=ph1&v2=ph2&class=dropped",
+        "/gi",
+        "/cube/slice?attr=PhoneModel",
+    ] {
+        assert_eq!(get(addr, target).0, 404, "{target}");
+    }
+    assert_eq!(server.metrics().requests(Endpoint::Other), 5);
     server.shutdown();
 }
 
 #[test]
-fn metrics_reflect_requests_and_cache() {
+fn metrics_reflect_requests() {
     let server = start_server();
     let addr = server.local_addr();
 
-    let target = "/compare?attr=PhoneModel&v1=ph1&v2=ph2&class=dropped";
-    let (_, cold) = get(addr, target);
-    let (_, warm) = get(addr, target);
-    assert_eq!(cold, warm, "cache must not change the answer");
+    let (_, first) = post(addr, "/v1/compare", COMPARE);
+    let (_, second) = post(addr, "/v1/compare", COMPARE);
+    assert_eq!(first, second);
     let _ = get(addr, "/healthz");
     let _ = get(addr, "/no/such/route");
 
@@ -235,10 +272,6 @@ fn metrics_reflect_requests_and_cache() {
     );
     assert!(metrics.contains("om_requests_total{endpoint=\"healthz\"} 1"));
     assert!(metrics.contains("om_requests_total{endpoint=\"other\"} 1"));
-    // Only the cold /compare consulted the cache; /healthz and the 404
-    // bypass it entirely.
-    assert!(metrics.contains("om_cache_misses_total 1"), "{metrics}");
-    assert!(metrics.contains("om_cache_hits_total 1"), "{metrics}");
     assert!(metrics.contains("om_errors_total 1"), "{metrics}");
     // 4 requests recorded by the time /metrics renders itself.
     assert!(metrics.contains("om_latency_samples_total 4"), "{metrics}");
@@ -272,22 +305,17 @@ fn stalled_request_times_out_with_408() {
 fn eight_concurrent_clients_get_correct_answers() {
     let server = start_server();
     let addr = server.local_addr();
-    let expected = om_compare::json::to_json(
-        &engine()
-            .run_compare_by_name("PhoneModel", "ph1", "ph2", "dropped", engine().exec_ctx(None))
-            .unwrap(),
-    );
+    let expected = direct_compare();
 
     let handles: Vec<_> = (0..8)
         .map(|i| {
             let expected = expected.clone();
             std::thread::spawn(move || {
                 for round in 0..5 {
-                    // Every thread alternates endpoints so the cache and
-                    // the engine path both see concurrency.
+                    // Every thread alternates endpoints so the engine
+                    // and the cheap path both see concurrency.
                     if (i + round) % 2 == 0 {
-                        let (status, body) =
-                            get(addr, "/compare?attr=PhoneModel&v1=ph1&v2=ph2&class=dropped");
+                        let (status, body) = post(addr, "/v1/compare", COMPARE);
                         assert_eq!(status, 200);
                         assert_eq!(body, expected);
                     } else {
@@ -305,8 +333,7 @@ fn eight_concurrent_clients_get_correct_answers() {
 
     let metrics = server.metrics();
     assert_eq!(
-        metrics.requests(om_server::metrics::Endpoint::Compare)
-            + metrics.requests(om_server::metrics::Endpoint::Healthz),
+        metrics.requests(Endpoint::Compare) + metrics.requests(Endpoint::Healthz),
         40
     );
     assert_eq!(metrics.errors(), 0);
@@ -323,22 +350,18 @@ fn exhausted_engine_budget_is_503_with_retry_after() {
         ServerConfig {
             engine_budget: Some(Duration::ZERO),
             retry_after_secs: 3,
-            cache_capacity: 0,
             ..ServerConfig::default()
         },
     )
     .unwrap();
     let addr = server.local_addr();
 
-    let (status, head, body) = raw_request_full(
-        addr,
-        "GET /compare?attr=PhoneModel&v1=ph1&v2=ph2&class=dropped HTTP/1.1\r\n\r\n",
-    );
+    let (status, head, body) = raw_request_full(addr, &post_request("/v1/compare", COMPARE));
     assert_eq!(status, 503, "{body}");
     assert!(head.contains("Retry-After: 3\r\n"), "{head}");
     assert!(body.contains("deadline exceeded"), "{body}");
 
-    assert_eq!(get(addr, "/gi").0, 503);
+    assert_eq!(post(addr, "/v1/gi", "{}").0, 503);
     assert_eq!(get(addr, "/healthz").0, 200);
 
     let (_, metrics) = get(addr, "/metrics");
@@ -360,15 +383,9 @@ fn generous_budget_does_not_change_answers() {
         },
     )
     .unwrap();
-    let (status, body) = get(
-        server.local_addr(),
-        "/compare?attr=PhoneModel&v1=ph1&v2=ph2&class=dropped",
-    );
+    let (status, body) = post(server.local_addr(), "/v1/compare", COMPARE);
     assert_eq!(status, 200);
-    let direct = engine()
-        .run_compare_by_name("PhoneModel", "ph1", "ph2", "dropped", engine().exec_ctx(None))
-        .unwrap();
-    assert_eq!(body, om_compare::json::to_json(&direct));
+    assert_eq!(body, direct_compare());
     server.shutdown();
 }
 
@@ -399,57 +416,43 @@ fn live_ingestion_end_to_end() {
     .unwrap();
     let addr = server.local_addr();
 
-    // Warm the response cache against generation 0.
-    let (status, before) = get(addr, "/cube/slice?attr=PhoneModel");
+    const SLICE: &str = r#"{"attr":"PhoneModel"}"#;
+    let (status, before) = post(addr, "/v1/cube/slice", SLICE);
     assert_eq!(status, 200);
     assert!(before.contains("\"total\":5000"), "{before}");
 
-    // Row 0 of the discretized dataset, as the CSV a client would POST
-    // (interval bin labels contain commas, hence the quoting).
+    // Row 0 of the discretized dataset, as the labels a client would POST.
     let dataset = om.dataset();
-    let row = (0..dataset.schema().n_attributes())
+    let row: Vec<String> = (0..dataset.schema().n_attributes())
         .map(|i| {
             let id = dataset.column(i).as_categorical().unwrap()[0];
-            let label = dataset.schema().attribute(i).domain().label(id).unwrap();
-            if label.contains(',') {
-                format!("\"{label}\"")
-            } else {
-                label.to_owned()
-            }
+            dataset.schema().attribute(i).domain().label(id).unwrap().to_owned()
         })
-        .collect::<Vec<_>>()
-        .join(",");
-    let body = format!("{row}\n{row}\n{row}\n");
-    let (status, reply) = raw_request(
-        addr,
-        &format!(
-            "POST /ingest HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        ),
-    );
+        .collect();
+    let body = om_api::IngestRequest {
+        rows: vec![row.clone(), row.clone(), row],
+    }
+    .encode();
+    let (status, reply) = post(addr, "/v1/ingest", &body);
     assert_eq!(status, 200, "{reply}");
     assert!(reply.contains("\"accepted\":3"), "{reply}");
 
     // A malformed batch is a 400 naming the row, and commits nothing.
-    let bad = "such,garbage\n";
-    let (status, reply) = raw_request(
-        addr,
-        &format!(
-            "POST /ingest HTTP/1.1\r\nContent-Length: {}\r\n\r\n{bad}",
-            bad.len()
-        ),
-    );
+    let bad = om_api::IngestRequest {
+        rows: vec![vec!["such".into(), "garbage".into()]],
+    }
+    .encode();
+    let (status, reply) = post(addr, "/v1/ingest", &bad);
     assert_eq!(status, 400, "{reply}");
     assert!(reply.contains("row 1"), "{reply}");
 
-    // GET on /ingest is a 405 even with ingestion enabled.
-    assert_eq!(get(addr, "/ingest").0, 405);
+    // GET on /v1/ingest is a 405 even with ingestion enabled.
+    assert_eq!(get(addr, "/v1/ingest").0, 405);
 
     // Force the pipeline through seal + merge + publish, then the served
-    // counts must include the rows (the generation-scoped cache key
-    // retires the warmed generation-0 entry).
+    // counts must include the rows.
     handle.flush().unwrap();
-    let (status, after) = get(addr, "/cube/slice?attr=PhoneModel");
+    let (status, after) = post(addr, "/v1/cube/slice", SLICE);
     assert_eq!(status, 200);
     assert!(after.contains("\"total\":5003"), "{after}");
 

@@ -18,7 +18,7 @@
 use std::sync::Arc;
 
 use om_bench::{scaleup_dataset, scaleup_spec, time_median};
-use om_compare::{candidate_attrs, CompareConfig, Comparator};
+use om_compare::{candidate_attrs_in, CompareConfig, Comparator};
 use om_cube::{ColumnIndex, CubeStore, StoreBuildOptions};
 
 const COND_ATTR: usize = 1;
@@ -34,7 +34,7 @@ fn main() {
     let ds = scaleup_dataset(n_attrs, n_records, 11);
     let spec = scaleup_spec(&ds);
     let config = CompareConfig::default();
-    let attrs = candidate_attrs(&ds, spec.attr, &[COND_ATTR]);
+    let attrs = candidate_attrs_in(ds.schema(), spec.attr, &[COND_ATTR]);
     let n_values = ds.schema().attribute(COND_ATTR).cardinality();
 
     let (walk, walk_time) = time_median(reps, || {

@@ -1,8 +1,9 @@
 //! The coordinator: the `/v1` API served by distributed merge.
 //!
-//! A [`Coordinator`] implements `om_server::ops::EngineOps` — the same
-//! seam the resident single-node backend implements — by fanning every
-//! operation out to its shard processes and merging their partials:
+//! A [`Coordinator`] implements the primitives of
+//! `om_server::ops::EngineOps` — the same seam the resident single-node
+//! backend implements — by fanning out to its shard processes and
+//! merging their partials:
 //!
 //! * **Replicated partitions.** The topology is `partitions x replicas`
 //!   shard processes: `shard_addrs` lists them partition-block by
@@ -43,22 +44,28 @@
 //!   failures gather with om-exec's earliest-partition-error-wins rule
 //!   ([`om_exec::gather_in_order`]) — the response does not depend on
 //!   which shard answered first on the wire.
-//! * **Identical engine code.** The merged store is then queried by the
-//!   *single-node* comparator/miner code, and names resolve through a
-//!   zero-row engine twin built from the shards' own schema — which is
-//!   why full-coverage coordinator responses (results *and* error
-//!   messages) are byte-identical to a single node holding the union of
-//!   the partitions. The only sanctioned divergences are availability
+//! * **Identical engine code.** The coordinator holds a zero-row
+//!   engine twin built from the shards' own schema, and every `/v1`
+//!   read is `EngineOps`'s provided method running that twin's code —
+//!   name resolution, comparator, miners, batch executor, explore —
+//!   over what the coordinator supplies: the merged store
+//!   ([`EngineOps::pin_store`]) and the drill population
+//!   ([`EngineOps::drill_root`]). Nothing about compare, drill, GI,
+//!   batch or explore is implemented here, which is why full-coverage
+//!   coordinator responses (results *and* error messages) are
+//!   byte-identical to a single node holding the union of the
+//!   partitions. The only sanctioned divergences are availability
 //!   errors a single node cannot have (a partition down or lagging, a
 //!   generation race that never settles); those surface as `503`
 //!   envelopes, or as partial answers when the caller opted in.
-//! * **Drill-down.** The drill walk runs the shared
-//!   [`om_compare::drill_down_via`] loop over a [`DrillPopulation`]
-//!   backed by `/internal/level` fan-outs (merged per level) and
-//!   `/internal/count` emptiness probes, each with the same per-replica
-//!   failover. Drill levels read the shards' immutable *base*
-//!   partitions — exactly as a single node drills its base dataset — so
-//!   level stores are generation-free and cacheable.
+//! * **Drill-down.** The coordinator's [`DrillPopulation`] answers
+//!   `level_store` with `/internal/level` fan-outs (merged per level)
+//!   and `descend` with the schema's validity check plus an
+//!   `/internal/count` emptiness probe, each with the same per-replica
+//!   failover; the walk over it is the engine's. Drill levels read the
+//!   shards' immutable *base* partitions — exactly as a single node
+//!   drills its base dataset — so level stores are generation-free and
+//!   cacheable.
 //! * **Ingest.** Rows are validated up front against the shared schema
 //!   (identical `bad_row` envelopes, all-or-nothing), routed by the
 //!   stable row hash ([`crate::router`]) to a *partition*, and written
@@ -93,22 +100,17 @@ use om_api::{
     IngestResponse, InternalCountRequest, InternalCountResponse, InternalGenerationResponse,
     InternalLevelRequest, InternalLevelResponse, InternalSchemaResponse, InternalStoreResponse,
 };
-use om_compare::{
-    candidate_attrs_in, drill_down_via, CompareConfig, CompareError, Comparator, ComparisonResult,
-    ComparisonSpec, DrillConfig, DrillLevel, DrillPopulation,
-};
+use om_compare::{CompareError, Descent, DrillPopulation};
 use om_cube::persist::decode_store;
 use om_cube::CubeStore;
 use om_data::persist::decode_dataset;
 use om_data::{Schema, ValueId};
 use om_engine::{
-    fail, BatchItem, BatchOutcome, Budget, Condition, EngineConfig, EngineError, FaultError,
-    GiReport, OpportunityMap, SharedStore, StoreSnapshot,
+    fail, Budget, Condition, EngineConfig, FaultError, OpportunityMap, SharedStore, StoreSnapshot,
 };
 use om_exec::gather_in_order;
-use om_gi::{mine_exceptions_budgeted, mine_influence_budgeted, mine_trends_budgeted};
 use om_ingest::RowParser;
-use om_server::ops::{ingest_envelope, EngineOps, IngestAck, OpsError};
+use om_server::ops::{ingest_envelope, EngineOps, IngestAck, OpsError, RootPopulation};
 
 use crate::client::ShardClient;
 use crate::health::{backoff_delay, Admission, Health, HealthConfig};
@@ -287,8 +289,8 @@ fn record_fetch_outcome(
 pub struct Coordinator {
     shards: Vec<ShardClient>,
     /// Zero-row engine twin built from the shards' schema: resolves
-    /// names, validates conditions and carries the shared configs with
-    /// the exact single-node code (and error messages).
+    /// names, carries the shared configs and runs every read with the
+    /// exact single-node code (and error messages).
     om: OpportunityMap,
     parser: RowParser,
     n_partitions: usize,
@@ -1084,13 +1086,6 @@ impl Coordinator {
         )))
     }
 
-    /// Pin one generation per partition and return the merged full
-    /// store at exactly that generation vector (cached across
-    /// requests). All-or-nothing: any downed partition is an error.
-    fn pinned_store(&self, _budget: &Budget) -> Result<Arc<StoreSnapshot>, ErrorEnvelope> {
-        self.pinned_store_with(false).map(|(snap, _)| snap)
-    }
-
     /// Merged drill-level store over the shards' conditioned *base*
     /// partitions (generation-free; see module docs).
     fn cluster_level_store(
@@ -1270,167 +1265,20 @@ impl Coordinator {
         }
         Ok(ack)
     }
-
-    /// The coordinator's mirror of om-exec's `run_drill_item`: the same
-    /// walk, budgets, memoization and error classification, with level
-    /// stores and emptiness probes answered by shard fan-out.
-    fn drill_item(
-        &self,
-        spec: &ComparisonSpec,
-        path: &[Condition],
-        budget: &Budget,
-        drill_config: &DrillConfig,
-        compare_config: &CompareConfig,
-        memo: &mut HashMap<(Vec<Condition>, ComparisonSpec), ComparisonResult>,
-    ) -> BatchOutcome {
-        if path.is_empty() {
-            // The automated walk; only the unconditioned root result is
-            // memoizable from outside (deeper levels depend on the
-            // walk's own findings) — it is the runner's first call.
-            let mut at_root = true;
-            let mut pop = ClusterPopulation::new(self);
-            let compare = compare_config.clone();
-            let walked = drill_down_via(&mut pop, spec, drill_config, budget, |store, spec, budget| {
-                let is_root = std::mem::take(&mut at_root);
-                let root_key = (Vec::new(), *spec);
-                if is_root {
-                    if let Some(hit) = memo.get(&root_key) {
-                        return Ok(hit.clone());
-                    }
-                }
-                let result =
-                    Comparator::with_config(&store, compare.clone()).compare_budgeted(spec, budget)?;
-                if is_root {
-                    memo.insert(root_key, result.clone());
-                }
-                Ok(result)
-            });
-            return match walked {
-                Ok(levels) => BatchOutcome::Drill(levels),
-                Err(e) => match pop.failure.take() {
-                    Some(env) => BatchOutcome::Overloaded { message: env.message },
-                    None => BatchOutcome::from_error(&e),
-                },
-            };
-        }
-
-        let schema = self.om.dataset().schema();
-        let mut levels: Vec<DrillLevel> = Vec::new();
-        for depth in 0..=path.len() {
-            if let Err(e) = budget.check() {
-                return BatchOutcome::from_error(&CompareError::Fault(e));
-            }
-            if let Err(e) = fail::inject("compare.drill-level") {
-                return BatchOutcome::from_error(&CompareError::Fault(e));
-            }
-            let Some(prefix) = path.get(..depth) else {
-                break;
-            };
-            match self.validate_prefix(prefix, schema) {
-                Ok(()) => {}
-                Err(PrefixError::Invalid(message)) => return BatchOutcome::Failed { message },
-                Err(PrefixError::FanOut(env)) => {
-                    return BatchOutcome::Overloaded { message: env.message }
-                }
-            }
-            let mut excluded: Vec<usize> = vec![spec.attr];
-            excluded.extend(prefix.iter().map(|c| c.attr));
-            let attrs = candidate_attrs_in(schema, spec.attr, &excluded);
-            if attrs.len() < 2 {
-                break; // nothing left to rank under these conditions
-            }
-            let key = (prefix.to_vec(), *spec);
-            let result = if let Some(hit) = memo.get(&key) {
-                hit.clone()
-            } else {
-                let store = match self.cluster_level_store(prefix, &attrs) {
-                    Ok(store) => store,
-                    Err(env) => return BatchOutcome::Overloaded { message: env.message },
-                };
-                let computed =
-                    Comparator::with_config(&store, compare_config.clone()).compare_budgeted(spec, budget);
-                match computed {
-                    Ok(r) => {
-                        memo.insert(key, r.clone());
-                        r
-                    }
-                    Err(e) if depth == 0 => return BatchOutcome::from_error(&e),
-                    Err(e @ CompareError::Fault(_)) => return BatchOutcome::from_error(&e),
-                    Err(_) => break, // conditioned data too thin — stop cleanly
-                }
-            };
-            levels.push(DrillLevel {
-                conditions: prefix.to_vec(),
-                condition_labels: prefix.iter().map(|c| c.display(schema)).collect(),
-                result,
-            });
-        }
-        BatchOutcome::Drill(levels)
-    }
-
-    /// The conditioned-population mirror of the batch fixed-path walk:
-    /// validate each condition against the schema and probe the
-    /// cluster-wide sub-population for emptiness, producing the exact
-    /// single-node failure messages.
-    fn validate_prefix(&self, prefix: &[Condition], schema: &Schema) -> Result<(), PrefixError> {
-        for j in 0..prefix.len() {
-            let Some(&cond) = prefix.get(j) else { break };
-            // Each condition costs a cluster-wide count; the seam bounds
-            // the walk the same way compare.drill-level bounds levels.
-            if let Err(e) = fail::inject("cluster.validate-prefix") {
-                return Err(PrefixError::FanOut(
-                    self.overloaded(format!("prefix validation aborted: {e}")),
-                ));
-            }
-            // The same schema-only validity check a shard's narrow applies.
-            if let Err(e) = schema.check_condition(cond.attr, cond.value) {
-                return Err(PrefixError::Invalid(format!(
-                    "condition {} is invalid: {e}",
-                    cond.display(schema)
-                )));
-            }
-            // om-lint: allow(panic-path) — j < prefix.len() by the enumerate bound
-            match self.cluster_count(&prefix[..=j]) {
-                Ok(0) => {
-                    return Err(PrefixError::Invalid(format!(
-                        "condition {} selects no records",
-                        cond.display(schema)
-                    )))
-                }
-                Ok(_) => {}
-                Err(env) => return Err(PrefixError::FanOut(env)),
-            }
-        }
-        Ok(())
-    }
-}
-
-enum PrefixError {
-    /// The request is at fault — the single-node `Failed` message.
-    Invalid(String),
-    /// A shard fan-out failed — availability, retryable.
-    FanOut(ErrorEnvelope),
 }
 
 /// The distributed [`DrillPopulation`]: levels are merged shard
 /// partials, descent is a schema validity probe plus a cluster-wide
 /// emptiness count. A shard failure mid-walk is stashed as the `/v1`
-/// envelope (the carrier `CompareError` is replaced by the caller).
+/// envelope; the walk carries a placeholder [`CompareError`] out and
+/// the caller swaps it for [`RootPopulation::take_failure`].
 struct ClusterPopulation<'a> {
     co: &'a Coordinator,
     conditions: Vec<Condition>,
     failure: Option<ErrorEnvelope>,
 }
 
-impl<'a> ClusterPopulation<'a> {
-    fn new(co: &'a Coordinator) -> Self {
-        Self {
-            co,
-            conditions: Vec::new(),
-            failure: None,
-        }
-    }
-
+impl ClusterPopulation<'_> {
     fn fan_out_failed(&mut self, env: ErrorEnvelope) -> CompareError {
         let carrier = CompareError::Fault(FaultError::Injected(format!(
             "cluster fan-out failed: {}",
@@ -1453,254 +1301,58 @@ impl DrillPopulation for ClusterPopulation<'_> {
         }
     }
 
-    fn descend(&mut self, condition: Condition) -> Result<bool, CompareError> {
+    fn descend(&mut self, condition: Condition) -> Result<Descent, CompareError> {
+        // Each condition costs a cluster-wide count; the seam bounds the
+        // walk the same way compare.drill-level bounds levels.
+        if let Err(e) = fail::inject("cluster.validate-prefix") {
+            let env = self
+                .co
+                .overloaded(format!("prefix validation aborted: {e}"));
+            return Err(self.fan_out_failed(env));
+        }
         // Validity first — the schema-only check a single node's narrow
-        // applies, with an invalid condition ending the walk cleanly
-        // just like there.
-        if self
-            .schema()
-            .check_condition(condition.attr, condition.value)
-            .is_err()
-        {
-            return Ok(false);
+        // applies — then emptiness, summed over the partitions.
+        if let Err(e) = self.schema().check_condition(condition.attr, condition.value) {
+            return Ok(Descent::Invalid(e));
         }
         let mut probe = self.conditions.clone();
         probe.push(condition);
         match self.co.cluster_count(&probe) {
-            Ok(0) => Ok(false),
+            Ok(0) => Ok(Descent::Empty),
             Ok(_) => {
                 self.conditions = probe;
-                Ok(true)
+                Ok(Descent::Narrowed)
             }
             Err(env) => Err(self.fan_out_failed(env)),
         }
     }
 }
 
-fn item_budget(batch: &Budget, budget_ms: Option<u64>) -> Budget {
-    match budget_ms {
-        Some(ms) => batch.narrowed(Duration::from_millis(ms)),
-        None => batch.clone(),
+impl RootPopulation for ClusterPopulation<'_> {
+    fn take_failure(&mut self) -> Option<ErrorEnvelope> {
+        self.failure.take()
     }
-}
-
-type GroupKey = (usize, ValueId, ValueId);
-
-fn group_key(spec: &ComparisonSpec) -> GroupKey {
-    let (lo, hi) = if spec.value_1 <= spec.value_2 {
-        (spec.value_1, spec.value_2)
-    } else {
-        (spec.value_2, spec.value_1)
-    };
-    (spec.attr, lo, hi)
 }
 
 impl EngineOps for Coordinator {
-    fn compare_config(&self) -> CompareConfig {
-        self.om.config().compare.clone()
+    fn engine(&self) -> &OpportunityMap {
+        &self.om
     }
 
-    fn spec_by_name(
+    fn pin_store(
         &self,
-        attr: &str,
-        value_1: &str,
-        value_2: &str,
-        class: &str,
-    ) -> Result<ComparisonSpec, OpsError> {
-        Ok(self.om.spec_by_name(attr, value_1, value_2, class)?)
+        allow_partial: bool,
+        _budget: &Budget,
+    ) -> Result<(Arc<StoreSnapshot>, Option<CoverageWire>), OpsError> {
+        Ok(self.pinned_store_with(allow_partial)?)
     }
 
-    fn condition_by_name(&self, attr: &str, value: &str) -> Result<Condition, OpsError> {
-        Ok(self.om.condition_by_name(attr, value)?)
-    }
-
-    fn attr_index(&self, name: &str) -> Result<usize, OpsError> {
-        Ok(self.om.attr_index(name)?)
-    }
-
-    fn run_compare_by_name(
-        &self,
-        attr: &str,
-        value_1: &str,
-        value_2: &str,
-        class: &str,
-        budget: &Budget,
-    ) -> Result<ComparisonResult, OpsError> {
-        // Same order as the single node: resolve, then the compare
-        // failpoint, then the store.
-        let spec = self.om.spec_by_name(attr, value_1, value_2, class)?;
-        fail::inject("engine.compare").map_err(EngineError::from)?;
-        let store = self.pinned_store(budget)?;
-        Comparator::with_config(&store, self.compare_config())
-            .compare_budgeted(&spec, budget)
-            .map_err(|e| OpsError::Engine(EngineError::from(e)))
-    }
-
-    fn run_compare_by_name_partial(
-        &self,
-        attr: &str,
-        value_1: &str,
-        value_2: &str,
-        class: &str,
-        budget: &Budget,
-    ) -> Result<(ComparisonResult, Option<CoverageWire>), OpsError> {
-        let spec = self.om.spec_by_name(attr, value_1, value_2, class)?;
-        fail::inject("engine.compare").map_err(EngineError::from)?;
-        let (store, coverage) = self.pinned_store_with(true)?;
-        let result = Comparator::with_config(&store, self.compare_config())
-            .compare_budgeted(&spec, budget)
-            .map_err(|e| OpsError::Engine(EngineError::from(e)))?;
-        Ok((result, coverage))
-    }
-
-    fn run_drill_down_by_name(
-        &self,
-        attr: &str,
-        value_1: &str,
-        value_2: &str,
-        class: &str,
-        config: &DrillConfig,
-        budget: &Budget,
-    ) -> Result<Vec<DrillLevel>, OpsError> {
-        fail::inject("engine.drill").map_err(EngineError::from)?;
-        let spec = self.om.spec_by_name(attr, value_1, value_2, class)?;
-        let compare = config.compare.clone();
-        let mut pop = ClusterPopulation::new(self);
-        let walked = drill_down_via(&mut pop, &spec, config, budget, move |store, spec, budget| {
-            Comparator::with_config(&store, compare.clone()).compare_budgeted(spec, budget)
-        });
-        match walked {
-            Ok(levels) => Ok(levels),
-            Err(e) => match pop.failure.take() {
-                Some(env) => Err(OpsError::Envelope(env)),
-                None => Err(OpsError::Engine(EngineError::from(e))),
-            },
-        }
-    }
-
-    fn run_general_impressions(&self, budget: &Budget) -> Result<GiReport, OpsError> {
-        fail::inject("engine.gi").map_err(EngineError::from)?;
-        let snapshot = self.pinned_store(budget)?;
-        let config = self.om.config();
-        let mine = || -> Result<GiReport, EngineError> {
-            Ok(GiReport {
-                trends: mine_trends_budgeted(&snapshot, &config.trend, budget)?,
-                exceptions: mine_exceptions_budgeted(&snapshot, &config.exception, budget)?,
-                influence: mine_influence_budgeted(&snapshot, budget)?,
-            })
-        };
-        mine().map_err(OpsError::Engine)
-    }
-
-    fn run_general_impressions_partial(
-        &self,
-        budget: &Budget,
-    ) -> Result<(GiReport, Option<CoverageWire>), OpsError> {
-        fail::inject("engine.gi").map_err(EngineError::from)?;
-        let (snapshot, coverage) = self.pinned_store_with(true)?;
-        let config = self.om.config();
-        let mine = || -> Result<GiReport, EngineError> {
-            Ok(GiReport {
-                trends: mine_trends_budgeted(&snapshot, &config.trend, budget)?,
-                exceptions: mine_exceptions_budgeted(&snapshot, &config.exception, budget)?,
-                influence: mine_influence_budgeted(&snapshot, budget)?,
-            })
-        };
-        mine().map(|report| (report, coverage)).map_err(OpsError::Engine)
-    }
-
-    fn query_store(&self, budget: &Budget) -> Result<Arc<StoreSnapshot>, OpsError> {
-        Ok(self.pinned_store(budget)?)
-    }
-
-    fn run_batch(
-        &self,
-        items: &[BatchItem],
-        drill_config: &DrillConfig,
-        budget: &Budget,
-    ) -> Result<Vec<BatchOutcome>, OpsError> {
-        fail::inject("engine.batch").map_err(EngineError::from)?;
-        budget.check().map_err(EngineError::from)?;
-        // One pinned merged store for the whole batch, like the single
-        // node's one snapshot.
-        let store = self.pinned_store(budget)?;
-        let compare_config = self.compare_config();
-        let mut outcomes: Vec<Option<BatchOutcome>> = vec![None; items.len()];
-
-        // Compare items, grouped exactly as om-exec groups them (the
-        // shared pass there is an optimization with byte-identical
-        // output; here each member runs the serial comparator on the
-        // merged store).
-        let mut groups: HashMap<GroupKey, Vec<(usize, ComparisonSpec, Budget)>> = HashMap::new();
-        let mut group_order: Vec<GroupKey> = Vec::new();
-        for (i, item) in items.iter().enumerate() {
-            if let BatchItem::Compare { spec, budget_ms } = item {
-                let key = group_key(spec);
-                groups
-                    .entry(key)
-                    .or_insert_with(|| {
-                        group_order.push(key);
-                        Vec::new()
-                    })
-                    .push((i, *spec, item_budget(budget, *budget_ms)));
-            }
-        }
-        for key in group_order {
-            let Some(members) = groups.remove(&key) else {
-                continue;
-            };
-            let group_fault = fail::inject("exec.batch-group").err();
-            for (i, spec, member_budget) in members {
-                let outcome = match &group_fault {
-                    Some(f) => BatchOutcome::from_error(&CompareError::Fault(f.clone())),
-                    None => match member_budget.check() {
-                        Err(e) => BatchOutcome::from_error(&CompareError::Fault(e)),
-                        Ok(()) => match Comparator::with_config(&store, compare_config.clone())
-                            .compare_budgeted(&spec, &member_budget)
-                        {
-                            Ok(r) => BatchOutcome::Compare(r),
-                            Err(e) => BatchOutcome::from_error(&e),
-                        },
-                    },
-                };
-                if let Some(slot) = outcomes.get_mut(i) {
-                    *slot = Some(outcome);
-                }
-            }
-        }
-
-        // Drill items: memoized path walk, same sharing as om-exec.
-        let mut memo: HashMap<(Vec<Condition>, ComparisonSpec), ComparisonResult> = HashMap::new();
-        for (i, item) in items.iter().enumerate() {
-            if let BatchItem::Drill {
-                spec,
-                path,
-                budget_ms,
-            } = item
-            {
-                let member_budget = item_budget(budget, *budget_ms);
-                let outcome = self.drill_item(
-                    spec,
-                    path,
-                    &member_budget,
-                    drill_config,
-                    &compare_config,
-                    &mut memo,
-                );
-                if let Some(slot) = outcomes.get_mut(i) {
-                    *slot = Some(outcome);
-                }
-            }
-        }
-
-        Ok(outcomes
-            .into_iter()
-            .map(|o| {
-                o.unwrap_or_else(|| BatchOutcome::Failed {
-                    message: "batch item produced no outcome".to_owned(),
-                })
-            })
-            .collect())
+    fn drill_root(&self, _anchor: usize) -> Result<Box<dyn RootPopulation + '_>, OpsError> {
+        Ok(Box::new(ClusterPopulation {
+            co: self,
+            conditions: Vec::new(),
+            failure: None,
+        }))
     }
 
     fn ingest_enabled(&self) -> bool {

@@ -9,10 +9,21 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use om_cluster::{partition_dataset, ClusterConfig, Coordinator, ShardClient};
+use om_compare::DrillConfig;
 use om_data::Dataset;
-use om_engine::{EngineConfig, IngestConfig, OpportunityMap};
+use om_engine::{
+    BatchItem, BatchOutcome, Budget, Condition, EngineConfig, IngestConfig, OpportunityMap,
+};
+use om_server::ops::{EngineBackend, EngineOps};
 use om_server::{Server, ServerConfig};
 use om_synth::{generate_call_log, CallLogConfig, Effect};
+use parking_lot::RwLock;
+
+/// The failpoint registry is process-global and every server in this
+/// file runs in the test process, so an armed seam fires in whichever
+/// test reaches it. Tests that arm a seam hold this exclusively; every
+/// other test holds it shared.
+static FAILPOINTS: RwLock<()> = RwLock::new(());
 
 fn scenario(n_records: usize, seed: u64) -> Dataset {
     generate_call_log(&CallLogConfig {
@@ -48,12 +59,20 @@ fn client(server: &Server) -> ShardClient {
     ShardClient::new(server.local_addr().to_string(), Duration::from_secs(30))
 }
 
+/// What a [`with_cluster`] body can reach below the wire.
+struct Nodes<'a> {
+    shards: &'a [Server],
+    shard_oms: &'a [Arc<OpportunityMap>],
+    coordinator: &'a Coordinator,
+    twin: &'a OpportunityMap,
+}
+
 /// Spin up `n_shards` shards + coordinator + single-node twin over the
 /// same logical records and hand them to the test body.
 fn with_cluster(
     n_shards: usize,
     ingest: bool,
-    body: impl FnOnce(&ShardClient, &ShardClient, &[Server], &[Arc<OpportunityMap>]),
+    body: impl FnOnce(&ShardClient, &ShardClient, &Nodes<'_>),
 ) {
     let ds = scenario(18_000, 42);
     let twin_om = Arc::new(OpportunityMap::build(ds, EngineConfig::default()).unwrap());
@@ -94,18 +113,29 @@ fn with_cluster(
     });
     let single = Server::start_with_ingest(Arc::clone(&twin_om), server_config(), twin_handle).unwrap();
 
-    let coordinator = Coordinator::connect(ClusterConfig {
-        shard_addrs: shard_servers
-            .iter()
-            .map(|s| s.local_addr().to_string())
-            .collect(),
-        ingest,
-        ..ClusterConfig::default()
-    })
-    .unwrap();
-    let coord = Server::start_custom(Arc::new(coordinator), server_config()).unwrap();
+    let coordinator = Arc::new(
+        Coordinator::connect(ClusterConfig {
+            shard_addrs: shard_servers
+                .iter()
+                .map(|s| s.local_addr().to_string())
+                .collect(),
+            ingest,
+            ..ClusterConfig::default()
+        })
+        .unwrap(),
+    );
+    let coord = Server::start_custom(Arc::clone(&coordinator) as _, server_config()).unwrap();
 
-    body(&client(&coord), &client(&single), &shard_servers, &shard_oms);
+    body(
+        &client(&coord),
+        &client(&single),
+        &Nodes {
+            shards: &shard_servers,
+            shard_oms: &shard_oms,
+            coordinator: &coordinator,
+            twin: &twin_om,
+        },
+    );
 
     coord.shutdown();
     single.shutdown();
@@ -132,7 +162,8 @@ fn assert_identical(coord: &ShardClient, single: &ShardClient, path: &str, body:
 
 #[test]
 fn coordinator_is_byte_identical_to_single_node() {
-    with_cluster(4, false, |coord, single, _, _| {
+    let _unarmed = FAILPOINTS.read();
+    with_cluster(4, false, |coord, single, _| {
         let compare = om_api::CompareRequest {
             attr: "PhoneModel".into(),
             v1: "ph1".into(),
@@ -246,6 +277,24 @@ fn coordinator_is_byte_identical_to_single_node() {
                     req: bad_path.clone(),
                     budget_ms: None,
                 },
+                // The same walk and pinned path as batch items proper
+                // (the two above carry a depth, which a batch rejects
+                // per item): the pinned level comes out of the memo the
+                // automatic walk fills.
+                om_api::BatchItemRequest::Drill {
+                    req: om_api::DrillRequest {
+                        depth: None,
+                        ..drill.clone()
+                    },
+                    budget_ms: None,
+                },
+                om_api::BatchItemRequest::Drill {
+                    req: om_api::DrillRequest {
+                        depth: None,
+                        ..pathed.clone()
+                    },
+                    budget_ms: None,
+                },
             ],
         };
         let (status, _) = assert_identical(coord, single, "/v1/compare/batch", &batch.encode());
@@ -266,7 +315,8 @@ fn coordinator_is_byte_identical_to_single_node() {
 /// response must still agree byte for byte.
 #[test]
 fn two_shard_kernel_conditioning_is_byte_identical() {
-    with_cluster(2, false, |coord, single, _, _| {
+    let _unarmed = FAILPOINTS.read();
+    with_cluster(2, false, |coord, single, nodes| {
         let drill = om_api::DrillRequest {
             attr: "PhoneModel".into(),
             v1: "ph1".into(),
@@ -314,8 +364,8 @@ fn two_shard_kernel_conditioning_is_byte_identical() {
         };
         assert_identical(coord, single, "/v1/drill", &conflicting.encode());
 
-        // Shared-prefix batch: the memoized selectors must produce the
-        // same outcomes through the coordinator's merged level stores.
+        // Shared-prefix batch: the memoized level results must produce
+        // the same outcomes through the coordinator's merged level stores.
         let batch = om_api::BatchRequest {
             items: vec![
                 om_api::BatchItemRequest::Drill {
@@ -341,9 +391,93 @@ fn two_shard_kernel_conditioning_is_byte_identical() {
         let (status, _) = assert_identical(coord, single, "/v1/compare/batch", &batch.encode());
         assert_eq!(status, 200);
 
-        // Sliced explore: the single node's indexed store answers the
-        // conditioned pools with masked kernel scans, the coordinator's
-        // merged store (no index) slices pair cubes — same bytes.
+        // One batch, both ways of choosing the next condition: the
+        // automatic walk, then its own first finding as a pinned path.
+        // The pinned item's levels come out of the memo the automatic
+        // item filled, and must equal what a standalone request
+        // recomputes. (Batch drill items take no depth/min_score.)
+        let auto = om_api::DrillRequest {
+            depth: None,
+            min_score: None,
+            ..drill.clone()
+        };
+        let (status, walked) = assert_identical(coord, single, "/v1/drill", &auto.encode());
+        assert_eq!(status, 200);
+        let walked = om_api::DrillResponse::parse(&walked).unwrap();
+        let (attr, value) = walked.levels[1].conditions[0].split_once('=').unwrap();
+        let own_finding = om_api::DrillRequest {
+            path: vec![om_api::PathStep {
+                attr: attr.into(),
+                value: value.into(),
+            }],
+            ..auto.clone()
+        };
+        let (status, recomputed) =
+            assert_identical(coord, single, "/v1/drill", &own_finding.encode());
+        assert_eq!(status, 200);
+        let recomputed = om_api::DrillResponse::parse(&recomputed).unwrap();
+        assert_eq!(recomputed.levels[1], walked.levels[1]);
+        // ... and a pinned path whose *second* condition selects no
+        // rows: the whole item fails, with the message once.
+        let cross_mode = om_api::BatchRequest {
+            items: [&auto, &own_finding, &conflicting]
+                .map(|req| om_api::BatchItemRequest::Drill {
+                    req: om_api::DrillRequest {
+                        depth: None,
+                        min_score: None,
+                        ..req.clone()
+                    },
+                    budget_ms: None,
+                })
+                .into(),
+        };
+        let (status, body) =
+            assert_identical(coord, single, "/v1/compare/batch", &cross_mode.encode());
+        assert_eq!(status, 200);
+        let items = om_api::BatchResponse::parse(&body).unwrap().items;
+        assert_eq!(items[0], om_api::BatchItemResult::Drill(walked));
+        assert_eq!(items[1], om_api::BatchItemResult::Drill(recomputed));
+        match &items[2] {
+            om_api::BatchItemResult::Error(env) => {
+                assert_eq!(env.message.matches("selects no records").count(), 1, "{body}");
+            }
+            other => panic!("a conflicting path must fail its whole item: {other:?}"),
+        }
+
+        // An out-of-domain id cannot be spelled by name, so the pinned
+        // path whose second condition is *invalid* goes in below the
+        // wire: same outcome from the coordinator's populations as from
+        // the resident kernel.
+        let spec = nodes.twin.spec_by_name("PhoneModel", "ph1", "ph2", "dropped").unwrap();
+        let morning = nodes.twin.condition_by_name("TimeOfCall", "morning").unwrap();
+        let invalid_second = BatchItem::Drill {
+            spec,
+            path: vec![morning, Condition::new(morning.attr, 99)],
+            budget_ms: None,
+        };
+        let resident = EngineBackend {
+            om: nodes.twin,
+            ingest: None,
+        };
+        let run = |ops: &dyn EngineOps| {
+            ops.run_batch(
+                std::slice::from_ref(&invalid_second),
+                &DrillConfig::default(),
+                &Budget::unlimited(),
+            )
+            .unwrap()
+        };
+        let outcomes = run(nodes.coordinator);
+        assert_eq!(outcomes, run(&resident));
+        match outcomes.as_slice() {
+            [BatchOutcome::Failed { message }] => {
+                assert_eq!(message.matches("is invalid").count(), 1, "{message}");
+            }
+            other => panic!("an invalid pinned condition must fail its whole item: {other:?}"),
+        }
+
+        // Sliced explore: the single node's store and the coordinator's
+        // merged store both slice pair cubes — same bytes.
         let explore = om_api::ExploreRequest {
             slice: vec![om_api::PathStep {
                 attr: "TimeOfCall".into(),
@@ -361,11 +495,12 @@ fn two_shard_kernel_conditioning_is_byte_identical() {
 
 #[test]
 fn explore_through_coordinator_is_byte_identical() {
+    let _unarmed = FAILPOINTS.read();
     // /v1/explore runs the same greedy drill-down over the
     // coordinator's merged store as over the single-node twin, so a
     // 2-shard coordinator must agree byte for byte on answers and on
     // every error envelope.
-    with_cluster(2, false, |coord, single, _, _| {
+    with_cluster(2, false, |coord, single, _| {
         let plain = om_api::ExploreRequest {
             slice: Vec::new(),
             k: 8,
@@ -438,6 +573,7 @@ fn explore_through_coordinator_is_byte_identical() {
 
 #[test]
 fn connect_refuses_a_dead_shard() {
+    let _unarmed = FAILPOINTS.read();
     // One live shard, one dead address (a bound-then-dropped listener
     // guarantees the port is closed): connect must fail and name the
     // unreachable shard rather than silently degrade to partial data.
@@ -467,6 +603,7 @@ fn connect_refuses_a_dead_shard() {
 
 #[test]
 fn shard_lost_after_connect_yields_503_envelope() {
+    let _unarmed = FAILPOINTS.read();
     let ds = scenario(6_000, 7);
     let twin = Arc::new(OpportunityMap::build(ds, EngineConfig::default()).unwrap());
     let parts = partition_dataset(twin.dataset(), 2).unwrap();
@@ -550,7 +687,9 @@ fn shard_lost_after_connect_yields_503_envelope() {
 
 #[test]
 fn distributed_ingest_routes_and_stays_identical() {
-    with_cluster(2, true, |coord, single, shards, shard_oms| {
+    let _unarmed = FAILPOINTS.read();
+    with_cluster(2, true, |coord, single, nodes| {
+        let (shards, shard_oms) = (nodes.shards, nodes.shard_oms);
         // Rows to ingest: verbatim field labels of real records, so
         // they parse everywhere.
         let twin_rows: Vec<Vec<String>> = {
@@ -694,6 +833,7 @@ fn metric_value(metrics: &str, name: &str) -> u64 {
 
 #[test]
 fn replicated_cluster_survives_one_replica_per_partition() {
+    let _unarmed = FAILPOINTS.read();
     let (_, coord, mut shard_servers, _, single) = replicated_fixture(2, 2);
     let cc = client(&coord);
     let sc = client(&single);
@@ -745,6 +885,7 @@ fn replicated_cluster_survives_one_replica_per_partition() {
 
 #[test]
 fn whole_partition_loss_defaults_to_503_and_degrades_on_opt_in() {
+    let _unarmed = FAILPOINTS.read();
     let (_, coord, mut shard_servers, addrs, single) = replicated_fixture(2, 2);
     let cc = client(&coord);
 
@@ -839,6 +980,7 @@ fn whole_partition_loss_defaults_to_503_and_degrades_on_opt_in() {
 
 #[test]
 fn rejoined_replica_catches_up_and_takes_over() {
+    let _unarmed = FAILPOINTS.read();
     // One partition, two replicas, live ingestion. Replica B misses a
     // batch while down, rejoins on its original port, is caught up by
     // replay — and then must carry the cluster alone when A dies.
@@ -985,6 +1127,7 @@ fn rejoined_replica_catches_up_and_takes_over() {
 
 #[test]
 fn hedged_fetch_never_strands_a_half_open_probe() {
+    let _unarmed = FAILPOINTS.read();
     // Regression: the hedged fetch used to admit every replica's
     // breaker up front, so a half-open probe admitted for a candidate
     // the race never launched (the preferred replica answered before
@@ -1101,10 +1244,6 @@ fn hedged_fetch_never_strands_a_half_open_probe() {
 mod failpoints {
     use super::*;
     use om_fault::fail::{self, Action};
-    use parking_lot::Mutex;
-
-    /// Failpoint state is process-global; these tests must not overlap.
-    static SERIAL: Mutex<()> = Mutex::new(());
 
     fn small_fixture(
         replicas: usize,
@@ -1130,7 +1269,7 @@ mod failpoints {
 
     #[test]
     fn slow_store_fetch_triggers_a_hedge_that_wins() {
-        let _serial = SERIAL.lock();
+        let _armed = FAILPOINTS.write();
         // Both replicas answer the store fetch 80ms late; with a 20ms
         // hedge threshold the coordinator races the second replica
         // instead of waiting, and the request still answers 200.
@@ -1158,13 +1297,13 @@ mod failpoints {
 
     #[test]
     fn explore_truncation_is_byte_identical_through_the_coordinator() {
-        let _serial = SERIAL.lock();
+        let _armed = FAILPOINTS.write();
         // `explore.step` fires at the end of every greedy iteration, and
         // both the coordinator (merged store, in process) and the
         // single-node twin run that loop in this test process — one
         // arming truncates both after their first pick, and the partial
         // envelopes must still agree byte for byte.
-        with_cluster(2, false, |coord, single, _, _| {
+        with_cluster(2, false, |coord, single, _| {
             fail::configure("explore.step", Action::Error("injected stall".into()));
             let body = om_api::ExploreRequest {
                 slice: Vec::new(),
@@ -1185,7 +1324,7 @@ mod failpoints {
 
     #[test]
     fn whole_request_deadline_bounds_a_stalled_shard() {
-        let _serial = SERIAL.lock();
+        let _armed = FAILPOINTS.write();
         // The shard stalls 3s inside the store handler; the client's
         // whole-request deadline (300ms) must cut the request off and
         // surface a typed 503 long before the stall ends.
@@ -1216,6 +1355,7 @@ mod failpoints {
 
 #[test]
 fn ephemeral_port_contract() {
+    let _unarmed = FAILPOINTS.read();
     // Satellite: port 0 binding reports the chosen port — the contract
     // the multi-process harness scrapes.
     let ds = scenario(2_000, 3);

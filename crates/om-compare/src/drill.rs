@@ -17,11 +17,12 @@
 //! so drilling no longer copies a single record. Counts — and therefore
 //! every ranked result — are byte-identical to the record walk.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use om_car::Condition;
 use om_cube::{ColumnIndex, CubeStore, PopulationSelector};
-use om_data::{Dataset, Schema};
+use om_data::{DataError, Dataset, Schema};
 use om_fault::{fail, Budget};
 
 use crate::rank::{CompareConfig, CompareError, Comparator, ComparisonResult, ComparisonSpec};
@@ -93,23 +94,20 @@ pub fn drill_down_budgeted(
     config: &DrillConfig,
     budget: &Budget,
 ) -> Result<Vec<DrillLevel>, CompareError> {
-    let compare = config.compare.clone();
-    drill_down_with(ds, spec, config, budget, move |store, spec, budget| {
-        Comparator::with_config(&store, compare.clone()).compare_budgeted(spec, budget)
+    let index = Arc::new(ColumnIndex::build(ds).map_err(CompareError::Cube)?);
+    let mut pop = SelectorPopulation::new(index.selector(), spec.attr);
+    drill_down_via(&mut pop, spec, config, budget, |store, spec, budget| {
+        Comparator::with_config(&store, config.compare.clone()).compare_budgeted(spec, budget)
     })
 }
 
 /// The candidate attributes a drill level ranks over: categorical,
 /// non-class, keeping the selected attribute, excluding anything already
 /// conditioned on. Returns fewer than 2 attributes when nothing but the
-/// selection is left — the walk's natural stopping point.
-pub fn candidate_attrs(ds: &Dataset, spec_attr: usize, excluded: &[usize]) -> Vec<usize> {
-    candidate_attrs_in(ds.schema(), spec_attr, excluded)
-}
-
-/// [`candidate_attrs`] from a bare [`Schema`] — the candidate set is a
-/// schema property (conditioning never changes the schema), which is
-/// what lets a distributed walk rank without holding any records.
+/// selection is left — the walk's natural stopping point. The candidate
+/// set is a schema property (conditioning never changes the schema),
+/// which is what lets a distributed walk rank without holding any
+/// records.
 pub fn candidate_attrs_in(schema: &Schema, spec_attr: usize, excluded: &[usize]) -> Vec<usize> {
     schema
         .non_class_indices()
@@ -122,13 +120,13 @@ pub fn candidate_attrs_in(schema: &Schema, spec_attr: usize, excluded: &[usize])
 
 /// The population one drill walk narrows level by level.
 ///
-/// The walk itself ([`drill_down_via`]) only needs three capabilities:
+/// The walk itself ([`drill_path_via`]) only needs three capabilities:
 /// the (conditioning-invariant) schema, a restricted cube store over the
 /// *current* sub-population, and the ability to descend one condition.
-/// A single-node caller backs this with a [`Dataset`]; a distributed
-/// caller backs it with shard fan-out and merged partial stores — the
-/// walk's control flow (and therefore its output) is identical either
-/// way.
+/// A single node backs this with the counting kernel
+/// ([`SelectorPopulation`]); a distributed caller backs it with shard
+/// fan-out and merged partial stores — the walk's control flow (and
+/// therefore its output) is identical either way.
 pub trait DrillPopulation {
     /// The schema of the population (identical at every level).
     fn schema(&self) -> &Schema;
@@ -143,14 +141,27 @@ pub trait DrillPopulation {
     /// propagates it (at any depth).
     fn level_store(&mut self, attrs: Vec<usize>) -> Result<Arc<CubeStore>, CompareError>;
 
-    /// Narrow the population to `condition`. Returns `Ok(false)` when
-    /// the resulting sub-population would be empty (or the condition
-    /// does not apply) — the walk's clean stop.
+    /// Narrow the population to `condition`, or say why not: the
+    /// automatic walk ends cleanly on either refusal, a pinned path
+    /// reports it.
     ///
     /// # Errors
     /// Only for infrastructure failures (a distributed population losing
-    /// a shard); a plain empty sub-population is `Ok(false)`.
-    fn descend(&mut self, condition: Condition) -> Result<bool, CompareError>;
+    /// a shard); a refusal is a [`Descent`], not an error.
+    fn descend(&mut self, condition: Condition) -> Result<Descent, CompareError>;
+}
+
+/// What [`DrillPopulation::descend`] did with a condition.
+#[derive(Debug)]
+pub enum Descent {
+    /// The population now satisfies the condition as well.
+    Narrowed,
+    /// The condition does not apply to this schema (out-of-domain value,
+    /// continuous attribute); the population is unchanged.
+    Invalid(DataError),
+    /// The condition is valid but no record satisfies it; the population
+    /// is unchanged.
+    Empty,
 }
 
 /// Kernel-backed [`DrillPopulation`] — the one single-node way to
@@ -186,45 +197,26 @@ impl DrillPopulation for SelectorPopulation {
             .map_err(CompareError::Cube)
     }
 
-    fn descend(&mut self, condition: Condition) -> Result<bool, CompareError> {
-        match self.current.narrow(condition.attr, condition.value) {
-            Ok(sub) if sub.count() > 0 => {
+    fn descend(&mut self, condition: Condition) -> Result<Descent, CompareError> {
+        Ok(match self.current.narrow(condition.attr, condition.value) {
+            Err(e) => Descent::Invalid(e),
+            Ok(sub) if sub.count() == 0 => Descent::Empty,
+            Ok(sub) => {
                 self.current = sub;
-                Ok(true)
+                Descent::Narrowed
             }
-            _ => Ok(false),
-        }
+        })
     }
 }
 
-/// [`drill_down_budgeted`] with the per-level comparison delegated to
-/// `run_compare` — the seam an execution layer (om-exec) uses to swap the
-/// serial comparator for a sharded one without duplicating the walk. The
-/// store is handed over in an [`Arc`] because a parallel runner fans it
-/// out to pool workers.
-///
-/// # Errors
-/// Same contract as [`drill_down_budgeted`]: root failures and faults
-/// propagate, deeper data-thinness failures end the walk cleanly.
-pub fn drill_down_with<F>(
-    ds: &Dataset,
-    spec: &ComparisonSpec,
-    config: &DrillConfig,
-    budget: &Budget,
-    run_compare: F,
-) -> Result<Vec<DrillLevel>, CompareError>
-where
-    F: FnMut(Arc<CubeStore>, &ComparisonSpec, &Budget) -> Result<ComparisonResult, CompareError>,
-{
-    let index = Arc::new(ColumnIndex::build(ds).map_err(CompareError::Cube)?);
-    let mut pop = SelectorPopulation::new(index.selector(), spec.attr);
-    drill_down_via(&mut pop, spec, config, budget, run_compare)
-}
+/// Level results shared between walks, keyed by the exact conditions in
+/// force and the spec: a hit is the value a recompute would produce, so
+/// drill items of one batch that share a path prefix — pinned or found
+/// by the automatic walk — rank that prefix once.
+pub type DrillMemo = HashMap<(Vec<Condition>, ComparisonSpec), ComparisonResult>;
 
-/// The drill walk over any [`DrillPopulation`] — the one copy of the
-/// level loop shared by the single-node path ([`drill_down_with`]) and
-/// a distributed coordinator, so both produce the same levels for the
-/// same counts by construction.
+/// The automatic drill walk over any [`DrillPopulation`]:
+/// [`drill_path_via`] with no pinned path and nothing to share.
 ///
 /// # Errors
 /// Same contract as [`drill_down_budgeted`]: root failures and faults
@@ -234,6 +226,37 @@ pub fn drill_down_via<P, F>(
     spec: &ComparisonSpec,
     config: &DrillConfig,
     budget: &Budget,
+    run_compare: F,
+) -> Result<Vec<DrillLevel>, CompareError>
+where
+    P: DrillPopulation + ?Sized,
+    F: FnMut(Arc<CubeStore>, &ComparisonSpec, &Budget) -> Result<ComparisonResult, CompareError>,
+{
+    drill_path_via(pop, spec, &[], config, budget, &mut DrillMemo::new(), run_compare)
+}
+
+/// The drill walk — the one copy of the level loop, whoever picks the
+/// next condition. An empty `path` is the automatic walk: descend into
+/// each level's top finding until its normalized score falls below
+/// [`DrillConfig::min_normalized_score`] or [`DrillConfig::max_depth`]
+/// levels lie below the root. A non-empty `path` pins the conditions
+/// instead (level `i` is conditioned on `path[..i]`, up to
+/// `path.len() + 1` levels) and ignores both limits. Each level's
+/// comparison is delegated to `run_compare` — the seam an execution
+/// layer uses to swap the serial comparator for a sharded one — and
+/// looked up in `memo` first.
+///
+/// # Errors
+/// Root failures and faults propagate; deeper data-thinness failures
+/// end the walk cleanly. A pinned condition the population refuses is
+/// [`CompareError::Condition`]; the automatic walk just stops there.
+pub fn drill_path_via<P, F>(
+    pop: &mut P,
+    spec: &ComparisonSpec,
+    path: &[Condition],
+    config: &DrillConfig,
+    budget: &Budget,
+    memo: &mut DrillMemo,
     mut run_compare: F,
 ) -> Result<Vec<DrillLevel>, CompareError>
 where
@@ -243,26 +266,47 @@ where
     let mut levels = Vec::new();
     let mut conditions: Vec<Condition> = Vec::new();
     let mut excluded: Vec<usize> = vec![spec.attr];
+    let last = if path.is_empty() {
+        config.max_depth
+    } else {
+        path.len()
+    };
 
-    for depth in 0..=config.max_depth {
+    for depth in 0..=last {
         budget.check()?;
         fail::inject("compare.drill-level")?;
         let attrs = candidate_attrs_in(pop.schema(), spec.attr, &excluded);
         if attrs.len() < 2 {
             break; // only the selected attribute left — nothing to rank
         }
-        let store = pop.level_store(attrs)?;
-        let result = match run_compare(store, spec, budget) {
-            Ok(r) => r,
-            Err(e) if depth == 0 => return Err(e),
-            Err(e @ CompareError::Fault(_)) => return Err(e),
-            Err(_) => break, // conditioned data too thin — stop cleanly
+        let key = (conditions.clone(), *spec);
+        let result = match memo.get(&key) {
+            Some(hit) => hit.clone(),
+            None => {
+                let store = pop.level_store(attrs)?;
+                match run_compare(store, spec, budget) {
+                    Ok(r) => {
+                        memo.insert(key, r.clone());
+                        r
+                    }
+                    Err(e) if depth == 0 => return Err(e),
+                    Err(e @ CompareError::Fault(_)) => return Err(e),
+                    Err(_) => break, // conditioned data too thin — stop cleanly
+                }
+            }
         };
 
-        let next = result.top().map(|top| {
-            let value = top.top_values().first().map(|c| c.value).unwrap_or(0);
-            (top.attr, top.attr_name.clone(), value, top.normalized)
-        });
+        let next = match path.get(depth) {
+            Some(&pinned) => Some(pinned),
+            None if depth == last => None,
+            None => result.top().and_then(|top| {
+                if top.normalized < config.min_normalized_score {
+                    return None;
+                }
+                let value = top.top_values().first().map_or(0, |c| c.value);
+                Some(Condition::new(top.attr, value))
+            }),
+        };
         levels.push(DrillLevel {
             conditions: conditions.clone(),
             condition_labels: conditions
@@ -272,19 +316,27 @@ where
             result,
         });
 
-        let Some((attr, _name, value, normalized)) = next else {
+        let Some(condition) = next else {
             break;
         };
-        if normalized < config.min_normalized_score || depth == config.max_depth {
-            break;
-        }
-        // Condition on the finding and descend.
-        let condition = Condition::new(attr, value);
-        if !pop.descend(condition)? {
-            break;
+        match pop.descend(condition)? {
+            Descent::Narrowed => {}
+            _ if path.is_empty() => break,
+            Descent::Invalid(e) => {
+                return Err(CompareError::Condition(format!(
+                    "condition {} is invalid: {e}",
+                    condition.display(pop.schema())
+                )))
+            }
+            Descent::Empty => {
+                return Err(CompareError::Condition(format!(
+                    "condition {} selects no records",
+                    condition.display(pop.schema())
+                )))
+            }
         }
         conditions.push(condition);
-        excluded.push(attr);
+        excluded.push(condition.attr);
     }
     Ok(levels)
 }

@@ -35,8 +35,8 @@ pub mod rank;
 pub mod report;
 
 pub use drill::{
-    candidate_attrs, candidate_attrs_in, drill_down, drill_down_budgeted, drill_down_via,
-    drill_down_with, DrillConfig, DrillLevel, DrillPopulation, SelectorPopulation,
+    candidate_attrs_in, drill_down, drill_down_budgeted, drill_down_via, drill_path_via, Descent,
+    DrillConfig, DrillLevel, DrillMemo, DrillPopulation, SelectorPopulation,
 };
 pub use groups::{compare_groups, GroupSpec};
 pub use interval::IntervalMethod;

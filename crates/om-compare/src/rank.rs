@@ -73,6 +73,10 @@ pub enum CompareError {
     /// The lower of the two rule confidences is zero; the measure's
     /// expected-confidence ratio `cf_2 / cf_1` is undefined.
     ZeroBaselineConfidence,
+    /// A pinned drill condition cannot be applied: it is outside the
+    /// schema's domain, or no record satisfies it. Carries the whole
+    /// message.
+    Condition(String),
     /// The comparison ran out of budget or was cancelled mid-flight.
     Fault(FaultError),
 }
@@ -94,6 +98,7 @@ impl fmt::Display for CompareError {
                 f,
                 "the class of interest never occurs in the lower sub-population; the expected-confidence ratio is undefined"
             ),
+            CompareError::Condition(msg) => write!(f, "{msg}"),
             CompareError::Fault(e) => write!(f, "{e}"),
         }
     }

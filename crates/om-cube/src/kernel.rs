@@ -13,8 +13,9 @@
 //! * a sub-population is a bitmap AND ([`PopulationSelector::narrow`]),
 //! * a cell count is a popcount ([`PopulationSelector::count`]), and
 //! * one shared masked column scan fills *every* cube a drill level or
-//!   batch item needs ([`PopulationSelector::build_store`]), instead of
-//!   one pass per cube.
+//!   batch item needs ([`PopulationSelector::build_store_anchored`],
+//!   [`PopulationSelector::build_store_eager`]), instead of one pass per
+//!   cube.
 //!
 //! Counts are exact — the kernel reads the same rows the record walk
 //! did, in the same order — so results are byte-identical end to end;
@@ -136,8 +137,6 @@ impl std::fmt::Debug for ColumnIndex {
 /// Which pair cubes a kernel-built store materializes during its one
 /// shared scan; everything else builds lazily from the selector.
 enum PairPlan {
-    /// No pairs up front (pure lazy).
-    None,
     /// The pairs involving one anchor attribute — exactly the set a
     /// ranked comparison against that attribute reads.
     Anchored(usize),
@@ -209,22 +208,13 @@ impl PopulationSelector {
         })
     }
 
-    /// Build the cube store a drill level or comparison reads: all 1-D
-    /// cubes from one shared masked scan, pair cubes lazily from this
-    /// selector on first access. `attrs: None` = every categorical
-    /// non-class attribute (same contract as
+    /// Build the cube store a drill level or comparison ranked against
+    /// `anchor` reads, in one shared masked scan: all 1-D cubes plus the
+    /// pair cubes involving `anchor` — exactly the cubes that ranking
+    /// reads. Other pairs build lazily from this selector on first
+    /// access. `attrs: None` = every categorical non-class attribute
+    /// (same contract as
     /// [`StoreBuildOptions::attrs`](crate::StoreBuildOptions)).
-    ///
-    /// # Errors
-    /// The same validation errors as [`CubeStore::build`].
-    pub fn build_store(&self, attrs: Option<Vec<usize>>) -> Result<CubeStore, CubeError> {
-        self.build_store_with(attrs, PairPlan::None)
-    }
-
-    /// [`build_store`](Self::build_store), but the one shared scan also
-    /// fills the pair cubes involving `anchor` — exactly the cubes a
-    /// comparison ranked against `anchor` reads, so the whole level is
-    /// served by a single pass. Other pairs still build lazily.
     ///
     /// # Errors
     /// The same validation errors as [`CubeStore::build`].
@@ -236,36 +226,16 @@ impl PopulationSelector {
         self.build_store_with(attrs, PairPlan::Anchored(anchor))
     }
 
-    /// [`build_store`](Self::build_store) with *every* pair cube filled
-    /// by the one shared scan — for stores that leave the process whole
-    /// (a cluster shard's `level` response is encoded and merged on the
-    /// coordinator, and the codec ships only materialized cubes).
+    /// [`build_store_anchored`](Self::build_store_anchored) with *every*
+    /// pair cube filled by the one shared scan — for stores that leave
+    /// the process whole (a cluster shard's `level` response is encoded
+    /// and merged on the coordinator, and the codec ships only
+    /// materialized cubes).
     ///
     /// # Errors
     /// The same validation errors as [`CubeStore::build`].
     pub fn build_store_eager(&self, attrs: Option<Vec<usize>>) -> Result<CubeStore, CubeError> {
         self.build_store_with(attrs, PairPlan::All)
-    }
-
-    /// The conditioned 1-D cube `attr × C` alone (no store) — one masked
-    /// single-column scan. What `om-explore` reads when the pair cube it
-    /// would otherwise slice is not already materialized.
-    ///
-    /// # Errors
-    /// Fails if `attr` is the class, continuous, or out of range.
-    pub fn one_dim_cube(&self, attr: usize) -> Result<RuleCube, CubeError> {
-        let schema = &self.index.schema;
-        if attr >= schema.n_attributes() {
-            return Err(CubeError::NoSuchDim(format!("attribute index {attr}")));
-        }
-        if attr == schema.class_index() {
-            return Err(CubeError::Invalid(
-                "the class attribute is always the last cube dimension; do not list it".into(),
-            ));
-        }
-        let mut unit = self.scan_unit(&[attr])?;
-        self.scan(std::slice::from_mut(&mut unit))?;
-        Ok(unit.cube)
     }
 
     /// The conditioned pair cube `A_a × A_b × C` (dimensions in the given
@@ -300,7 +270,6 @@ impl PopulationSelector {
         }
         let n_one_d = units.len();
         match plan {
-            PairPlan::None => {}
             PairPlan::Anchored(anchor) => {
                 if attrs.contains(&anchor) {
                     for &b in &attrs {
@@ -337,7 +306,7 @@ impl PopulationSelector {
 
         let lazy_source = match plan {
             PairPlan::All => None,
-            PairPlan::None | PairPlan::Anchored(_) => Some(self.clone()),
+            PairPlan::Anchored(_) => Some(self.clone()),
         };
         Ok(CubeStore::from_kernel(
             attrs,
@@ -454,7 +423,7 @@ mod tests {
         assert_eq!(sel.count(), sub.n_rows() as u64);
 
         let attrs: Vec<usize> = vec![0, 1, 3, 4, 5];
-        let kernel_store = sel.build_store(Some(attrs.clone())).unwrap();
+        let kernel_store = sel.build_store_anchored(Some(attrs.clone()), 1).unwrap();
         let walk_store = CubeStore::build(
             &sub,
             &StoreBuildOptions {
@@ -468,9 +437,9 @@ mod tests {
         for &a in &attrs {
             assert_eq!(*kernel_store.one_dim(a).unwrap(), *walk_store.one_dim(a).unwrap());
         }
-        // Pair cubes build lazily through the selector; counts must still
-        // match the record walk exactly.
-        assert_eq!(kernel_store.n_pair_cubes(), 0);
+        // Non-anchor pair cubes build lazily through the selector; counts
+        // must still match the record walk exactly.
+        assert_eq!(kernel_store.n_pair_cubes(), 4);
         assert_eq!(*kernel_store.pair(0, 3).unwrap(), *walk_store.pair(0, 3).unwrap());
         assert_eq!(kernel_store.lazy_builds(), 1);
     }
@@ -503,8 +472,8 @@ mod tests {
         let sub = ds.sub_population(0, 1).unwrap().sub_population(4, 2).unwrap();
         assert_eq!(sel.count(), sub.n_rows() as u64);
         assert_eq!(sel.conditions(), &[(0, 1), (4, 2)]);
-        let cube = sel.one_dim_cube(3).unwrap();
-        assert_eq!(cube, build_cube(&sub, &[3]).unwrap());
+        let store = sel.build_store_anchored(None, 3).unwrap();
+        assert_eq!(*store.one_dim(3).unwrap(), build_cube(&sub, &[3]).unwrap());
     }
 
     #[test]
@@ -526,7 +495,7 @@ mod tests {
             .narrow(1, 1)
             .unwrap();
         assert_eq!(sel.count(), 0);
-        let store = sel.build_store(None).unwrap();
+        let store = sel.build_store_anchored(None, 0).unwrap();
         assert_eq!(store.total_records(), 0);
         assert_eq!(store.one_dim(0).unwrap().total(), 0);
     }
@@ -537,7 +506,7 @@ mod tests {
         let sel = kernel(&ds).selector();
         let class_idx = ds.schema().class_index();
         for bad in [vec![99usize], vec![class_idx]] {
-            let kernel_err = match sel.build_store(Some(bad.clone())) {
+            let kernel_err = match sel.build_store_anchored(Some(bad.clone()), 0) {
                 Err(e) => e.to_string(),
                 Ok(_) => panic!("kernel build accepted invalid attrs {bad:?}"),
             };

@@ -302,8 +302,11 @@ mod tests {
     #[test]
     fn merge_from_rejects_lazy_destination() {
         let (a, b, _) = halves();
-        let mut lazy =
-            CubeStore::build_lazy(Arc::new(a), &StoreBuildOptions::default()).unwrap();
+        let mut lazy = Arc::new(crate::ColumnIndex::build(&a).unwrap())
+            .selector()
+            .build_store_anchored(None, 0)
+            .unwrap();
+        assert!(!lazy.is_eager());
         let sb = CubeStore::build(&b, &StoreBuildOptions::default()).unwrap();
         assert!(lazy.merge_from(&sb).is_err());
     }

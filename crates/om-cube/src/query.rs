@@ -13,14 +13,8 @@ use crate::store::CubeStore;
 
 /// The 1-D cube over `attr` restricted to rows where `cond_attr =
 /// cond_value` — the conditioned-population read behind `om-explore`'s
-/// sliced scans.
-///
-/// Reads whichever source is cheapest without changing the answer: a
-/// pair cube that is already materialized is sliced in place; otherwise,
-/// when the store carries a kernel index, a masked single-column scan
-/// answers directly (no pair cube is materialized or cached); failing
-/// both, the pair cube is built (lazily, through the store) and sliced.
-/// All three produce identical counts — they read the same rows.
+/// sliced scans: the `(cond_attr, attr)` pair cube, sliced at the
+/// conditioning value.
 ///
 /// # Errors
 /// Fails if either attribute is outside the store or `cond_value` is out
@@ -31,17 +25,6 @@ pub fn conditioned_one_dim(
     cond_value: ValueId,
     attr: usize,
 ) -> Result<RuleCube, CubeError> {
-    if !store.pair_ready(cond_attr, attr) {
-        if let Some(index) = store.index() {
-            if store.attrs().contains(&cond_attr) && store.attrs().contains(&attr) {
-                if let Ok(sel) = index.selector().narrow(cond_attr, cond_value) {
-                    return sel.one_dim_cube(attr);
-                }
-                // Invalid condition: fall through so the error comes from
-                // the same pair-cube path as before the kernel existed.
-            }
-        }
-    }
     let pair = store.pair(cond_attr, attr)?;
     let sel_dim = pair
         .dims()

@@ -12,8 +12,10 @@
 //! Cube generation is the offline, expensive step the paper measures in
 //! Figs. 10–11 ("the generation is done off-line, e.g., in the evening");
 //! [`CubeStore::build`] parallelizes it over attribute pairs with a
-//! crossbeam work queue. A lazy mode ([`CubeStore::build_lazy`]) instead
-//! materializes pair cubes on first use behind a `parking_lot::RwLock`.
+//! crossbeam work queue. Kernel-built stores
+//! ([`PopulationSelector::build_store_anchored`]) instead materialize
+//! the pair cubes their scan did not fill on first use, behind a
+//! `parking_lot::RwLock`.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -61,30 +63,13 @@ impl Default for StoreBuildOptions {
 /// (or the build error, which `CubeError: Clone` lets us retain) lands.
 type PairSlot = OnceLock<Result<Arc<RuleCube>, CubeError>>;
 
-/// Where a lazy pair cube's counts come from on first access.
-enum PairSource {
-    /// Recount from the retained dataset (the classic lazy store).
-    Dataset(Arc<Dataset>),
-    /// Masked column scan through the counting kernel (kernel-built
-    /// conditioned stores — see [`PopulationSelector::build_store`]).
-    Selector(PopulationSelector),
-}
-
-impl PairSource {
-    fn build(&self, a: usize, b: usize) -> Result<RuleCube, CubeError> {
-        match self {
-            PairSource::Dataset(ds) => build_cube(ds, &[a, b]),
-            PairSource::Selector(sel) => sel.pair_cube(a, b),
-        }
-    }
-}
-
 enum PairCubes {
     /// All pair cubes prebuilt (offline mode).
     Eager(HashMap<(usize, usize), Arc<RuleCube>>),
-    /// Pair cubes built on first access from the retained source.
+    /// Pair cubes built on first access by a masked column scan through
+    /// the selector the store was cut from.
     Lazy {
-        source: PairSource,
+        source: PopulationSelector,
         cache: RwLock<HashMap<(usize, usize), Arc<PairSlot>>>,
         builds: AtomicU64,
     },
@@ -226,29 +211,6 @@ impl CubeStore {
         })
     }
 
-    /// Build the 2-D cubes now and 3-D cubes on demand (keeps the dataset
-    /// alive; useful for interactive exploration over very wide data).
-    ///
-    /// # Errors
-    /// Fails on invalid attribute selections.
-    pub fn build_lazy(ds: Arc<Dataset>, opts: &StoreBuildOptions) -> Result<Self, CubeError> {
-        let attrs = Self::resolve_attrs(ds.schema(), opts)?;
-        let one_d = Self::build_one_d(&ds, &attrs)?;
-        Ok(Self {
-            attrs,
-            class_labels: ds.schema().class().domain().labels().to_vec(),
-            class_counts: ds.class_counts(),
-            total_records: ds.n_rows() as u64,
-            one_d,
-            index: Self::maybe_index(&ds, opts)?,
-            pairs: PairCubes::Lazy {
-                source: PairSource::Dataset(ds),
-                cache: RwLock::new(HashMap::new()),
-                builds: AtomicU64::new(0),
-            },
-        })
-    }
-
     fn maybe_index(
         ds: &Dataset,
         opts: &StoreBuildOptions,
@@ -282,7 +244,7 @@ impl CubeStore {
                     })
                     .collect();
                 PairCubes::Lazy {
-                    source: PairSource::Selector(sel),
+                    source: sel,
                     cache: RwLock::new(cache),
                     builds: AtomicU64::new(0),
                 }
@@ -329,20 +291,6 @@ impl CubeStore {
     /// decoded, or folded-into stores.
     pub fn index(&self) -> Option<&Arc<ColumnIndex>> {
         self.index.as_ref()
-    }
-
-    /// Whether the pair cube `(a, b)` is already materialized (always
-    /// true for member pairs of an eager store). Lets a read path choose
-    /// between slicing a prebuilt cube and a masked kernel scan.
-    pub fn pair_ready(&self, a: usize, b: usize) -> bool {
-        let key = (a.min(b), a.max(b));
-        match &self.pairs {
-            PairCubes::Eager(map) => map.contains_key(&key),
-            PairCubes::Lazy { cache, .. } => cache
-                .read()
-                .get(&key)
-                .is_some_and(|s| matches!(s.get(), Some(Ok(_)))),
-        }
     }
 
     /// Class labels, in id order.
@@ -409,7 +357,7 @@ impl CubeStore {
                 };
                 slot.get_or_init(|| {
                     builds.fetch_add(1, Ordering::Relaxed);
-                    source.build(key.0, key.1).map(Arc::new)
+                    source.pair_cube(key.0, key.1).map(Arc::new)
                 })
                 .clone()
             }
@@ -448,7 +396,7 @@ impl CubeStore {
         total
     }
 
-    /// Whether every cube is materialized up front (no retained dataset).
+    /// Whether every cube is materialized up front (no retained selector).
     pub fn is_eager(&self) -> bool {
         matches!(self.pairs, PairCubes::Eager(_))
     }
@@ -507,10 +455,7 @@ impl Clone for CubeStore {
                     cache,
                     builds,
                 } => PairCubes::Lazy {
-                    source: match source {
-                        PairSource::Dataset(ds) => PairSource::Dataset(Arc::clone(ds)),
-                        PairSource::Selector(sel) => PairSource::Selector(sel.clone()),
-                    },
+                    source: source.clone(),
                     cache: RwLock::new(cache.read().clone()),
                     builds: AtomicU64::new(builds.load(Ordering::Relaxed)),
                 },
@@ -591,18 +536,29 @@ mod tests {
         assert_eq!(margin, ds.class_counts());
     }
 
+    /// A kernel-built lazy store anchored on attribute 4: its scan fills
+    /// the four `(4, _)` pairs, every other pair is cold.
+    fn lazy_store(ds: &Dataset) -> CubeStore {
+        Arc::new(ColumnIndex::build(ds).unwrap())
+            .selector()
+            .build_store_anchored(None, 4)
+            .unwrap()
+    }
+
     #[test]
     fn lazy_store_builds_on_demand() {
-        let ds = Arc::new(generate_scaleup(&ScaleUpConfig {
+        let ds = generate_scaleup(&ScaleUpConfig {
             n_attrs: 5,
             n_records: 1_000,
             seed: 9,
             ..ScaleUpConfig::default()
-        }));
-        let store = CubeStore::build_lazy(ds.clone(), &StoreBuildOptions::default()).unwrap();
-        assert_eq!(store.n_pair_cubes(), 0);
+        });
+        let store = lazy_store(&ds);
+        assert_eq!(store.n_pair_cubes(), 4);
+        assert_eq!(store.lazy_builds(), 0);
         let c1 = store.pair(0, 3).unwrap();
-        assert_eq!(store.n_pair_cubes(), 1);
+        assert_eq!(store.n_pair_cubes(), 5);
+        assert_eq!(store.lazy_builds(), 1);
         // Second fetch hits the cache (same Arc).
         let c2 = store.pair(3, 0).unwrap();
         assert!(Arc::ptr_eq(&c1, &c2));
@@ -616,13 +572,13 @@ mod tests {
         // 8 threads released together onto the same cold pair cube: the
         // build must run exactly once, every thread must get the same
         // Arc, and nothing may deadlock.
-        let ds = Arc::new(generate_scaleup(&ScaleUpConfig {
+        let ds = generate_scaleup(&ScaleUpConfig {
             n_attrs: 5,
             n_records: 20_000,
             seed: 11,
             ..ScaleUpConfig::default()
-        }));
-        let store = CubeStore::build_lazy(ds, &StoreBuildOptions::default()).unwrap();
+        });
+        let store = lazy_store(&ds);
         let barrier = std::sync::Barrier::new(8);
         let cubes: Vec<Arc<RuleCube>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..8)
@@ -636,7 +592,7 @@ mod tests {
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         assert_eq!(store.lazy_builds(), 1, "cold pair cube built more than once");
-        assert_eq!(store.n_pair_cubes(), 1);
+        assert_eq!(store.n_pair_cubes(), 5);
         for c in &cubes[1..] {
             assert!(Arc::ptr_eq(&cubes[0], c), "threads saw different cubes");
         }

@@ -54,8 +54,7 @@ impl CubeView {
 
     /// The view of `attr` restricted to rows where `cond_attr =
     /// cond_value` — a conditioned Fig. 5 column, answered through
-    /// [`crate::query::conditioned_one_dim`] (pair-cube slice or masked
-    /// kernel scan, whichever is already paid for).
+    /// [`crate::query::conditioned_one_dim`] (a pair-cube slice).
     ///
     /// # Errors
     /// Fails if either attribute is outside the store or the condition

@@ -5,7 +5,7 @@ use std::sync::{Arc, OnceLock};
 
 use om_compare::{
     compare_groups, drill_down_via, CompareConfig, CompareError, Comparator, ComparisonResult,
-    ComparisonSpec, DrillConfig, DrillLevel, GroupSpec, SelectorPopulation,
+    ComparisonSpec, DrillConfig, DrillLevel, DrillPopulation, GroupSpec, SelectorPopulation,
 };
 use om_car::{mine, mine_restricted, CarRule, Condition, MinerConfig};
 use om_cube::{
@@ -13,7 +13,9 @@ use om_cube::{
 };
 use om_data::{DataError, Dataset};
 use om_discretize::{discretize_all, CutPoints, Method};
-use om_exec::{rank_parallel, BatchItem, BatchOutcome, ExecConfig, Executor};
+use om_exec::{
+    rank_parallel, BatchItem, BatchOutcome, DrillSource, ExecConfig, Executor, StoreRef,
+};
 use om_explore::{ExploreError, ExploreQuery, ExploreReport};
 use om_fault::{fail, Budget, FaultError};
 use om_ingest::{IngestConfig, IngestError, IngestHandle};
@@ -440,20 +442,39 @@ impl OpportunityMap {
         ctx: ExecCtx<'_>,
     ) -> Result<ComparisonResult, EngineError> {
         fail::inject("engine.compare")?;
+        self.compare_on(&self.store(), spec, ctx)
+    }
+
+    /// [`run_compare`](Self::run_compare) over a store the caller pinned
+    /// — this engine's own snapshot, or a coordinator's merged one.
+    ///
+    /// # Errors
+    /// See [`CompareError`]; [`EngineError::Fault`] on budget overrun.
+    pub fn compare_on(
+        &self,
+        snapshot: &Arc<StoreSnapshot>,
+        spec: &ComparisonSpec,
+        ctx: ExecCtx<'_>,
+    ) -> Result<ComparisonResult, EngineError> {
         let unlimited = Budget::unlimited();
         let budget = ctx.budget.unwrap_or(&unlimited);
-        let snapshot = self.store();
-        if ctx.exec.is_serial() {
-            Ok(Comparator::with_config(&snapshot, self.config.compare.clone())
-                .compare_budgeted(spec, budget)?)
+        Ok(self.rank(snapshot, &self.config.compare, spec, ctx.exec, budget)?)
+    }
+
+    /// One ranking under an execution policy: the serial comparator, or
+    /// the sharded one on the engine's pool.
+    fn rank<S: StoreRef>(
+        &self,
+        store: &S,
+        config: &CompareConfig,
+        spec: &ComparisonSpec,
+        exec: ExecConfig,
+        budget: &Budget,
+    ) -> Result<ComparisonResult, CompareError> {
+        if exec.is_serial() {
+            Comparator::with_config(store.store(), config.clone()).compare_budgeted(spec, budget)
         } else {
-            Ok(rank_parallel(
-                &self.executor,
-                &snapshot,
-                &self.config.compare,
-                spec,
-                budget,
-            )?)
+            rank_parallel(&self.executor, store, config, spec, budget)
         }
     }
 
@@ -473,9 +494,23 @@ impl OpportunityMap {
         ctx: ExecCtx<'_>,
     ) -> Result<ExploreReport, EngineError> {
         fail::inject("engine.explore")?;
+        self.explore_on(&self.store(), query, ctx)
+    }
+
+    /// [`run_explore`](Self::run_explore) over a store the caller
+    /// pinned. Exploration reads only cube cells, so any store over the
+    /// same logical rows gives the same report.
+    ///
+    /// # Errors
+    /// As [`run_explore`](Self::run_explore).
+    pub fn explore_on(
+        &self,
+        snapshot: &Arc<StoreSnapshot>,
+        query: &ExploreQuery,
+        ctx: ExecCtx<'_>,
+    ) -> Result<ExploreReport, EngineError> {
         let unlimited = Budget::unlimited();
         let budget = ctx.budget.unwrap_or(&unlimited);
-        let snapshot = self.store();
         let serial = Executor::serial();
         let exec = if ctx.exec.is_serial() {
             &serial
@@ -484,7 +519,7 @@ impl OpportunityMap {
         };
         Ok(om_explore::explore(
             exec,
-            &snapshot,
+            snapshot,
             &self.config.compare,
             query,
             budget,
@@ -563,39 +598,36 @@ impl OpportunityMap {
     ) -> Result<Vec<DrillLevel>, EngineError> {
         fail::inject("engine.drill")?;
         let spec = self.spec_by_name(attr_name, value_1, value_2, class)?;
+        let mut pop = SelectorPopulation::new(self.kernel()?.selector(), spec.attr);
+        Ok(self.drill_down_on(&mut pop, &spec, config, ctx)?)
+    }
+
+    /// The automated drill walk over a root population the caller
+    /// supplies — this engine's kernel selector, or a coordinator's
+    /// shard fan-out.
+    ///
+    /// # Errors
+    /// A failed root comparison, or a fault at any depth.
+    pub fn drill_down_on<P: DrillPopulation + ?Sized>(
+        &self,
+        pop: &mut P,
+        spec: &ComparisonSpec,
+        config: &DrillConfig,
+        ctx: ExecCtx<'_>,
+    ) -> Result<Vec<DrillLevel>, CompareError> {
         let unlimited = Budget::unlimited();
         let budget = ctx.budget.unwrap_or(&unlimited);
-        let mut pop = SelectorPopulation::new(self.kernel()?.selector(), spec.attr);
-        if ctx.exec.is_serial() {
-            Ok(drill_down_via(
-                &mut pop,
-                &spec,
-                config,
-                budget,
-                |store, spec, budget| {
-                    Comparator::with_config(&store, config.compare.clone())
-                        .compare_budgeted(spec, budget)
-                },
-            )?)
-        } else {
-            Ok(drill_down_via(
-                &mut pop,
-                &spec,
-                config,
-                budget,
-                |store, spec, budget| {
-                    rank_parallel(&self.executor, &store, &self.config.compare, spec, budget)
-                },
-            )?)
-        }
+        drill_down_via(pop, spec, config, budget, |store, spec, budget| {
+            self.rank(&store, &config.compare, spec, ctx.exec, budget)
+        })
     }
 
     /// Execute a comparison batch (see [`om_exec::run_batch`]): compare
     /// items sharing a base population share one cube pass, drill items
-    /// sharing a path prefix share conditioned populations and level
-    /// results, and per-item budgets yield partial results — completed
-    /// items return even when later ones run out of time. Outcomes come
-    /// back in item order; item failures never fail the batch.
+    /// sharing a path prefix share its level results, and per-item
+    /// budgets yield partial results — completed items return even when
+    /// later ones run out of time. Outcomes come back in item order; item
+    /// failures never fail the batch.
     ///
     /// # Errors
     /// Only batch-level failures: an armed `engine.batch` failpoint or
@@ -607,19 +639,34 @@ impl OpportunityMap {
         ctx: ExecCtx<'_>,
     ) -> Result<Vec<BatchOutcome>, EngineError> {
         fail::inject("engine.batch")?;
+        if let Some(budget) = ctx.budget {
+            budget.check()?;
+        }
+        Ok(self.batch_on(&self.store(), self.kernel()?, items, drill_config, ctx))
+    }
+
+    /// [`run_batch`](Self::run_batch) over a store the caller pinned and
+    /// drill populations from `source`; item failures are outcomes, so
+    /// nothing here fails the batch.
+    pub fn batch_on<D: DrillSource + ?Sized>(
+        &self,
+        snapshot: &Arc<StoreSnapshot>,
+        source: &D,
+        items: &[BatchItem],
+        drill_config: &DrillConfig,
+        ctx: ExecCtx<'_>,
+    ) -> Vec<BatchOutcome> {
         let unlimited = Budget::unlimited();
         let budget = ctx.budget.unwrap_or(&unlimited);
-        budget.check()?;
-        let snapshot = self.store();
-        Ok(om_exec::run_batch(
+        om_exec::run_batch(
             &self.executor,
-            &snapshot,
-            self.kernel()?,
+            snapshot,
+            source,
             &self.config.compare,
             drill_config,
             items,
             budget,
-        ))
+        )
     }
 
     /// Mine all general impressions (trends, exceptions, influence)
@@ -630,16 +677,27 @@ impl OpportunityMap {
     /// [`EngineError::Fault`] on budget overrun.
     pub fn run_general_impressions(&self, ctx: ExecCtx<'_>) -> Result<GiReport, EngineError> {
         fail::inject("engine.gi")?;
+        self.general_impressions_on(&self.store(), ctx)
+    }
+
+    /// [`run_general_impressions`](Self::run_general_impressions) over
+    /// a store the caller pinned: one snapshot across all three miners,
+    /// so trends, exceptions and influence describe the same generation.
+    ///
+    /// # Errors
+    /// [`EngineError::Fault`] on budget overrun.
+    pub fn general_impressions_on(
+        &self,
+        snapshot: &Arc<StoreSnapshot>,
+        ctx: ExecCtx<'_>,
+    ) -> Result<GiReport, EngineError> {
         let unlimited = Budget::unlimited();
         let budget = ctx.budget.unwrap_or(&unlimited);
-        // One snapshot across all three miners: trends, exceptions and
-        // influence must describe the same store generation.
-        let snapshot = self.store();
         if ctx.exec.is_serial() {
             return Ok(GiReport {
-                trends: mine_trends_budgeted(&snapshot, &self.config.trend, budget)?,
-                exceptions: mine_exceptions_budgeted(&snapshot, &self.config.exception, budget)?,
-                influence: mine_influence_budgeted(&snapshot, budget)?,
+                trends: mine_trends_budgeted(snapshot, &self.config.trend, budget)?,
+                exceptions: mine_exceptions_budgeted(snapshot, &self.config.exception, budget)?,
+                influence: mine_influence_budgeted(snapshot, budget)?,
             });
         }
 
@@ -650,7 +708,7 @@ impl OpportunityMap {
         }
         let job = |part: fn(&StoreSnapshot, &EngineConfig, &Budget) -> Result<GiPart, FaultError>|
          -> Box<dyn FnOnce() -> Result<GiPart, FaultError> + Send> {
-            let snapshot = Arc::clone(&snapshot);
+            let snapshot = Arc::clone(snapshot);
             let config = self.config.clone();
             let budget = budget.clone();
             Box::new(move || part(&snapshot, &config, &budget))

@@ -10,9 +10,11 @@
 //!   grouped so each candidate attribute's pair-cube slices are fetched
 //!   **once per cube pass** and re-read per class of interest, instead
 //!   of once per request;
-//! * **drill items** sharing a condition-path prefix reuse both the
-//!   conditioned record set and the per-level comparison result, so 32
-//!   children of one parent compute the parent's comparison once;
+//! * **drill items** sharing a condition-path prefix reuse the
+//!   per-level comparison result, so 32 children of one parent compute
+//!   the parent's comparison once (re-narrowing a prefix is a bitmap AND
+//!   per condition — microseconds against the masked scan a memo hit
+//!   skips);
 //! * each item carries an optional budget narrowing; a deadline marks
 //!   the *remaining* items overloaded while completed items are still
 //!   returned — partial results, never all-or-nothing.
@@ -23,11 +25,11 @@ use std::time::Duration;
 
 use om_car::Condition;
 use om_compare::{
-    assemble, attr_name, candidate_attrs_in, counts_for_class, drill_down_via, normalize,
-    score_attribute, subpop_slices, AttrScore, CompareConfig, CompareError, ComparisonResult,
-    ComparisonSpec, DrillConfig, DrillLevel, NormalizedSpec, SelectorPopulation,
+    assemble, attr_name, counts_for_class, drill_path_via, normalize, score_attribute,
+    subpop_slices, AttrScore, CompareConfig, CompareError, ComparisonResult, ComparisonSpec,
+    DrillConfig, DrillLevel, DrillMemo, DrillPopulation, NormalizedSpec, SelectorPopulation,
 };
-use om_cube::{ColumnIndex, PopulationSelector};
+use om_cube::ColumnIndex;
 use om_data::ValueId;
 use om_fault::{fail, Budget};
 
@@ -72,8 +74,7 @@ pub enum BatchOutcome {
 impl BatchOutcome {
     /// Map a comparison failure onto its per-item outcome — overload
     /// faults are retryable, everything else is a terminal item
-    /// failure. Public so a distributed coordinator mirroring the batch
-    /// loop classifies errors identically.
+    /// failure.
     #[must_use]
     pub fn from_error(e: &CompareError) -> Self {
         match e {
@@ -83,6 +84,32 @@ impl BatchOutcome {
             _ => BatchOutcome::Failed {
                 message: e.to_string(),
             },
+        }
+    }
+}
+
+/// One drill item's walk, handed to a [`DrillSource`] to run.
+pub type DrillWalk<'a> =
+    dyn FnMut(&mut dyn DrillPopulation) -> Result<Vec<DrillLevel>, CompareError> + 'a;
+
+/// Where a batch's drill items get their populations. A single node's
+/// source is its counting kernel; a distributed backend's fans out to
+/// its shards.
+pub trait DrillSource {
+    /// Run `walk` over a fresh root (unconditioned) population for a
+    /// drill anchored on `anchor` (the compared attribute) and report
+    /// the item's outcome. A walk's failure maps through
+    /// [`BatchOutcome::from_error`] — except that a source whose
+    /// population failed for reasons of its own (a shard down) reports
+    /// those, in its own words.
+    fn drill(&self, anchor: usize, walk: &mut DrillWalk<'_>) -> BatchOutcome;
+}
+
+impl DrillSource for Arc<ColumnIndex> {
+    fn drill(&self, anchor: usize, walk: &mut DrillWalk<'_>) -> BatchOutcome {
+        match walk(&mut SelectorPopulation::new(self.selector(), anchor)) {
+            Ok(levels) => BatchOutcome::Drill(levels),
+            Err(e) => BatchOutcome::from_error(&e),
         }
     }
 }
@@ -111,18 +138,19 @@ fn item_budget(batch: &Budget, budget_ms: Option<u64>) -> Budget {
 }
 
 /// Execute a batch: compare groups are scattered across the pool (one
-/// shared cube pass per group), then drill items walk their paths with
-/// conditioned populations and per-level comparisons memoized across
-/// items. Outcomes are returned in item order.
+/// shared cube pass per group), then each drill item walks its path
+/// over a fresh root population from `source`, with per-level
+/// comparisons memoized across items. Outcomes are returned in item
+/// order.
 ///
 /// Every individual result is byte-identical to what the corresponding
 /// single request (`compare` / fixed-path drill) would return: the
 /// shared pass runs the exact `normalize → score → assemble` stages of
 /// the serial comparator, merely reusing slice fetches.
-pub fn run_batch<S: StoreRef>(
+pub fn run_batch<S: StoreRef, D: DrillSource + ?Sized>(
     exec: &Executor,
     store: &S,
-    kernel: &Arc<ColumnIndex>,
+    source: &D,
     compare_config: &CompareConfig,
     drill_config: &DrillConfig,
     items: &[BatchItem],
@@ -162,7 +190,7 @@ pub fn run_batch<S: StoreRef>(
     }
 
     // ---- drill items: memoized path walk ---------------------------
-    let mut memo = DrillMemo::default();
+    let mut memo = DrillMemo::new();
     for (i, item) in items.iter().enumerate() {
         if let BatchItem::Drill {
             spec,
@@ -171,16 +199,17 @@ pub fn run_batch<S: StoreRef>(
         } = item
         {
             let item_budget = item_budget(budget, *budget_ms);
-            let outcome = run_drill_item(
-                exec,
-                kernel,
-                compare_config,
-                drill_config,
-                spec,
-                path,
-                &item_budget,
-                &mut memo,
-            );
+            let outcome = source.drill(spec.attr, &mut |pop| {
+                drill_path_via(
+                    pop,
+                    spec,
+                    path,
+                    drill_config,
+                    &item_budget,
+                    &mut memo,
+                    |store, spec, budget| rank_parallel(exec, &store, compare_config, spec, budget),
+                )
+            });
             if let Some(slot) = outcomes.get_mut(i) {
                 *slot = Some(outcome);
             }
@@ -292,137 +321,4 @@ fn run_compare_group(
         ));
     }
     out
-}
-
-/// Comparisons and conditioned selectors shared across a batch's
-/// drill items, keyed by the exact condition-path prefix. Selectors are
-/// bitmap masks over the shared kernel index — memoizing one costs a
-/// compressed mask, not a copied record set.
-#[derive(Default)]
-struct DrillMemo {
-    pops: HashMap<Vec<Condition>, PopulationSelector>,
-    results: HashMap<(Vec<Condition>, ComparisonSpec), ComparisonResult>,
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_drill_item(
-    exec: &Executor,
-    kernel: &Arc<ColumnIndex>,
-    compare_config: &CompareConfig,
-    drill_config: &DrillConfig,
-    spec: &ComparisonSpec,
-    path: &[Condition],
-    budget: &Budget,
-    memo: &mut DrillMemo,
-) -> BatchOutcome {
-    if path.is_empty() {
-        // The automated walk — each level's comparison still runs
-        // sharded, and the root result is shared with fixed-path items
-        // through the memo. Only the unconditioned root is memoizable
-        // from outside the walk (deeper levels depend on the walk's own
-        // findings); it is exactly the runner's first invocation.
-        let results = &mut memo.results;
-        let mut at_root = true;
-        let mut pop = SelectorPopulation::new(kernel.selector(), spec.attr);
-        let walked = drill_down_via(&mut pop, spec, drill_config, budget, |store, spec, budget| {
-            let is_root = std::mem::take(&mut at_root);
-            let root_key = (Vec::new(), *spec);
-            if is_root {
-                if let Some(hit) = results.get(&root_key) {
-                    return Ok(hit.clone());
-                }
-            }
-            let result = rank_parallel(exec, &store, compare_config, spec, budget)?;
-            if is_root {
-                results.insert(root_key, result.clone());
-            }
-            Ok(result)
-        });
-        return match walked {
-            Ok(levels) => BatchOutcome::Drill(levels),
-            Err(e) => BatchOutcome::from_error(&e),
-        };
-    }
-
-    let mut levels: Vec<DrillLevel> = Vec::new();
-    for depth in 0..=path.len() {
-        if let Err(e) = budget.check() {
-            return BatchOutcome::from_error(&CompareError::Fault(e));
-        }
-        if let Err(e) = fail::inject("compare.drill-level") {
-            return BatchOutcome::from_error(&CompareError::Fault(e));
-        }
-        let Some(prefix) = path.get(..depth) else {
-            break; // depth <= path.len() by the loop bound
-        };
-        let current = match conditioned_selector(kernel, prefix, memo) {
-            Ok(pop) => pop,
-            Err(msg) => return BatchOutcome::Failed { message: msg },
-        };
-        let mut excluded: Vec<usize> = vec![spec.attr];
-        excluded.extend(prefix.iter().map(|c| c.attr));
-        let attrs = candidate_attrs_in(kernel.schema(), spec.attr, &excluded);
-        if attrs.len() < 2 {
-            break; // nothing left to rank under these conditions
-        }
-        let key = (prefix.to_vec(), *spec);
-        let result = if let Some(hit) = memo.results.get(&key) {
-            hit.clone()
-        } else {
-            let computed = current
-                .build_store_anchored(Some(attrs), spec.attr)
-                .map(Arc::new)
-                .map_err(CompareError::Cube)
-                .and_then(|store| rank_parallel(exec, &store, compare_config, spec, budget));
-            match computed {
-                Ok(r) => {
-                    memo.results.insert(key, r.clone());
-                    r
-                }
-                Err(e) if depth == 0 => return BatchOutcome::from_error(&e),
-                Err(e @ CompareError::Fault(_)) => return BatchOutcome::from_error(&e),
-                Err(_) => break, // conditioned data too thin — stop cleanly
-            }
-        };
-        levels.push(DrillLevel {
-            conditions: prefix.to_vec(),
-            condition_labels: prefix.iter().map(|c| c.display(kernel.schema())).collect(),
-            result,
-        });
-    }
-    BatchOutcome::Drill(levels)
-}
-
-/// The selector satisfying `prefix` — each step a bitmap AND — built
-/// incrementally and shared across every item whose path starts the same
-/// way. Error messages match the retired record-walk path exactly (the
-/// kernel raises the same `DataError`s), so batch outcomes stay
-/// byte-identical.
-fn conditioned_selector(
-    kernel: &Arc<ColumnIndex>,
-    prefix: &[Condition],
-    memo: &mut DrillMemo,
-) -> Result<PopulationSelector, String> {
-    let Some((&cond, parent_prefix)) = prefix.split_last() else {
-        return Ok(memo
-            .pops
-            .entry(Vec::new())
-            .or_insert_with(|| kernel.selector())
-            .clone());
-    };
-    if let Some(hit) = memo.pops.get(prefix) {
-        return Ok(hit.clone());
-    }
-    let parent = conditioned_selector(kernel, parent_prefix, memo)?;
-    let sub = parent
-        .narrow(cond.attr, cond.value)
-        .map_err(|e| format!("condition {} is invalid: {e}", cond.display(kernel.schema())))?;
-    if sub.count() == 0 {
-        return Err(format!(
-            "condition {} selects no records",
-            cond.display(kernel.schema())
-        ));
-    }
-    memo.pops.insert(prefix.to_vec(), sub.clone());
-    Ok(sub)
 }

@@ -31,7 +31,7 @@ pub mod config;
 pub mod pool;
 pub mod rank;
 
-pub use batch::{run_batch, BatchItem, BatchOutcome};
+pub use batch::{run_batch, BatchItem, BatchOutcome, DrillSource, DrillWalk};
 pub use config::ExecConfig;
 pub use pool::Executor;
 pub use rank::{gather_in_order, rank_parallel, StoreRef};

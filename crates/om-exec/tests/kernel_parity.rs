@@ -13,12 +13,12 @@ use std::sync::Arc;
 
 use om_car::Condition;
 use om_compare::{
-    drill_down_via, CompareConfig, CompareError, Comparator, ComparisonSpec, DrillConfig,
-    DrillLevel, DrillPopulation, SelectorPopulation,
+    drill_down_via, drill_path_via, CompareConfig, CompareError, Comparator, ComparisonSpec,
+    Descent, DrillConfig, DrillLevel, DrillMemo, DrillPopulation, SelectorPopulation,
 };
 use om_cube::{ColumnIndex, CubeStore, StoreBuildOptions};
 use om_data::{Dataset, Schema};
-use om_exec::{rank_parallel, ExecConfig, Executor};
+use om_exec::{rank_parallel, run_batch, BatchItem, BatchOutcome, ExecConfig, Executor};
 use om_explore::ExploreQuery;
 use om_fault::Budget;
 use om_gi::{
@@ -99,14 +99,15 @@ impl DrillPopulation for RecordWalkPopulation {
         .map_err(CompareError::Cube)
     }
 
-    fn descend(&mut self, condition: Condition) -> Result<bool, CompareError> {
-        match self.current.sub_population(condition.attr, condition.value) {
-            Ok(sub) if !sub.is_empty() => {
+    fn descend(&mut self, condition: Condition) -> Result<Descent, CompareError> {
+        Ok(match self.current.sub_population(condition.attr, condition.value) {
+            Err(e) => Descent::Invalid(e),
+            Ok(sub) if sub.is_empty() => Descent::Empty,
+            Ok(sub) => {
                 self.current = sub;
-                Ok(true)
+                Descent::Narrowed
             }
-            _ => Ok(false),
-        }
+        })
     }
 }
 
@@ -197,6 +198,63 @@ fn assert_drill_parity(n_attrs: usize, n_records: usize, seed: u64, attr: usize)
         });
         assert_same_levels(&format!("kernel drill workers={workers}"), &record, wide);
     }
+
+    // The same walk with the conditions pinned: the record-walk
+    // reference through `drill_path_via` against the batch executor's
+    // fixed-path item — a valid condition, one the second step of which
+    // is out of domain, and the automatic walk's own deepest path.
+    let other = (ds.schema().non_class_indices().into_iter())
+        .find(|&a| a != spec.attr)
+        .unwrap();
+    let mut paths = vec![
+        vec![Condition::new(other, 0)],
+        vec![Condition::new(other, 0), Condition::new(other, 99)],
+    ];
+    if let Some(deepest) = record.iter().flatten().last() {
+        if !deepest.conditions.is_empty() {
+            paths.push(deepest.conditions.clone());
+        }
+    }
+    let store = kernel_store(&ds);
+    for path in paths {
+        let mut record_pop = RecordWalkPopulation {
+            current: ds.clone(),
+        };
+        let pinned = drill_path_via(
+            &mut record_pop,
+            &spec,
+            &path,
+            &config,
+            &unlimited,
+            &mut DrillMemo::new(),
+            |store, spec, budget| {
+                Comparator::with_config(&store, config.compare.clone())
+                    .compare_budgeted(spec, budget)
+            },
+        );
+        let want = match pinned {
+            Ok(levels) => BatchOutcome::Drill(levels),
+            Err(e) => BatchOutcome::from_error(&e),
+        };
+        let item = BatchItem::Drill {
+            spec,
+            path: path.clone(),
+            budget_ms: None,
+        };
+        for workers in WIDTHS {
+            let exec = Executor::new(&ExecConfig { workers });
+            let got = run_batch(
+                &exec,
+                &store,
+                &index,
+                &config.compare,
+                &config,
+                std::slice::from_ref(&item),
+                &unlimited,
+            );
+            assert_eq!(got, vec![want.clone()], "path={path:?}, workers={workers}");
+        }
+    }
 }
 
 fn assert_gi_parity(n_attrs: usize, n_records: usize, seed: u64) {
@@ -223,8 +281,8 @@ fn assert_gi_parity(n_attrs: usize, n_records: usize, seed: u64) {
 fn assert_explore_parity(n_attrs: usize, n_records: usize, seed: u64) {
     let ds = dataset(n_attrs, n_records, seed);
     let schema = ds.schema();
-    // The pair-slice path (no index) against the masked kernel-scan path
-    // (indexed store): sliced pools must agree cell for cell.
+    // A record-walk store against an indexed one: sliced pools (pair
+    // cubes sliced at the condition) must agree cell for cell.
     let record = record_walk_store(&ds);
     let indexed = Arc::new(CubeStore::build(&ds, &StoreBuildOptions::default()).unwrap());
     assert!(indexed.index().is_some(), "default build must carry an index");

@@ -95,11 +95,9 @@ pub(crate) fn overlap_upper(
     Ok(best)
 }
 
-/// The one-dimensional cube over `b` restricted to rows matching `s` —
-/// answered through [`om_cube::conditioned_one_dim`]: an already-built
-/// `(s.attr, b)` pair cube is sliced, otherwise the store's counting
-/// kernel does one masked column scan instead of materializing the full
-/// pair. Counts are identical either way.
+/// The one-dimensional cube over `b` restricted to rows matching `s`:
+/// the `(s.attr, b)` pair cube sliced at `s.value`
+/// ([`om_cube::conditioned_one_dim`]).
 pub(crate) fn conditioned(
     store: &CubeStore,
     s: Cond,

@@ -51,7 +51,7 @@ pub const SEAMS: &[&str] = &[
     "cluster.fetch",       // om-cluster: per-replica pinned store fetch
     "cluster.replica-retry", // om-cluster: per-attempt replica call in the retry ladder
     "cluster.ingest-replica", // om-cluster: per-replica ingest write fan-out
-    "cluster.validate-prefix", // om-cluster: per-condition cluster count in prefix validation
+    "cluster.validate-prefix", // om-cluster: per-condition cluster count when a drill descends
     "server.internal-store", // om-server: shard-side /internal/store handler
     "explore.scan",        // om-explore: per-attribute candidate pool scan
     "explore.step",        // om-explore: end of one greedy selection step

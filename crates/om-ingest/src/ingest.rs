@@ -308,25 +308,14 @@ impl IngestHandle {
         Ok(this)
     }
 
-    /// Append a newline-separated batch of CSV rows (schema order, class
-    /// included). All-or-nothing: on any bad row, nothing is appended.
-    /// Returns the number of rows accepted.
+    /// Append already-split label rows (the typed `/v1/ingest` path:
+    /// each row is every schema attribute's label, class included, in
+    /// schema order). All-or-nothing: on any bad row, nothing is
+    /// appended. Returns the number of rows accepted.
     ///
     /// # Errors
     /// [`IngestError::BadRow`] on validation failures; WAL/fault errors
     /// on the durability path.
-    pub fn append_csv(&self, body: &str) -> Result<usize, IngestError> {
-        let rows = self.inner.parser.parse_body(body)?;
-        self.append_rows(rows)
-    }
-
-    /// Append already-split label rows (the typed `/v1/ingest` path:
-    /// each row is every schema attribute's label, class included, in
-    /// schema order). All-or-nothing, like [`Self::append_csv`].
-    /// Returns the number of rows accepted.
-    ///
-    /// # Errors
-    /// As [`Self::append_csv`].
     pub fn append_labeled(&self, rows: &[Vec<String>]) -> Result<usize, IngestError> {
         let parsed = rows
             .iter()
@@ -340,7 +329,7 @@ impl IngestHandle {
     /// in schema order). Validates arity and id ranges.
     ///
     /// # Errors
-    /// As [`Self::append_csv`].
+    /// As [`Self::append_labeled`].
     pub fn append_rows(&self, rows: Vec<Vec<ValueId>>) -> Result<usize, IngestError> {
         let schema = self.inner.parser.schema();
         for (i, row) in rows.iter().enumerate() {

@@ -74,26 +74,10 @@ impl RowParser {
         &self.schema
     }
 
-    /// Parse one comma-separated line: every schema attribute's value
-    /// (class included) in schema order, with double-quote quoting for
-    /// fields containing commas (interval bin labels). `row` is the
-    /// 1-based position used in error messages.
-    ///
-    /// # Errors
-    /// [`IngestError::BadRow`] on wrong arity, unknown labels, or
-    /// unbinnable numerics.
-    pub fn parse_line(&self, line: &str, row: usize) -> Result<Vec<ValueId>, IngestError> {
-        let fields: Vec<String> = om_data::csv::split_record(line, ',')
-            .into_iter()
-            .map(|f| f.trim().to_owned())
-            .collect();
-        self.parse_fields(&fields, row)
-    }
-
-    /// Validate one already-split row (the JSON ingest path, where the
-    /// client sends fields as an array instead of a CSV line). Fields
-    /// are taken verbatim — no trimming or quote handling. `row` is the
-    /// 1-based position used in error messages.
+    /// Validate one already-split row: every schema attribute's value
+    /// (class included) in schema order, as the JSON ingest path sends
+    /// it. Fields are taken verbatim — no trimming or quote handling.
+    /// `row` is the 1-based position used in error messages.
     ///
     /// # Errors
     /// [`IngestError::BadRow`] on wrong arity, unknown labels, or
@@ -114,23 +98,6 @@ impl RowParser {
             ids.push(self.resolve(attr, field, row)?);
         }
         Ok(ids)
-    }
-
-    /// Parse a whole newline-separated body; blank lines are skipped.
-    /// All-or-nothing: the first bad row rejects the entire batch, so a
-    /// partially-garbled upload never half-commits.
-    ///
-    /// # Errors
-    /// The first [`IngestError::BadRow`] encountered.
-    pub fn parse_body(&self, body: &str) -> Result<Vec<Vec<ValueId>>, IngestError> {
-        let mut rows = Vec::new();
-        for (i, line) in body.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            rows.push(self.parse_line(line, i + 1)?);
-        }
-        Ok(rows)
     }
 
     fn resolve(&self, attr: usize, field: &str, row: usize) -> Result<ValueId, IngestError> {
@@ -213,15 +180,18 @@ mod tests {
         (ds.schema().clone(), cuts)
     }
 
+    fn fields<const N: usize>(row: [&str; N]) -> Vec<String> {
+        row.map(str::to_owned).into()
+    }
+
     #[test]
     fn parses_labels_and_numbers_identically() {
         let (schema, cuts) = live_schema();
         let parser = RowParser::new(schema.clone(), &cuts).unwrap();
-        let by_number = parser.parse_line("red, 1.5, yes", 1).unwrap();
+        let by_number = parser.parse_fields(&fields(["red", "1.5", "yes"]), 1).unwrap();
         let bin_label = schema.attribute(1).domain().label(by_number[1]).unwrap();
-        // Interval labels contain the delimiter, so they arrive quoted.
         let by_label = parser
-            .parse_line(&format!("red,\"{bin_label}\",yes"), 2)
+            .parse_fields(&fields(["red", bin_label, "yes"]), 2)
             .unwrap();
         assert_eq!(by_number, by_label);
     }
@@ -230,10 +200,13 @@ mod tests {
     fn missing_numeric_maps_to_missing_bin() {
         let (schema, cuts) = live_schema();
         let parser = RowParser::new(schema.clone(), &cuts).unwrap();
-        let row = parser.parse_line("blue,,no", 1).unwrap();
+        let row = parser.parse_fields(&fields(["blue", "", "no"]), 1).unwrap();
         let label = schema.attribute(1).domain().label(row[1]).unwrap();
         assert_eq!(label, MISSING_LABEL);
-        assert_eq!(row, parser.parse_line("blue,NaN,no", 1).unwrap());
+        assert_eq!(
+            row,
+            parser.parse_fields(&fields(["blue", "NaN", "no"]), 1).unwrap()
+        );
     }
 
     #[test]
@@ -241,23 +214,11 @@ mod tests {
         let (schema, cuts) = live_schema();
         let parser = RowParser::new(schema, &cuts).unwrap();
         assert!(matches!(
-            parser.parse_line("red,1.5", 3),
+            parser.parse_fields(&fields(["red", "1.5"]), 3),
             Err(IngestError::BadRow { row: 3, .. })
         ));
-        assert!(parser.parse_line("chartreuse,1.5,yes", 1).is_err());
-        assert!(parser.parse_line("red,uphill,yes", 1).is_err());
-    }
-
-    #[test]
-    fn body_is_all_or_nothing() {
-        let (schema, cuts) = live_schema();
-        let parser = RowParser::new(schema, &cuts).unwrap();
-        let ok = parser.parse_body("red,1.0,yes\n\nblue,6.0,no\n").unwrap();
-        assert_eq!(ok.len(), 2);
-        assert!(matches!(
-            parser.parse_body("red,1.0,yes\nbogus,1.0,yes\n"),
-            Err(IngestError::BadRow { row: 2, .. })
-        ));
+        assert!(parser.parse_fields(&fields(["chartreuse", "1.5", "yes"]), 1).is_err());
+        assert!(parser.parse_fields(&fields(["red", "uphill", "yes"]), 1).is_err());
     }
 
     #[test]

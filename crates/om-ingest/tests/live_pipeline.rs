@@ -190,7 +190,8 @@ fn bad_batches_commit_nothing() {
     let mut rows = rows_of(&dataset(10, 6));
     rows[7] = vec![9_999; base.schema().n_attributes()];
     assert!(handle.append_rows(rows).is_err());
-    assert!(handle.append_csv("definitely,not,enough,fields").is_err());
+    let short: Vec<String> = ["definitely", "not", "enough", "fields"].map(String::from).into();
+    assert!(handle.append_labeled(&[short]).is_err());
     assert_eq!(handle.stats().rows_total, 0, "rejected batches left no trace");
     handle.flush().unwrap();
     assert_eq!(shared.snapshot().total_records(), 500);

@@ -27,10 +27,7 @@ echo "==> cargo test -p om-exec --test determinism -q (parallel == serial, byte-
 cargo test -p om-exec --test determinism -q
 
 echo "==> cargo test -p om-cluster --features failpoints -q (fault-tolerance suite incl. hedging + deadline)"
-# One thread: the failpoint registry is process-global, and the armed
-# `server.internal-store` / `explore.step` seams of tests/cluster.rs's
-# failpoints module would otherwise fire inside its neighbours.
-cargo test -p om-cluster --features failpoints -q -- --test-threads=1
+cargo test -p om-cluster --features failpoints -q
 
 echo "==> om-lint fixtures (check self-test corpus; debug + release)"
 # Both build configs: the interprocedural fixpoint must behave the same

@@ -23,15 +23,14 @@ pub fn partition_rows(ds: &Dataset, n_shards: usize) -> Result<Vec<Vec<usize>>, 
         columns.push((ds.categorical(a)?, schema.attribute(a).domain()));
     }
     let mut parts: Vec<Vec<usize>> = vec![Vec::new(); n_shards];
+    let mut fields: Vec<&str> = Vec::with_capacity(columns.len());
     for r in 0..ds.n_rows() {
-        let fields: Vec<&str> = columns
-            .iter()
-            .map(|(ids, domain)| {
-                ids.get(r)
-                    .and_then(|&id| domain.label(id))
-                    .unwrap_or_default()
-            })
-            .collect();
+        fields.clear();
+        fields.extend(columns.iter().map(|(ids, domain)| {
+            ids.get(r)
+                .and_then(|&id| domain.label(id))
+                .unwrap_or_default()
+        }));
         if let Some(part) = parts.get_mut(route_fields(&fields, n_shards)) {
             part.push(r);
         }

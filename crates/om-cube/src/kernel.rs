@@ -7,9 +7,9 @@
 //! (arxiv 2107.11967), this module replaces that record walk with a
 //! columnar kernel built once per store generation:
 //!
-//! * [`ColumnIndex`] retains each categorical `ValueId` column plus one
-//!   compressed [`Bitmap`](crate::bitmap::Bitmap) per `(attribute,
-//!   value)` pair, so
+//! * [`ColumnIndex`] shares the dataset's categorical `ValueId` columns
+//!   (no copy) and adds one compressed [`Bitmap`](crate::bitmap::Bitmap)
+//!   per `(attribute, value)` pair, so
 //! * a sub-population is a bitmap AND ([`PopulationSelector::narrow`]),
 //! * a cell count is a popcount ([`PopulationSelector::count`]), and
 //! * one shared masked column scan fills *every* cube a drill level or
@@ -25,25 +25,26 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use om_data::{DataError, Dataset, Schema, ValueId};
+use om_data::{Column, DataError, Dataset, Schema, ValueId};
 
 use crate::bitmap::{column_bitmaps, Bitmap};
 use crate::cube::{CubeDim, CubeError, RuleCube};
 use crate::store::CubeStore;
 
-/// Per-column bitmap index over one dataset generation: the raw
-/// categorical columns (for masked scans) plus one compressed bitmap per
-/// `(attribute, value)` (for conditioning). Built once, shared via
-/// [`Arc`] by every [`PopulationSelector`] cut from it.
+/// Per-column bitmap index over one dataset generation: the dataset's
+/// own categorical columns (for masked scans — shared, not copied) plus
+/// one compressed bitmap per `(attribute, value)` (for conditioning).
+/// Built once, shared via [`Arc`] by every [`PopulationSelector`] cut
+/// from it.
 pub struct ColumnIndex {
-    schema: Schema,
-    n_rows: usize,
-    /// Retained `ValueId` columns for every categorical attribute
-    /// (class included) — the masked scans read these.
-    columns: HashMap<usize, Vec<ValueId>>,
-    /// One bitmap per value of every categorical attribute (class
-    /// included) — `narrow` ANDs these.
-    bitmaps: HashMap<usize, Vec<Bitmap>>,
+    /// The dataset the index was built over. Its columns are immutable
+    /// and shared, so this clone is one pointer per attribute and the
+    /// slices the masked scans read are the dataset's own.
+    dataset: Dataset,
+    /// `bitmaps[attr]` holds one bitmap per value of a categorical
+    /// attribute (class included), and is empty for a continuous one —
+    /// `narrow` ANDs these.
+    bitmaps: Vec<Vec<Bitmap>>,
 }
 
 impl ColumnIndex {
@@ -61,40 +62,28 @@ impl ColumnIndex {
                 "dataset has {n_rows} rows; the bitmap kernel addresses at most 2^32"
             )));
         }
-        let schema = ds.schema().clone();
-        let mut columns = HashMap::new();
-        let mut bitmaps = HashMap::new();
-        for idx in 0..schema.n_attributes() {
-            let attr = schema.attribute(idx);
-            let col: Vec<ValueId> = if idx == schema.class_index() {
-                ds.class_values().to_vec()
-            } else if attr.is_categorical() {
-                match ds.column(idx).as_categorical() {
-                    Some(c) => c.to_vec(),
-                    None => continue,
-                }
-            } else {
-                continue;
-            };
-            bitmaps.insert(idx, column_bitmaps(&col, attr.cardinality()));
-            columns.insert(idx, col);
-        }
+        let bitmaps = ds
+            .columns()
+            .zip(ds.schema().attributes())
+            .map(|(col, attr)| match col.as_categorical() {
+                Some(ids) => column_bitmaps(ids, attr.cardinality()),
+                None => Vec::new(),
+            })
+            .collect();
         Ok(Self {
-            schema,
-            n_rows,
-            columns,
+            dataset: ds.clone(),
             bitmaps,
         })
     }
 
     /// The dataset schema the index was built over.
     pub fn schema(&self) -> &Schema {
-        &self.schema
+        self.dataset.schema()
     }
 
     /// Rows in the indexed generation.
     pub fn n_rows(&self) -> usize {
-        self.n_rows
+        self.dataset.n_rows()
     }
 
     /// The unconditioned selector over the whole population.
@@ -106,20 +95,23 @@ impl ColumnIndex {
         }
     }
 
-    /// Approximate heap bytes of the retained columns (bitmap containers
-    /// add roughly `n_rows / 8` bytes per attribute on top).
+    /// Heap bytes of the columns the masked scans read. They are shared
+    /// with the dataset the index was built over, not a second copy; the
+    /// index's own allocation is the bitmap containers, roughly
+    /// `n_rows / 8` bytes per attribute.
     pub fn memory_bytes(&self) -> usize {
-        self.columns
-            .values()
-            .map(|c| c.len() * std::mem::size_of::<ValueId>())
+        self.dataset
+            .columns()
+            .filter_map(Column::as_categorical)
+            .map(std::mem::size_of_val)
             .sum()
     }
 
     fn column(&self, attr: usize) -> Result<&[ValueId], CubeError> {
-        self.columns.get(&attr).map(Vec::as_slice).ok_or_else(|| {
+        self.dataset.column(attr).as_categorical().ok_or_else(|| {
             CubeError::Invalid(format!(
                 "attribute {:?} is continuous; discretize before cube construction",
-                self.schema.attribute(attr).name()
+                self.schema().attribute(attr).name()
             ))
         })
     }
@@ -128,8 +120,11 @@ impl ColumnIndex {
 impl std::fmt::Debug for ColumnIndex {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ColumnIndex")
-            .field("n_rows", &self.n_rows)
-            .field("indexed_attrs", &self.bitmaps.len())
+            .field("n_rows", &self.n_rows())
+            .field(
+                "indexed_attrs",
+                &self.bitmaps.iter().filter(|b| !b.is_empty()).count(),
+            )
             .finish()
     }
 }
@@ -159,7 +154,7 @@ pub struct PopulationSelector {
 impl PopulationSelector {
     /// The schema (identical at every conditioning depth).
     pub fn schema(&self) -> &Schema {
-        &self.index.schema
+        self.index.schema()
     }
 
     /// The shared index this selector cuts from.
@@ -175,7 +170,7 @@ impl PopulationSelector {
     /// Records in the sub-population — a popcount, not a scan.
     pub fn count(&self) -> u64 {
         match &self.mask {
-            None => self.index.n_rows as u64,
+            None => self.index.n_rows() as u64,
             Some(m) => m.len(),
         }
     }
@@ -187,14 +182,16 @@ impl PopulationSelector {
     /// walk (out-of-domain value, continuous attribute), so callers that
     /// render them keep byte-identical messages.
     pub fn narrow(&self, attr: usize, value: ValueId) -> Result<PopulationSelector, DataError> {
-        self.index.schema.check_condition(attr, value)?;
-        let maps = self.index.bitmaps.get(&attr).ok_or_else(|| {
-            DataError::Invalid(format!(
-                "attribute {:?} is continuous; discretize first",
-                self.index.schema.attribute(attr).name()
-            ))
-        })?;
-        let value_rows = maps.get(value as usize).cloned().unwrap_or_default();
+        self.index.schema().check_condition(attr, value)?;
+        // A continuous attribute: the record walk's own error.
+        self.index.dataset.categorical(attr)?;
+        let value_rows = self
+            .index
+            .bitmaps
+            .get(attr)
+            .and_then(|maps| maps.get(value as usize))
+            .cloned()
+            .unwrap_or_default();
         let mask = match &self.mask {
             None => value_rows,
             Some(m) => m.and(&value_rows),
@@ -255,7 +252,7 @@ impl PopulationSelector {
         attrs: Option<Vec<usize>>,
         plan: PairPlan,
     ) -> Result<CubeStore, CubeError> {
-        let schema = &self.index.schema;
+        let schema = self.index.schema();
         let attrs = CubeStore::resolve_attrs(
             schema,
             &crate::store::StoreBuildOptions {
@@ -321,7 +318,7 @@ impl PopulationSelector {
 
     /// An empty cube over `attrs` plus the column/stride plan to fill it.
     fn scan_unit(&self, attrs: &[usize]) -> Result<ScanUnit<'_>, CubeError> {
-        let schema = &self.index.schema;
+        let schema = self.index.schema();
         let dims: Vec<CubeDim> = attrs
             .iter()
             .map(|&a| CubeDim::from_schema(schema, a))
@@ -342,7 +339,7 @@ impl PopulationSelector {
     /// The one shared scan: every masked row feeds every unit's cube (and
     /// the class tally) in a single pass over the columns.
     fn scan(&self, units: &mut [ScanUnit<'_>]) -> Result<Vec<u64>, CubeError> {
-        let schema = &self.index.schema;
+        let schema = self.index.schema();
         let classes = self.index.column(schema.class_index())?;
         let mut class_counts = vec![0u64; schema.n_classes()];
         let mut visit = |r: usize| {
@@ -363,7 +360,7 @@ impl PopulationSelector {
             }
         };
         match &self.mask {
-            None => (0..self.index.n_rows).for_each(&mut visit),
+            None => (0..self.index.n_rows()).for_each(&mut visit),
             Some(m) => m.for_each(|r| visit(r as usize)),
         }
         Ok(class_counts)
@@ -394,6 +391,22 @@ mod tests {
 
     fn kernel(ds: &Dataset) -> Arc<ColumnIndex> {
         Arc::new(ColumnIndex::build(ds).unwrap())
+    }
+
+    #[test]
+    fn index_shares_the_datasets_columns() {
+        let ds = dataset();
+        let index = kernel(&ds);
+        for a in 0..ds.schema().n_attributes() {
+            let scanned = index.column(a).unwrap();
+            let owned = ds.categorical(a).unwrap();
+            assert_eq!(scanned.as_ptr(), owned.as_ptr(), "attribute {a} was copied");
+            assert_eq!(scanned.len(), owned.len());
+        }
+        assert_eq!(
+            index.memory_bytes(),
+            ds.n_rows() * ds.schema().n_attributes() * std::mem::size_of::<ValueId>()
+        );
     }
 
     #[test]

@@ -186,7 +186,7 @@ pub fn write_csv<W: Write>(ds: &Dataset, writer: &mut W, delimiter: char) -> Res
     writeln!(writer, "{}", names.join(&delimiter.to_string()))?;
     for r in 0..ds.n_rows() {
         let mut fields = Vec::with_capacity(names.len());
-        for (j, col) in ds.columns().iter().enumerate() {
+        for (j, col) in ds.columns().enumerate() {
             match col {
                 crate::column::Column::Categorical(ids) => {
                     let label = ds

@@ -1,14 +1,20 @@
 //! The in-memory dataset: a schema plus one column per attribute.
 
+use std::sync::Arc;
+
 use crate::column::Column;
 use crate::error::{DataError, Result};
 use crate::schema::{AttrKind, Schema, ValueId};
 
 /// A columnar dataset with a designated class attribute.
+///
+/// Columns are immutable and shared: `clone` copies one pointer per
+/// attribute, never a row, and the two mutators are copy-on-write, so
+/// preparing a clone (discretize, collapse) never disturbs its source.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     schema: Schema,
-    columns: Vec<Column>,
+    columns: Vec<Arc<Column>>,
     n_rows: usize,
 }
 
@@ -56,7 +62,7 @@ impl Dataset {
         }
         Ok(Self {
             schema,
-            columns,
+            columns: columns.into_iter().map(Arc::new).collect(),
             n_rows,
         })
     }
@@ -82,8 +88,8 @@ impl Dataset {
     }
 
     /// All columns in schema order.
-    pub fn columns(&self) -> &[Column] {
-        &self.columns
+    pub fn columns(&self) -> impl Iterator<Item = &Column> {
+        self.columns.iter().map(Arc::as_ref)
     }
 
     /// The class column's value ids.
@@ -148,7 +154,11 @@ impl Dataset {
                 self.n_rows
             )));
         }
-        let columns = self.columns.iter().map(|c| c.take_rows(rows)).collect();
+        let columns = self
+            .columns
+            .iter()
+            .map(|c| Arc::new(c.take_rows(rows)))
+            .collect();
         Ok(Dataset {
             schema: self.schema.clone(),
             columns,
@@ -182,7 +192,7 @@ impl Dataset {
             ));
         }
         for (a, b) in self.columns.iter_mut().zip(&other.columns) {
-            a.extend_from(b);
+            Arc::make_mut(a).extend_from(b);
         }
         self.n_rows += other.n_rows;
         Ok(())
@@ -203,7 +213,7 @@ impl Dataset {
             )));
         }
         *self.schema.attribute_mut(idx) = attr;
-        self.columns[idx] = col;
+        self.columns[idx] = Arc::new(col);
         Ok(())
     }
 }
@@ -288,6 +298,68 @@ mod tests {
         a.append(&b).unwrap();
         assert_eq!(a.n_rows(), 10);
         assert_eq!(a.class_counts(), vec![6, 4]);
+    }
+
+    /// Whether column `idx` of `a` and `b` is one buffer, not two equal
+    /// ones. (A clone cannot serve as a pre-image in these tests — it
+    /// would share a wrongly mutated buffer — so they compare against a
+    /// second `toy()`.)
+    fn shared(a: &Dataset, b: &Dataset, idx: usize) -> bool {
+        std::ptr::eq(a.column(idx), b.column(idx))
+    }
+
+    #[test]
+    fn clone_shares_every_column_buffer() {
+        let a = toy();
+        let b = a.clone();
+        for i in 0..a.schema().n_attributes() {
+            assert_eq!(
+                a.categorical(i).unwrap().as_ptr(),
+                b.categorical(i).unwrap().as_ptr(),
+                "column {i} was copied"
+            );
+        }
+    }
+
+    #[test]
+    fn append_to_a_clone_leaves_the_source_untouched() {
+        let source = toy();
+        let mut grown = source.clone();
+        grown.append(&source).unwrap();
+        assert_eq!(grown.n_rows(), 10);
+        assert_eq!(source, toy());
+        assert!((0..3).all(|i| !shared(&source, &grown, i)));
+    }
+
+    #[test]
+    fn replace_attribute_on_a_clone_swaps_one_column() {
+        let source = toy();
+        let mut edited = source.clone();
+        let attr = Attribute::categorical("Time", Domain::from_labels(["day"]));
+        replace_attribute(&mut edited, 1, attr, Column::Categorical(vec![0; 5])).unwrap();
+        assert_eq!(source, toy());
+        assert_eq!(edited.schema().attribute(1).cardinality(), 1);
+        assert!(!shared(&source, &edited, 1));
+        assert!(shared(&source, &edited, 0) && shared(&source, &edited, 2));
+    }
+
+    #[test]
+    fn collapse_all_on_a_clone_rewrites_only_what_it_collapses() {
+        let source = toy();
+        let mut collapsed = source.clone();
+        // Phone: ph1 x2, ph2 x3; Time: am x3, pm x2 — a threshold of 3
+        // collapses one value of each.
+        crate::collapse::collapse_all(&mut collapsed, 3).unwrap();
+        assert_eq!(source, toy());
+        assert!(!shared(&source, &collapsed, 0) && !shared(&source, &collapsed, 1));
+        assert!(
+            shared(&source, &collapsed, 2),
+            "the class column is never rewritten"
+        );
+        // Nothing falls under a threshold of 1: every column stays shared.
+        let mut kept = source.clone();
+        crate::collapse::collapse_all(&mut kept, 1).unwrap();
+        assert!((0..3).all(|i| shared(&source, &kept, i)));
     }
 
     #[test]

@@ -57,7 +57,9 @@ fn get_schema(buf: &mut Bytes) -> Result<Schema> {
     }
     let n_attrs = buf.get_u32_le() as usize;
     let class_idx = buf.get_u32_le() as usize;
-    let mut attrs = Vec::with_capacity(n_attrs);
+    // An attribute is at least 9 bytes on the wire (two lengths and a kind),
+    // so a hostile count reserves no more than the payload could hold.
+    let mut attrs = Vec::with_capacity(n_attrs.min(buf.remaining() / 9));
     for _ in 0..n_attrs {
         let name = get_str(buf)?;
         if !buf.has_remaining() {
@@ -131,7 +133,8 @@ pub fn decode_dataset(mut buf: Bytes) -> Result<Dataset> {
     if buf.remaining() < 8 {
         return Err(DataError::Decode("truncated row count".into()));
     }
-    let n_rows = buf.get_u64_le() as usize;
+    let n_rows = usize::try_from(buf.get_u64_le())
+        .map_err(|_| DataError::Decode("row count exceeds the address space".into()))?;
     let mut columns = Vec::with_capacity(schema.n_attributes());
     for _ in 0..schema.n_attributes() {
         if !buf.has_remaining() {
@@ -139,7 +142,9 @@ pub fn decode_dataset(mut buf: Bytes) -> Result<Dataset> {
         }
         match buf.get_u8() {
             0 => {
-                if buf.remaining() < n_rows * 4 {
+                // The row count comes off the wire and `n_rows * 4` can wrap;
+                // dividing what is left cannot.
+                if buf.remaining() / 4 < n_rows {
                     return Err(DataError::Decode("truncated categorical column".into()));
                 }
                 let mut ids = Vec::with_capacity(n_rows);
@@ -149,7 +154,7 @@ pub fn decode_dataset(mut buf: Bytes) -> Result<Dataset> {
                 columns.push(Column::Categorical(ids));
             }
             1 => {
-                if buf.remaining() < n_rows * 8 {
+                if buf.remaining() / 8 < n_rows {
                     return Err(DataError::Decode("truncated continuous column".into()));
                 }
                 let mut vals = Vec::with_capacity(n_rows);
@@ -222,6 +227,31 @@ mod tests {
             assert!(r.is_err(), "truncation at {cut} silently accepted");
         }
         assert!(decode_dataset(full).is_ok());
+    }
+
+    #[test]
+    fn hostile_row_count_is_a_decode_error() {
+        // A zero-row payload ends with the 8 row-count bytes and one tag
+        // byte per column. `1 << 62` rows wrap `n_rows * 4` to 0, which
+        // used to pass the length check and die in `Vec::with_capacity`.
+        let ds = DatasetBuilder::new()
+            .categorical("A")
+            .class("C")
+            .finish()
+            .unwrap();
+        let mut raw = encode_dataset(&ds).to_vec();
+        let at = raw.len() - ds.schema().n_attributes() - 8;
+        raw[at..at + 8].copy_from_slice(&(1u64 << 62).to_le_bytes());
+        let err = decode_dataset(Bytes::from(raw)).unwrap_err();
+        assert!(matches!(err, DataError::Decode(_)), "{err:?}");
+    }
+
+    #[test]
+    fn hostile_attribute_count_is_a_decode_error() {
+        let mut raw = encode_dataset(&sample()).to_vec();
+        raw[5..9].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = decode_dataset(Bytes::from(raw)).unwrap_err();
+        assert!(matches!(err, DataError::Decode(_)), "{err:?}");
     }
 
     #[test]

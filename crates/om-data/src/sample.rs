@@ -110,7 +110,7 @@ pub fn stratified_sample<R: Rng>(
 
 /// Duplicate the dataset `factor` times (Fig. 11's scale-up method).
 ///
-/// `factor = 1` returns a copy.
+/// `factor = 1` returns a clone (which shares `ds`'s columns).
 ///
 /// # Errors
 /// Fails if `factor == 0`.

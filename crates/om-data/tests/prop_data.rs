@@ -2,7 +2,7 @@
 
 use om_data::csv::{read_csv, write_csv, CsvOptions};
 use om_data::persist::{decode_dataset, encode_dataset};
-use om_data::{Cell, Column, Dataset, DatasetBuilder};
+use om_data::{Cell, Column, DataError, Dataset, DatasetBuilder};
 use proptest::prelude::*;
 use std::io::BufReader;
 
@@ -23,11 +23,61 @@ fn arb_dataset() -> impl Strategy<Value = Dataset> {
     })
 }
 
+/// `(offset, width)` of every count or length field in `ds`'s encoded
+/// form, following the layout `persist` documents: attribute count,
+/// class index, each name / domain / label length, the row count.
+fn length_fields(ds: &Dataset) -> Vec<(usize, usize)> {
+    let mut fields = vec![(5, 4), (9, 4)];
+    let mut off = 13;
+    for attr in ds.schema().attributes() {
+        fields.push((off, 4));
+        off += 4 + attr.name().len() + 1;
+        fields.push((off, 4));
+        off += 4;
+        for (_, label) in attr.domain().iter() {
+            fields.push((off, 4));
+            off += 4 + label.len();
+        }
+    }
+    fields.push((off, 8));
+    fields
+}
+
+/// Strategy: values a hostile peer would put in a length field.
+fn arb_hostile_length() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        0u64..8,
+        Just(1 << 30),
+        Just(u64::from(u32::MAX)),
+        Just(1 << 61),
+        Just(1 << 62),
+        Just(u64::MAX),
+        0u64..=u64::MAX,
+    ]
+}
+
 proptest! {
     #[test]
     fn persist_round_trip(ds in arb_dataset()) {
         let back = decode_dataset(encode_dataset(&ds)).unwrap();
         prop_assert_eq!(back, ds);
+    }
+
+    #[test]
+    fn mutated_length_fields_never_panic(
+        ds in arb_dataset(),
+        pick in 0usize..1 << 16,
+        value in arb_hostile_length(),
+    ) {
+        let mut raw = encode_dataset(&ds).to_vec();
+        let fields = length_fields(&ds);
+        let (at, width) = fields[pick % fields.len()];
+        raw[at..at + width].copy_from_slice(&value.to_le_bytes()[..width]);
+        // Some mutations are still a valid payload (the same value, another
+        // in-range class index); every other one is a typed decode error.
+        if let Err(e) = decode_dataset(raw.into()) {
+            prop_assert!(matches!(e, DataError::Decode(_)), "{:?}", e);
+        }
     }
 
     #[test]

@@ -200,6 +200,28 @@ mod tests {
     }
 
     #[test]
+    fn discretizing_a_clone_spares_the_source_and_shares_the_rest() {
+        let source = mixed();
+        let mut prepared = source.clone();
+        discretize_all(&mut prepared, &Method::EqualFrequency(3)).unwrap();
+        // `mixed()` again, not a clone: a clone would share a buffer that
+        // was wrongly rewritten in place.
+        assert_eq!(source, mixed());
+        for idx in [1, 2] {
+            assert!(source.column(idx).as_continuous().is_some());
+            assert!(prepared.column(idx).as_categorical().is_some());
+        }
+        // The columns discretization did not rewrite are still one buffer.
+        for idx in [0, 3] {
+            assert_eq!(
+                source.categorical(idx).unwrap().as_ptr(),
+                prepared.categorical(idx).unwrap().as_ptr(),
+                "column {idx} was copied"
+            );
+        }
+    }
+
+    #[test]
     fn nan_goes_to_missing_bin() {
         let mut b = DatasetBuilder::new().continuous("X").class("C");
         b.push_row(&[Cell::Num(1.0), Cell::Str("a")]).unwrap();

@@ -221,7 +221,8 @@ pub struct OpportunityMap {
     executor: Executor,
     /// The counting kernel over the *base* dataset (the one drill-downs
     /// and batches condition on — ingested rows exist only in the cube
-    /// store, exactly as with the old record walks). Seeded from the
+    /// store, exactly as with the old record walks). It scans
+    /// `dataset`'s own columns (shared, not copied). Seeded from the
     /// generation-0 store's index when available, built on first use
     /// otherwise.
     kernel: OnceLock<Arc<ColumnIndex>>,
@@ -281,7 +282,8 @@ impl OpportunityMap {
 
     /// The (discretized) dataset. With live ingestion running this is the
     /// *base* dataset the engine was built from; ingested rows exist only
-    /// in the cube store.
+    /// in the cube store. The one copy of the rows: the kernel reads
+    /// these columns in place, and a clone copies pointers, not rows.
     pub fn dataset(&self) -> &Dataset {
         &self.dataset
     }
@@ -804,6 +806,29 @@ mod tests {
         // The store includes the discretized attributes too.
         let sig = om.attr_index("SignalStrength").unwrap();
         assert!(om.store().one_dim(sig).is_ok());
+    }
+
+    #[test]
+    fn build_aliases_the_callers_categorical_columns() {
+        let (ds, _) = paper_scenario(2_000, 21);
+        let om = OpportunityMap::build(ds.clone(), EngineConfig::default()).unwrap();
+        let mut aliased = 0;
+        for idx in 0..ds.schema().n_attributes() {
+            match ds.column(idx).as_categorical() {
+                // Already categorical: the engine holds the caller's buffer.
+                Some(ids) => {
+                    assert_eq!(
+                        om.dataset().categorical(idx).unwrap().as_ptr(),
+                        ids.as_ptr()
+                    );
+                    aliased += 1;
+                }
+                // Discretized: a new column, and the caller's is untouched.
+                None => assert!(om.dataset().categorical(idx).is_ok()),
+            }
+        }
+        assert_eq!(aliased + om.cut_points().len(), ds.schema().n_attributes());
+        assert_eq!(ds, paper_scenario(2_000, 21).0);
     }
 
     #[test]

@@ -129,16 +129,4 @@ echo "==> kernel_counting bench (smoke: bitmap kernel byte-identical to record w
 # the smoke run still asserts byte-identical ranked output.
 OM_BENCH_SMOKE=1 cargo bench -p om-bench --bench kernel_counting
 
-echo "==> om-bench compare smoke (significance-gated perf diff over the committed artifacts)"
-# Self-diffs must parse the real artifacts and exit 0; the regression
-# gate itself (exit 1 on a significant drop) is covered by the tool's
-# unit tests in the workspace pass above.
-cargo run -q -p om-bench --bin compare -- BENCH_7.json BENCH_7.json
-cargo run -q -p om-bench --bin compare -- BENCH_8.json BENCH_8.json
-
-echo "==> om-bench compare (kernel PR: explore/drill latency must not regress vs BENCH_8)"
-# BENCH_9.json is the same explore_throughput artifact regenerated after
-# the counting-kernel rewrite of the drill path; *_ms rises >10% fail.
-cargo run -q -p om-bench --bin compare -- BENCH_8.json BENCH_9.json
-
 echo "==> ci OK"

@@ -72,8 +72,6 @@ OPTIONS:
                      a whole partition and assert the typed 503 and the
                      allow_partial coverage envelope
   --ingest           Give every shard a WAL and route live rows by hash
-  --bench-out <file> Write machine-readable results JSON (throughput,
-                     latency p50/p95/p99, bytes)
 
 EXIT STATUS: non-zero if any verification or chaos assertion fails.";
 
@@ -365,7 +363,6 @@ pub fn run(parsed: &mut Parsed, out: &mut dyn Write) -> CliResult {
     if seal_rows == 0 {
         return Err(CliError::Usage("--seal-rows must be at least 1".into()));
     }
-    let bench_out = parsed.optional("bench-out");
     let verify = parsed.switch("verify");
     let chaos = parsed.switch("chaos");
     let ingest = parsed.switch("ingest");
@@ -394,7 +391,6 @@ pub fn run(parsed: &mut Parsed, out: &mut dyn Write) -> CliResult {
         verify,
         chaos,
         ingest,
-        bench_out,
     };
     let result = run_inner(out, &opts, &work);
     let _ = std::fs::remove_dir_all(&work);
@@ -411,7 +407,6 @@ struct RunOptions {
     verify: bool,
     chaos: bool,
     ingest: bool,
-    bench_out: Option<String>,
 }
 
 #[allow(clippy::too_many_lines)]
@@ -426,7 +421,6 @@ fn run_inner(out: &mut dyn Write, opts: &RunOptions, work: &Path) -> CliResult {
         verify,
         chaos,
         ingest,
-        ref bench_out,
     } = *opts;
     // 1. One centrally-prepared dataset; the union engine doubles as
     //    the single-node verification twin.
@@ -702,20 +696,6 @@ fn run_inner(out: &mut dyn Write, opts: &RunOptions, work: &Path) -> CliResult {
             "verify: {verified} response(s) byte-identical to the single-node twin"
         )
         .ok();
-    }
-
-    if let Some(path) = bench_out {
-        let json = format!(
-            "{{\"bench\":\"cluster_loopback\",\"shards\":{n_partitions},\"replicas\":{replicas},\
-             \"records\":{records},\
-             \"requests\":{requests},\"ingest\":{ingest},\"chaos\":{chaos},\
-             \"verified_responses\":{verified},\"throughput_rps\":{throughput:.2},\
-             \"latency_ms\":{{\"p50\":{p50:.3},\"p95\":{p95:.3},\"p99\":{p99:.3}}},\
-             \"bytes_total\":{bytes_total}}}\n"
-        );
-        std::fs::write(path, &json)
-            .map_err(|e| CliError::Failed(format!("cannot write {path:?}: {e}")))?;
-        writeln!(out, "bench results written to {path}").ok();
     }
 
     if let Some(server) = twin_server {

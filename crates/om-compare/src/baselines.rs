@@ -5,8 +5,9 @@
 //! rather than any useful patterns" and that the comparison problem is
 //! different from plain attribute/class association. These baselines make
 //! that argument testable: each ranks the same candidate attributes for
-//! the same comparison spec, and `exp_recovery` measures how often each
-//! puts the planted cause first.
+//! the same comparison spec, and the root `tests/recovery.rs` holds the
+//! contrast at fixed seeds: the paper's measure puts the planted cause
+//! first and stays quiet on a confound the naive difference falls for.
 
 use om_cube::CubeStore;
 use om_stats::{chi2_independence, info_gain};

@@ -280,6 +280,10 @@ mod tests {
     fn sub_population_rejects_bad_value() {
         let ds = toy();
         assert!(ds.sub_population(0, 7).is_err());
+        assert!(matches!(
+            ds.sub_population(99, 0),
+            Err(DataError::UnknownAttribute(_))
+        ));
     }
 
     #[test]

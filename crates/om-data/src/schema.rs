@@ -233,9 +233,14 @@ impl Schema {
     /// validates through here, so they fail with the same message.
     ///
     /// # Errors
-    /// [`DataError::UnknownValue`] naming the attribute and the id.
+    /// [`DataError::UnknownValue`] naming the attribute and the id;
+    /// [`DataError::UnknownAttribute`] for an index past the schema
+    /// (`/internal/count` and `/internal/level` take theirs off the wire).
     pub fn check_condition(&self, attr: usize, value: ValueId) -> Result<()> {
-        let attribute = self.attribute(attr);
+        let attribute = self
+            .attributes
+            .get(attr)
+            .ok_or_else(|| DataError::UnknownAttribute(format!("index {attr}")))?;
         let card = attribute.cardinality() as ValueId;
         if value >= card {
             return Err(DataError::UnknownValue {

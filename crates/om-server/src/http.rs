@@ -227,7 +227,7 @@ pub fn parse_request_routed<S: Read>(
     // Headers: bounded count and length; only `Content-Length` matters
     // (the daemon is stateless per request and always closes).
     let mut n_headers = 0;
-    let mut content_length = 0usize;
+    let mut declared_length: Option<usize> = None;
     loop {
         let line = read_line_bounded(&mut reader, MAX_HEADER_LINE, &mut got_any)?;
         if line.is_empty() {
@@ -237,9 +237,21 @@ pub fn parse_request_routed<S: Read>(
             return Err(ParseError::Malformed(format!("bad header {line:?}")));
         };
         if name.eq_ignore_ascii_case("content-length") {
-            content_length = value.trim().parse::<usize>().map_err(|_| {
-                ParseError::Malformed(format!("bad Content-Length {:?}", value.trim()))
-            })?;
+            // Digits only (`parse` alone would take `+5`), and a repeated
+            // header must agree: two lengths is how a request gets
+            // framed differently by two parsers.
+            let value = value.trim();
+            let length = value
+                .parse::<usize>()
+                .ok()
+                .filter(|_| value.bytes().all(|b| b.is_ascii_digit()))
+                .ok_or_else(|| ParseError::Malformed(format!("bad Content-Length {value:?}")))?;
+            if declared_length.is_some_and(|earlier| earlier != length) {
+                return Err(ParseError::Malformed(format!(
+                    "conflicting Content-Length headers ({value:?} after a different value)"
+                )));
+            }
+            declared_length = Some(length);
         }
         n_headers += 1;
         if n_headers > MAX_HEADERS {
@@ -248,6 +260,7 @@ pub fn parse_request_routed<S: Read>(
             )));
         }
     }
+    let content_length = declared_length.unwrap_or(0);
     // Decode the target before touching the body: the body allowance
     // depends on whether the path routes anywhere at all.
     let (raw_path, raw_query) = target.split_once('?').unwrap_or((target, ""));
@@ -518,6 +531,20 @@ mod tests {
             parse_str("POST /i HTTP/1.1\r\nContent-Length: nope\r\n\r\n"),
             Err(ParseError::Malformed(_))
         ));
+        // A sign is not a digit, and the last of two lengths does not win.
+        assert!(matches!(
+            parse_str("POST /i HTTP/1.1\r\nContent-Length: +5\r\n\r\nabcde"),
+            Err(ParseError::Malformed(_))
+        ));
+        assert!(matches!(
+            parse_str("POST /i HTTP/1.1\r\nContent-Length: 0\r\nContent-Length: 5\r\n\r\nabcde"),
+            Err(ParseError::Malformed(_))
+        ));
+        // A repeated identical header stays legal.
+        let r =
+            parse_str("POST /i HTTP/1.1\r\nContent-Length: 5\r\ncontent-length: 5\r\n\r\nabcde")
+                .unwrap();
+        assert_eq!(r.body, "abcde");
         let mut raw = b"POST /i HTTP/1.1\r\nContent-Length: 2\r\n\r\n".to_vec();
         raw.extend_from_slice(&[0xff, 0xfe]);
         assert!(matches!(

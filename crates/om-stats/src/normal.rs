@@ -3,8 +3,8 @@
 //! Table I of the paper lists the z values used for the confidence-interval
 //! adjustment of Section IV-B (0.90 → 1.645, 0.95 → 1.96, 0.99 → 2.576).
 //! Rather than hard-coding the table, we implement the error function and
-//! the inverse normal CDF so the table is reproduced analytically (see
-//! `exp_table1` in `om-bench`).
+//! the inverse normal CDF so the table is reproduced analytically (the
+//! tests below check it to the paper's three decimals).
 
 use std::f64::consts::{PI, SQRT_2};
 

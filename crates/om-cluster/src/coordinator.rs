@@ -62,10 +62,16 @@
 //!   `level_store` with `/internal/level` fan-outs (merged per level)
 //!   and `descend` with the schema's validity check plus an
 //!   `/internal/count` emptiness probe, each with the same per-replica
-//!   failover; the walk over it is the engine's. Drill levels read the
-//!   shards' immutable *base* partitions — exactly as a single node
-//!   drills its base dataset — so level stores are generation-free and
-//!   cacheable.
+//!   failover; the walk over it is the engine's. A conditioned level
+//!   asks for the drill's anchor only (`?anchor=A`): each shard fills
+//!   the 1-D cubes and the anchor's pair cubes in one masked scan —
+//!   2n−1 scan units, what a single node's level scans — and the merged
+//!   partial store is cached under a key that names the anchor. The
+//!   unconditioned root level is the one level every anchor shares, so
+//!   it is asked for whole (every pair) and fetched once. Drill levels
+//!   read the shards' immutable *base* partitions — exactly as a single
+//!   node drills its base dataset — so level stores are generation-free
+//!   and cacheable.
 //! * **Ingest.** Rows are validated up front against the shared schema
 //!   (identical `bad_row` envelopes, all-or-nothing), routed by the
 //!   stable row hash ([`crate::router`]) to a *partition*, and written
@@ -192,12 +198,13 @@ fn wire_conditions(conditions: &[Condition]) -> Vec<ConditionWire> {
         .collect()
 }
 
-/// Drill-level stores are cached per (condition path, attribute set);
-/// clear-on-cap keeps a pathological request mix from growing without
-/// bound while leaving the common session shapes fully cached.
+/// Drill-level stores are cached per (condition path, attribute set,
+/// anchor — `None` for the whole root level); clear-on-cap keeps a
+/// pathological request mix from growing without bound while leaving
+/// the common session shapes fully cached.
 const LEVEL_CACHE_CAP: usize = 512;
 
-type LevelCache = HashMap<(CondKey, Vec<usize>), Arc<CubeStore>>;
+type LevelCache = HashMap<(CondKey, Vec<usize>, Option<usize>), Arc<CubeStore>>;
 
 /// One replica's catch-up state: rows it missed while down, plus a
 /// flag marking a replay in flight. Rows stay queued until the replay
@@ -242,11 +249,16 @@ enum Fetch {
 
 /// A single `/internal/store?expect=G` attempt against one replica —
 /// the unit both the sequential and the hedged fetch paths run.
-fn fetch_store_once(shard: &ShardClient, expect: u64) -> Result<Fetch, String> {
+fn fetch_store_once(
+    shard: &ShardClient,
+    expect: u64,
+    metrics: &ClusterMetrics,
+) -> Result<Fetch, String> {
     fail::inject("cluster.fetch").map_err(|e| e.to_string())?;
     let (status, body) = shard.get(&format!("/internal/store?expect={expect}"))?;
     match status {
         200 => {
+            ClusterMetrics::add(&metrics.store_bytes_total, body.len() as u64);
             let resp = InternalStoreResponse::parse(&body)?;
             let bytes = b64_decode(&resp.store_b64)?;
             let store = decode_store(Bytes::from(bytes))
@@ -796,7 +808,9 @@ impl Coordinator {
             Some(hedge_after) if self.replicas > 1 => {
                 self.fetch_partition_store_hedged(partition, expect, hedge_after)
             }
-            _ => self.try_replicas(partition, |_, shard| fetch_store_once(shard, expect)),
+            _ => self.try_replicas(partition, |_, shard| {
+                fetch_store_once(shard, expect, &self.metrics)
+            }),
         }
     }
 
@@ -848,7 +862,7 @@ impl Coordinator {
             let metrics = Arc::clone(&self.metrics);
             std::thread::spawn(move || {
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    fetch_store_once(&shard, expect)
+                    fetch_store_once(&shard, expect, &metrics)
                 }))
                 .unwrap_or_else(|_| Err("store fetch worker panicked".to_owned()));
                 record_fetch_outcome(&health, &metrics, g, &result);
@@ -1087,18 +1101,26 @@ impl Coordinator {
     }
 
     /// Merged drill-level store over the shards' conditioned *base*
-    /// partitions (generation-free; see module docs).
+    /// partitions (generation-free; see module docs). A conditioned
+    /// level demands `anchor`'s cubes only; the root level, which every
+    /// anchor shares, demands every pair and is fetched once.
     fn cluster_level_store(
         &self,
         conditions: &[Condition],
         attrs: &[usize],
+        anchor: usize,
     ) -> Result<Arc<CubeStore>, ErrorEnvelope> {
-        let key = (cond_key(conditions), attrs.to_vec());
+        let anchor = (!conditions.is_empty()).then_some(anchor);
+        let key = (cond_key(conditions), attrs.to_vec(), anchor);
         if let Some(hit) = self.levels.lock().get(&key) {
             ClusterMetrics::add(&self.metrics.level_cache_hits_total, 1);
             return Ok(Arc::clone(hit));
         }
         ClusterMetrics::add(&self.metrics.level_cache_misses_total, 1);
+        let path = match anchor {
+            Some(anchor) => format!("/internal/level?anchor={anchor}"),
+            None => "/internal/level".to_owned(),
+        };
         let request = InternalLevelRequest {
             conditions: wire_conditions(conditions),
             attrs: attrs.iter().map(|&a| a as u64).collect(),
@@ -1108,7 +1130,8 @@ impl Coordinator {
             "drill-level fan-out",
             self.fan_out_partitions(|p| {
                 self.try_replicas(p, |_, shard| {
-                    let body = shard.expect_ok("POST", "/internal/level", Some(&request))?;
+                    let body = shard.expect_ok("POST", &path, Some(&request))?;
+                    ClusterMetrics::add(&self.metrics.level_bytes_total, body.len() as u64);
                     let resp = InternalLevelResponse::parse(&body)?;
                     let bytes = b64_decode(&resp.store_b64)?;
                     decode_store(Bytes::from(bytes))
@@ -1274,6 +1297,8 @@ impl Coordinator {
 /// the caller swaps it for [`RootPopulation::take_failure`].
 struct ClusterPopulation<'a> {
     co: &'a Coordinator,
+    /// The compared attribute: the cubes a conditioned level demands.
+    anchor: usize,
     conditions: Vec<Condition>,
     failure: Option<ErrorEnvelope>,
 }
@@ -1295,7 +1320,7 @@ impl DrillPopulation for ClusterPopulation<'_> {
     }
 
     fn level_store(&mut self, attrs: Vec<usize>) -> Result<Arc<CubeStore>, CompareError> {
-        match self.co.cluster_level_store(&self.conditions, &attrs) {
+        match self.co.cluster_level_store(&self.conditions, &attrs, self.anchor) {
             Ok(store) => Ok(store),
             Err(env) => Err(self.fan_out_failed(env)),
         }
@@ -1347,9 +1372,10 @@ impl EngineOps for Coordinator {
         Ok(self.pinned_store_with(allow_partial)?)
     }
 
-    fn drill_root(&self, _anchor: usize) -> Result<Box<dyn RootPopulation + '_>, OpsError> {
+    fn drill_root(&self, anchor: usize) -> Result<Box<dyn RootPopulation + '_>, OpsError> {
         Ok(Box::new(ClusterPopulation {
             co: self,
+            anchor,
             conditions: Vec::new(),
             failure: None,
         }))

@@ -45,6 +45,11 @@ pub struct ClusterMetrics {
     pub level_cache_hits_total: AtomicU64,
     /// Drill-level stores that required a shard fan-out and merge.
     pub level_cache_misses_total: AtomicU64,
+    /// Bytes of `200` response bodies received from shards on
+    /// `/internal/level` (the base64 JSON as it crossed the socket).
+    pub level_bytes_total: AtomicU64,
+    /// The same for `/internal/store`.
+    pub store_bytes_total: AtomicU64,
     /// Rows routed to shards by live ingestion.
     pub ingest_rows_routed_total: AtomicU64,
     /// Rows replayed to a recovered replica that missed writes.
@@ -63,7 +68,7 @@ impl ClusterMetrics {
     #[must_use]
     pub fn render(&self) -> String {
         let mut out = String::with_capacity(2048);
-        let series: [(&str, &str, &AtomicU64); 18] = [
+        let series: [(&str, &str, &AtomicU64); 20] = [
             ("om_cluster_shards", "gauge", &self.shards),
             ("om_cluster_partitions", "gauge", &self.partitions),
             ("om_cluster_replicas", "gauge", &self.replicas),
@@ -79,6 +84,8 @@ impl ClusterMetrics {
             ("om_cluster_store_refreshes_total", "counter", &self.store_refreshes_total),
             ("om_cluster_level_cache_hits_total", "counter", &self.level_cache_hits_total),
             ("om_cluster_level_cache_misses_total", "counter", &self.level_cache_misses_total),
+            ("om_cluster_level_bytes_total", "counter", &self.level_bytes_total),
+            ("om_cluster_store_bytes_total", "counter", &self.store_bytes_total),
             ("om_cluster_ingest_rows_routed_total", "counter", &self.ingest_rows_routed_total),
             ("om_cluster_catchup_rows_total", "counter", &self.catchup_rows_total),
             ("om_cluster_partial_answers_total", "counter", &self.partial_answers_total),
@@ -126,6 +133,8 @@ mod tests {
             "om_cluster_store_refreshes_total",
             "om_cluster_level_cache_hits_total",
             "om_cluster_level_cache_misses_total",
+            "om_cluster_level_bytes_total",
+            "om_cluster_store_bytes_total",
             "om_cluster_ingest_rows_routed_total",
             "om_cluster_catchup_rows_total",
             "om_cluster_partial_answers_total",

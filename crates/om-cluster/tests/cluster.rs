@@ -493,6 +493,146 @@ fn two_shard_kernel_conditioning_is_byte_identical() {
     });
 }
 
+/// Drills on [`ANCHORS`] down one `TimeOfCall` step: their level-1
+/// candidate attributes are the same list, whatever the anchor.
+fn drills_down(time: &str) -> [om_api::DrillRequest; 3] {
+    const ANCHORS: [[&str; 3]; 3] = [
+        ["PhoneModel", "ph1", "ph2"],
+        ["LocationType", "urban", "highway"],
+        ["NetworkLoad", "low", "high"],
+    ];
+    ANCHORS.map(|[attr, v1, v2]| om_api::DrillRequest {
+        attr: attr.into(),
+        v1: v1.into(),
+        v2: v2.into(),
+        class: "dropped".into(),
+        depth: None,
+        min_score: None,
+        path: vec![om_api::PathStep {
+            attr: "TimeOfCall".into(),
+            value: time.into(),
+        }],
+    })
+}
+
+/// A conditioned level asks the shards for the drill's anchor only, so
+/// what the coordinator caches is one anchor's part of the level: the
+/// cache must key on the anchor (a key without it hands the second drill
+/// the first one's pair cubes), and the one level every anchor shares —
+/// the root — must still be fetched once.
+#[test]
+fn anchored_levels_are_keyed_by_anchor_and_the_root_is_fetched_once() {
+    use std::sync::atomic::Ordering::Relaxed;
+    let _unarmed = FAILPOINTS.read();
+    with_cluster(2, false, |coord, single, nodes| {
+        let metrics = nodes.coordinator.cluster_metrics();
+        let fetched = || {
+            (
+                metrics.level_cache_misses_total.load(Relaxed),
+                metrics.level_cache_hits_total.load(Relaxed),
+            )
+        };
+        for (i, drill) in (1..).zip(drills_down("morning")) {
+            let (status, body) = assert_identical(coord, single, "/v1/drill", &drill.encode());
+            assert_eq!(status, 200, "{body}");
+            // One root for all, one conditioned level each.
+            assert_eq!(fetched(), (1 + i, i - 1), "after drill {i}");
+        }
+
+        // The same three anchors as items of one batch, down a path whose
+        // levels are cold: three more conditioned fetches, the root warm.
+        let batch = om_api::BatchRequest {
+            items: drills_down("evening")
+                .map(|req| om_api::BatchItemRequest::Drill {
+                    req,
+                    budget_ms: None,
+                })
+                .into(),
+        };
+        let (status, body) = assert_identical(coord, single, "/v1/compare/batch", &batch.encode());
+        assert_eq!(status, 200);
+        for item in om_api::BatchResponse::parse(&body).unwrap().items {
+            assert!(matches!(item, om_api::BatchItemResult::Drill(_)), "{body}");
+        }
+        assert_eq!(fetched(), (7, 5));
+    });
+}
+
+/// `om_cluster_level_bytes_total` counts exactly what the shards sent,
+/// and for a conditioned level that is the anchored reply — an exact
+/// fraction of the anchor-free one every such level used to pull.
+#[test]
+fn a_conditioned_level_pulls_the_anchors_bytes_only() {
+    use std::sync::atomic::Ordering::Relaxed;
+    let _unarmed = FAILPOINTS.read();
+    with_cluster(2, false, |coord, _, nodes| {
+        // The first drill warms the root, so the second pulls one level.
+        let [warm_up, drill, _] = drills_down("morning");
+        let pulled_so_far = || {
+            nodes
+                .coordinator
+                .cluster_metrics()
+                .level_bytes_total
+                .load(Relaxed)
+        };
+        assert_eq!(coord.post("/v1/drill", &warm_up.encode()).unwrap().0, 200);
+        let before = pulled_so_far();
+        assert_eq!(coord.post("/v1/drill", &drill.encode()).unwrap().0, 200);
+        let pulled = pulled_so_far() - before;
+
+        // The same level straight from the shards, both ways.
+        let schema = nodes.twin.dataset().schema();
+        let morning = nodes.twin.condition_by_name("TimeOfCall", "morning").unwrap();
+        let anchor = schema.attr_index(&drill.attr).unwrap();
+        let level = om_api::InternalLevelRequest {
+            conditions: vec![om_api::ConditionWire {
+                attr: morning.attr as u64,
+                value: u64::from(morning.value),
+            }],
+            attrs: schema
+                .non_class_indices()
+                .into_iter()
+                .filter(|&a| a != morning.attr)
+                .map(|a| a as u64)
+                .collect(),
+        }
+        .encode();
+        let replies = |target: &str| -> Vec<String> {
+            nodes
+                .shards
+                .iter()
+                .map(|shard| {
+                    let (status, body) = client(shard).post(target, &level).unwrap();
+                    assert_eq!(status, 200, "{body}");
+                    body
+                })
+                .collect()
+        };
+        let bytes = |replies: &[String]| replies.iter().map(String::len).sum::<usize>() as u64;
+        let anchored = replies(&format!("/internal/level?anchor={anchor}"));
+        let whole = replies("/internal/level");
+        assert_eq!(pulled, bytes(&anchored));
+        // Frame sizes depend on the schema alone (fixed-width counts), so
+        // the saving is an exact figure: 11 candidate attributes, 10 of
+        // their 55 pair cubes shipped.
+        assert_eq!((bytes(&anchored), bytes(&whole)), (20_304, 73_960));
+
+        // Parts that hold different pairs are not parts of one level (a
+        // shard that ignored the anchor, say), and the merge says so
+        // instead of summing what happens to overlap.
+        let decode = |reply: &str| {
+            let frame = om_api::InternalLevelResponse::parse(reply).unwrap().store_b64;
+            om_cube::persist::decode_store(om_api::b64_decode(&frame).unwrap().into()).unwrap()
+        };
+        let refused = decode(&anchored[0])
+            .merge(&decode(&whole[1]))
+            .err()
+            .expect("an anchored part merged with a whole level")
+            .to_string();
+        assert!(refused.contains("hold different pair cubes (10 and 55"), "{refused}");
+    });
+}
+
 #[test]
 fn explore_through_coordinator_is_byte_identical() {
     let _unarmed = FAILPOINTS.read();
@@ -560,14 +700,28 @@ fn explore_through_coordinator_is_byte_identical() {
 
         // A zero budget exhausts before the first summary on both sides:
         // identical typed overload envelopes (the fixture's route budget
-        // is unlimited, so the request-level narrowing is all there is).
+        // is unlimited, so the request-level narrowing is all there is)
+        // — up to the `elapsed Nms` the message ends in. That figure is
+        // measured wall time, and the coordinator's pin poll can push its
+        // reading past the single node's on a busy host.
         let exhausted = om_api::ExploreRequest {
             budget_ms: Some(0),
             ..plain.clone()
+        }
+        .encode();
+        let envelope = |node: &ShardClient| {
+            let (status, body) = node.post("/v1/explore", &exhausted).unwrap();
+            let mut env = om_api::ErrorEnvelope::parse(&body).unwrap();
+            let measured = env.message.find(", elapsed ").expect(&body);
+            env.message.truncate(measured);
+            (status, env)
         };
-        let (status, body) = assert_identical(coord, single, "/v1/explore", &exhausted.encode());
-        assert_eq!(status, 503, "{body}");
-        assert!(body.contains("\"overloaded\""), "{body}");
+        let (status, env) = envelope(coord);
+        assert_eq!((status, env.clone()), envelope(single));
+        assert_eq!(status, 503);
+        assert_eq!(env.code, om_api::ErrorCode::Overloaded);
+        assert_eq!(env.message, "deadline exceeded: budget 0ms");
+        assert!(env.retry_after_ms.is_some());
     });
 }
 

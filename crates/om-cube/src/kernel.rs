@@ -135,7 +135,7 @@ enum PairPlan {
     /// The pairs involving one anchor attribute — exactly the set a
     /// ranked comparison against that attribute reads.
     Anchored(usize),
-    /// Every pair (for stores that get wire-shipped whole).
+    /// Every pair (for a level every anchor shares).
     All,
 }
 
@@ -224,10 +224,9 @@ impl PopulationSelector {
     }
 
     /// [`build_store_anchored`](Self::build_store_anchored) with *every*
-    /// pair cube filled by the one shared scan — for stores that leave
-    /// the process whole (a cluster shard's `level` response is encoded
-    /// and merged on the coordinator, and the codec ships only
-    /// materialized cubes).
+    /// pair cube filled by the one shared scan — the demand of a level no
+    /// single anchor owns (a cluster's unconditioned root level, which a
+    /// shard ships whole and the coordinator serves to every anchor).
     ///
     /// # Errors
     /// The same validation errors as [`CubeStore::build`].

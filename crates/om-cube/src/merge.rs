@@ -56,12 +56,17 @@ pub fn merge_cubes(cube: &RuleCube, other: &RuleCube) -> Result<RuleCube, CubeEr
 impl CubeStore {
     /// Merge another store's counts into a new store. Both stores must
     /// cover the same attributes (same schema positions and domains) and
-    /// classes — i.e. two batches of the *same* data feed.
+    /// classes — i.e. two batches of the *same* data feed — and hold the
+    /// same pair cubes ([`CubeStore::held_pairs`]): two full stores, or
+    /// two partial stores anchored alike. Merging builds nothing; a cold
+    /// pair of a lazy side is simply not held.
     ///
     /// The result is always an eager store.
     ///
     /// # Errors
-    /// Fails on attribute/class mismatches.
+    /// Fails on attribute/class mismatches, and on two sides that hold
+    /// different pair sets (the sum would be right for some pairs and
+    /// one side's alone for the rest).
     pub fn merge(&self, other: &CubeStore) -> Result<CubeStore, CubeError> {
         if self.attrs() != other.attrs() {
             return Err(CubeError::Invalid(
@@ -73,18 +78,23 @@ impl CubeStore {
                 "cannot merge stores with different class labels".into(),
             ));
         }
+        let (mine, theirs) = (self.held_pairs(), other.held_pairs());
+        if !mine.iter().map(|(k, _)| k).eq(theirs.iter().map(|(k, _)| k)) {
+            return Err(CubeError::Invalid(format!(
+                "cannot merge stores that hold different pair cubes ({} and {} of them; \
+                 both sides must be full, or anchored on the same attribute)",
+                mine.len(),
+                theirs.len()
+            )));
+        }
         let mut one_d = std::collections::HashMap::with_capacity(self.attrs().len());
         for &a in self.attrs() {
             let merged = merge_cubes(self.one_dim(a)?.as_ref(), other.one_dim(a)?.as_ref())?;
             one_d.insert(a, Arc::new(merged));
         }
-        let mut pairs = std::collections::HashMap::new();
-        let attrs = self.attrs().to_vec();
-        for (i, &a) in attrs.iter().enumerate() {
-            for &b in &attrs[i + 1..] {
-                let merged = merge_cubes(self.pair(a, b)?.as_ref(), other.pair(a, b)?.as_ref())?;
-                pairs.insert((a.min(b), a.max(b)), Arc::new(merged));
-            }
+        let mut pairs = std::collections::HashMap::with_capacity(mine.len());
+        for ((key, a), (_, b)) in mine.iter().zip(&theirs) {
+            pairs.insert(*key, Arc::new(merge_cubes(a, b)?));
         }
         let class_counts = self
             .class_counts()
@@ -93,7 +103,7 @@ impl CubeStore {
             .map(|(x, y)| x + y)
             .collect();
         Ok(CubeStore::assemble(
-            attrs,
+            self.attrs().to_vec(),
             self.class_labels().to_vec(),
             class_counts,
             self.total_records() + other.total_records(),
@@ -327,5 +337,16 @@ mod tests {
         let ca = build_cube(&a, &[0]).unwrap();
         let cb = build_cube(&a, &[1]).unwrap();
         assert!(merge_cubes(&ca, &cb).is_err());
+
+        // Same rows, same attributes, different held pairs: anchored on 0
+        // against anchored on 1, and either against the full store.
+        let selector = Arc::new(crate::ColumnIndex::build(&a).unwrap()).selector();
+        let on_0 = selector.build_store_anchored(None, 0).unwrap();
+        let on_1 = selector.build_store_anchored(None, 1).unwrap();
+        for (x, y) in [(&on_0, &on_1), (&on_0, &sa), (&sa, &on_1)] {
+            let refused = x.merge(y).err().expect("pair sets differ").to_string();
+            assert!(refused.contains("hold different pair cubes"), "{refused}");
+        }
+        assert_eq!(on_0.lazy_builds() + on_1.lazy_builds(), 0, "a refusal built a pair");
     }
 }

@@ -257,28 +257,25 @@ fn encode_store_body(store: &crate::store::CubeStore) -> Result<BytesMut, DataEr
     for &a in store.attrs() {
         put_cube(&mut buf, &store.one_dim(a).expect("attr present"))?;
     }
-    let attrs = store.attrs().to_vec();
-    let mut n_pairs: u32 = 0;
-    let mut pair_buf = BytesMut::new();
-    for (i, &a) in attrs.iter().enumerate() {
-        for &b in &attrs[i + 1..] {
-            if let Ok(cube) = store.pair(a, b) {
-                pair_buf.put_u32_le(a as u32);
-                pair_buf.put_u32_le(b as u32);
-                put_cube(&mut pair_buf, &cube)?;
-                n_pairs += 1;
-            }
-        }
+    // The held pairs only, in key order: asking `pair()` for every key
+    // would make a lazy store *build* its cold pairs, one scan each.
+    let held = store.held_pairs();
+    buf.put_u32_le(held.len() as u32);
+    for ((a, b), cube) in &held {
+        buf.put_u32_le(*a as u32);
+        buf.put_u32_le(*b as u32);
+        put_cube(&mut buf, cube)?;
     }
-    buf.put_u32_le(n_pairs);
-    buf.put_slice(&pair_buf);
     Ok(buf)
 }
 
 /// Serialize an entire cube store (the paper's overnight artifact): the
-/// attribute list, class metadata, every 2-D cube, and every materialized
-/// 3-D cube. Each nested cube keeps its own integrity frame, so
-/// corruption is localized to a cube when reported.
+/// attribute list, class metadata, every 2-D cube, and the 3-D cubes the
+/// store holds ([`CubeStore::held_pairs`](crate::store::CubeStore::held_pairs)
+/// — encoding never builds a cold pair of a lazy store, so a partial
+/// store round-trips as the same partial store). Each nested cube keeps
+/// its own integrity frame, so corruption is localized to a cube when
+/// reported.
 ///
 /// # Errors
 /// Fails if any label is too large for its length prefix.
@@ -328,18 +325,46 @@ fn decode_store_body(mut buf: Bytes) -> Result<crate::store::CubeStore, DataErro
         }
         decode_cube(buf.copy_to_bytes(len))
     };
+    // Every cube is filed under the key it arrived with; a key that
+    // disagrees with the cube's own dimensions, names an attribute the
+    // store does not list, or repeats would let a later merge add counts
+    // into the wrong cube.
+    let filed_as = |cube: &RuleCube, key: &[usize]| {
+        cube.dims().iter().map(|d| d.attr_index).eq(key.iter().copied())
+    };
     let mut one_d = HashMap::with_capacity(n_attrs);
     for &a in &attrs {
-        one_d.insert(a, Arc::new(get_cube(&mut buf)?));
+        let cube = get_cube(&mut buf)?;
+        if !filed_as(&cube, &[a]) {
+            return Err(DataError::Decode(format!(
+                "1-D cube filed under attribute {a} has other dimensions"
+            )));
+        }
+        if one_d.insert(a, Arc::new(cube)).is_some() {
+            return Err(DataError::Decode(format!("attribute {a} listed twice")));
+        }
     }
     need(&buf, 4, "pair count")?;
     let n_pairs = buf.get_u32_le() as usize;
     let mut pairs = HashMap::with_capacity(n_pairs);
     for _ in 0..n_pairs {
         need(&buf, 8, "pair key")?;
-        let a = buf.get_u32_le() as usize;
-        let b = buf.get_u32_le() as usize;
-        pairs.insert((a.min(b), a.max(b)), Arc::new(get_cube(&mut buf)?));
+        let (x, y) = (buf.get_u32_le() as usize, buf.get_u32_le() as usize);
+        let (a, b) = (x.min(y), x.max(y));
+        if a == b || !one_d.contains_key(&a) || !one_d.contains_key(&b) {
+            return Err(DataError::Decode(format!(
+                "pair key ({x}, {y}) is not two of the store's attributes"
+            )));
+        }
+        let cube = get_cube(&mut buf)?;
+        if !filed_as(&cube, &[a, b]) {
+            return Err(DataError::Decode(format!(
+                "pair cube filed under ({a}, {b}) has other dimensions"
+            )));
+        }
+        if pairs.insert((a, b), Arc::new(cube)).is_some() {
+            return Err(DataError::Decode(format!("pair key ({a}, {b}) repeated")));
+        }
     }
     Ok(crate::store::CubeStore::assemble(
         attrs,
@@ -365,17 +390,30 @@ pub fn decode_store(buf: Bytes) -> Result<crate::store::CubeStore, DataError> {
 #[cfg(test)]
 mod store_tests {
     use super::*;
+    use crate::kernel::ColumnIndex;
     use crate::store::{CubeStore, StoreBuildOptions};
     use om_synth::{generate_scaleup, ScaleUpConfig};
 
-    fn store() -> CubeStore {
-        let ds = generate_scaleup(&ScaleUpConfig {
+    fn dataset() -> om_data::Dataset {
+        generate_scaleup(&ScaleUpConfig {
             n_attrs: 5,
             n_records: 2_000,
             seed: 77,
             ..ScaleUpConfig::default()
-        });
-        CubeStore::build(&ds, &StoreBuildOptions::default()).unwrap()
+        })
+    }
+
+    fn store() -> CubeStore {
+        CubeStore::build(&dataset(), &StoreBuildOptions::default()).unwrap()
+    }
+
+    /// A kernel-built store anchored on attribute 2: four of the ten
+    /// pairs held, the other six cold.
+    fn anchored_store() -> CubeStore {
+        std::sync::Arc::new(ColumnIndex::build(&dataset()).unwrap())
+            .selector()
+            .build_store_anchored(None, 2)
+            .unwrap()
     }
 
     fn assert_stores_equal(back: &CubeStore, original: &CubeStore) {
@@ -425,6 +463,99 @@ mod store_tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn anchored_store_round_trips_without_building_a_pair() {
+        let original = anchored_store();
+        let back = decode_store(encode_store(&original).unwrap()).unwrap();
+        assert_eq!(original.lazy_builds(), 0, "encoding built a cold pair");
+        let (held, sent) = (back.held_pairs(), original.held_pairs());
+        let keys: Vec<_> = held.iter().map(|(k, _)| *k).collect();
+        assert_eq!(keys, [(0, 2), (1, 2), (2, 3), (2, 4)]);
+        for ((_, got), (_, want)) in held.iter().zip(&sent) {
+            assert_eq!(**got, **want);
+        }
+        for &a in original.attrs() {
+            assert_eq!(*back.one_dim(a).unwrap(), *original.one_dim(a).unwrap());
+        }
+        assert_eq!(back.class_counts(), original.class_counts());
+        // Decoded stores keep no selector: a pair that was not sent is
+        // absent, not rebuilt.
+        assert!(back.pair(0, 1).is_err());
+    }
+
+    /// Where a store payload keeps its pair count and each pair entry
+    /// (8 key bytes, then the length-prefixed cube).
+    fn pair_layout(payload: &[u8]) -> (usize, Vec<usize>) {
+        let u32_at = |at: usize| u32::from_le_bytes(payload[at..at + 4].try_into().unwrap()) as usize;
+        let u64_at = |at: usize| u64::from_le_bytes(payload[at..at + 8].try_into().unwrap()) as usize;
+        let n_attrs = u32_at(0);
+        let mut at = 4 + 4 * n_attrs;
+        let n_classes = u32_at(at);
+        at += 4;
+        for _ in 0..n_classes {
+            at += 4 + u32_at(at);
+        }
+        at += 8 * n_classes + 8;
+        for _ in 0..n_attrs {
+            at += 8 + u64_at(at);
+        }
+        let count_at = at;
+        at += 4;
+        let mut entries = Vec::new();
+        for _ in 0..u32_at(count_at) {
+            entries.push(at);
+            at += 16 + u64_at(at + 8);
+        }
+        assert_eq!(at, payload.len(), "layout walk out of step with the codec");
+        (count_at, entries)
+    }
+
+    /// The CRC only guards against accidents: a peer that re-seals the
+    /// frame after editing a key must still not get a cube filed where a
+    /// merge would add its counts into another pair's.
+    #[test]
+    fn rewritten_keys_are_decode_errors() {
+        let sealed = encode_store(&anchored_store()).unwrap();
+        let payload = open_frame(sealed, STORE_MAGIC, "store").unwrap().to_vec();
+        let (count_at, entries) = pair_layout(&payload);
+        let reseal = |payload: &[u8]| decode_store(frame(STORE_MAGIC, payload));
+        let original = [(0, 2), (1, 2), (2, 3), (2, 4)];
+        // Every pair key against every small replacement: a == b, an
+        // attribute outside the list (5, 6), another held pair's key, a
+        // pair nobody sent.
+        for (&at, want) in entries.iter().zip(original) {
+            for x in 0..7u32 {
+                for y in 0..7u32 {
+                    let mut edited = payload.clone();
+                    edited[at..at + 4].copy_from_slice(&x.to_le_bytes());
+                    edited[at + 4..at + 8].copy_from_slice(&y.to_le_bytes());
+                    match reseal(&edited) {
+                        Ok(store) => {
+                            assert_eq!((x.min(y) as usize, x.max(y) as usize), want);
+                            for ((a, b), cube) in store.held_pairs() {
+                                let dims: Vec<_> = cube.dims().iter().map(|d| d.attr_index).collect();
+                                assert_eq!(dims, [a, b]);
+                            }
+                        }
+                        Err(DataError::Decode(_)) => {}
+                        Err(other) => panic!("key {want:?} -> ({x}, {y}): {other:?}"),
+                    }
+                }
+            }
+        }
+        // The first pair sent twice (its dimensions do match its key).
+        let mut twice = payload.clone();
+        twice.extend_from_slice(&payload[entries[0]..entries[1]]);
+        twice[count_at..count_at + 4].copy_from_slice(&5u32.to_le_bytes());
+        assert!(matches!(reseal(&twice), Err(DataError::Decode(m)) if m.contains("repeated")));
+        // The attribute list naming attribute 1 twice: the first 1-D cube
+        // is attribute 0's.
+        let mut renamed = payload.clone();
+        renamed[4..8].copy_from_slice(&1u32.to_le_bytes());
+        assert!(matches!(reseal(&renamed), Err(DataError::Decode(_))));
+        assert!(reseal(&payload).is_ok());
     }
 
     #[test]

@@ -364,36 +364,40 @@ impl CubeStore {
         }
     }
 
-    /// Number of pair cubes currently materialized.
-    pub fn n_pair_cubes(&self) -> usize {
-        match &self.pairs {
-            PairCubes::Eager(map) => map.len(),
+    /// The pair cubes this store holds right now, in ascending key order
+    /// — a view, never a build: a lazy store lists only the slots already
+    /// filled. This is what makes a partial store (a kernel-built level
+    /// anchored on one attribute) a value of its own: the codec writes
+    /// exactly these cubes and [`CubeStore::merge`] adds exactly these.
+    pub fn held_pairs(&self) -> Vec<((usize, usize), Arc<RuleCube>)> {
+        let mut held: Vec<_> = match &self.pairs {
+            PairCubes::Eager(map) => map.iter().map(|(k, c)| (*k, Arc::clone(c))).collect(),
             PairCubes::Lazy { cache, .. } => cache
                 .read()
-                .values()
-                .filter(|s| matches!(s.get(), Some(Ok(_))))
-                .count(),
-        }
+                .iter()
+                .filter_map(|(k, slot)| match slot.get() {
+                    Some(Ok(c)) => Some((*k, Arc::clone(c))),
+                    _ => None,
+                })
+                .collect(),
+        };
+        held.sort_unstable_by_key(|(k, _)| *k);
+        held
+    }
+
+    /// Number of pair cubes currently materialized.
+    pub fn n_pair_cubes(&self) -> usize {
+        self.held_pairs().len()
     }
 
     /// Approximate heap memory of all materialized cube tensors, in bytes.
     pub fn memory_bytes(&self) -> usize {
-        let cube_bytes = |c: &RuleCube| c.n_cells() * std::mem::size_of::<u64>();
-        let mut total: usize = self.one_d.values().map(|c| cube_bytes(c)).sum();
-        match &self.pairs {
-            PairCubes::Eager(map) => total += map.values().map(|c| cube_bytes(c)).sum::<usize>(),
-            PairCubes::Lazy { cache, .. } => {
-                total += cache
-                    .read()
-                    .values()
-                    .filter_map(|s| match s.get() {
-                        Some(Ok(c)) => Some(cube_bytes(c)),
-                        _ => None,
-                    })
-                    .sum::<usize>()
-            }
-        }
-        total
+        let held = self.held_pairs();
+        self.one_d
+            .values()
+            .chain(held.iter().map(|(_, c)| c))
+            .map(|c| c.n_cells() * std::mem::size_of::<u64>())
+            .sum()
     }
 
     /// Whether every cube is materialized up front (no retained selector).

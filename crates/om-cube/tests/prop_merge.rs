@@ -3,7 +3,7 @@
 //! data.
 
 use om_cube::merge::merge_cubes;
-use om_cube::{build_cube, CubeStore, RuleCube, StoreBuildOptions};
+use om_cube::{build_cube, ColumnIndex, CubeStore, RuleCube, StoreBuildOptions};
 use om_data::{Attribute, Cell, Column, Dataset, DatasetBuilder, Domain, Schema};
 use proptest::prelude::*;
 
@@ -56,6 +56,43 @@ fn dataset_fixed(rows: &[(u8, u8, u8)]) -> Dataset {
         ],
     )
     .unwrap()
+}
+
+/// Four analysis attributes and the class.
+type Row4 = (u8, u8, u8, u8, u8);
+
+/// Four analysis attributes over fixed domains, so a store anchored on
+/// one of them holds three of the six pairs — a strict part of the whole.
+fn dataset_of_four(rows: &[Row4]) -> Dataset {
+    let attr = |name: &str, n: usize| {
+        Attribute::categorical(name, Domain::from_labels((0..n).map(|v| format!("{name}{v}"))))
+    };
+    let schema = Schema::new(
+        vec![attr("A", 3), attr("B", 2), attr("D", 2), attr("E", 3), attr("C", 2)],
+        4,
+    )
+    .unwrap();
+    let column = |f: fn(&Row4) -> u8, n: u8| {
+        Column::Categorical(rows.iter().map(|r| u32::from(f(r) % n)).collect())
+    };
+    Dataset::from_columns(
+        schema,
+        vec![
+            column(|r| r.0, 3),
+            column(|r| r.1, 2),
+            column(|r| r.2, 2),
+            column(|r| r.3, 3),
+            column(|r| r.4, 2),
+        ],
+    )
+    .unwrap()
+}
+
+fn anchored(rows: &[Row4], anchor: usize) -> CubeStore {
+    std::sync::Arc::new(ColumnIndex::build(&dataset_of_four(rows)).unwrap())
+        .selector()
+        .build_store_anchored(None, anchor)
+        .unwrap()
 }
 
 proptest! {
@@ -172,5 +209,42 @@ proptest! {
                 prop_assert_eq!(&*acc.pair(a, b).unwrap(), &*whole.pair(a, b).unwrap());
             }
         }
+    }
+
+    /// Additivity for partial stores, the law a coordinator's anchored
+    /// drill level rests on: the stores two shards scan for one anchor
+    /// merge to the store one node scans over both shards' rows — the
+    /// same held pairs, the same counts — and nothing is built on the way.
+    #[test]
+    fn anchored_parts_merge_to_the_anchored_whole(
+        rows in proptest::collection::vec((0u8..3, 0u8..2, 0u8..2, 0u8..3, 0u8..2), 0..80),
+        assignment in proptest::collection::vec(0usize..2, 80),
+        anchor in 0usize..4
+    ) {
+        let mut parts: [Vec<Row4>; 2] = Default::default();
+        for (row, part) in rows.iter().zip(&assignment) {
+            parts[*part].push(*row);
+        }
+        let (a, b) = (anchored(&parts[0], anchor), anchored(&parts[1], anchor));
+        let merged = a.merge(&b).unwrap();
+        let whole = anchored(&rows, anchor);
+
+        prop_assert_eq!(a.lazy_builds() + b.lazy_builds() + whole.lazy_builds(), 0);
+        prop_assert_eq!(merged.total_records(), whole.total_records());
+        prop_assert_eq!(merged.class_counts(), whole.class_counts());
+        for &x in whole.attrs() {
+            prop_assert_eq!(&*merged.one_dim(x).unwrap(), &*whole.one_dim(x).unwrap());
+        }
+        let (got, want) = (merged.held_pairs(), whole.held_pairs());
+        prop_assert_eq!(want.len(), 3);
+        prop_assert_eq!(got.len(), 3);
+        for ((got_key, got_cube), (want_key, want_cube)) in got.iter().zip(&want) {
+            prop_assert!(got_key.0 == anchor || got_key.1 == anchor);
+            prop_assert_eq!(got_key, want_key);
+            prop_assert_eq!(&**got_cube, &**want_cube);
+        }
+        // A differently anchored part is not a part of this whole.
+        let other = anchored(&parts[1], (anchor + 1) % 4);
+        prop_assert!(a.merge(&other).is_err());
     }
 }

@@ -11,10 +11,13 @@
 //!   `G`, base64 in JSON. If the published generation is no longer `G`
 //!   the shard answers `409` and the coordinator re-pins; this is what
 //!   makes mixed-generation merges impossible rather than unlikely.
-//! * `POST /internal/level` — a drill-level store over the shard's
-//!   *base* partition narrowed by resolved conditions (drill levels
-//!   read the immutable base dataset on a single node too, which is
-//!   why these are generation-free).
+//! * `POST /internal/level[?anchor=A]` — a drill-level store over the
+//!   shard's *base* partition narrowed by resolved conditions (drill
+//!   levels read the immutable base dataset on a single node too, which
+//!   is why these are generation-free). `anchor` is the level's cube
+//!   demand: with it the reply holds every 1-D cube plus the pair cubes
+//!   of schema attribute `A` — what a comparison on `A` reads, and what
+//!   a single node's drill level scans — without it, every pair.
 //! * `POST /internal/count` — conditioned base-partition row count,
 //!   the coordinator's sub-population emptiness probe.
 //! * `POST /internal/flush` — quiesce live ingestion (seal + merge
@@ -128,10 +131,10 @@ fn store(req: &Request, om: &OpportunityMap, wire: &StoreWireCache) -> Response 
             return Response::json((*body).clone());
         }
     }
-    // The codec writes only materialized pair cubes; force every pair so
-    // the coordinator's merged store answers the same pair queries a
-    // resident store would (lazily-built shards would otherwise ship
-    // holes).
+    // The codec writes the pair cubes a store holds and builds none;
+    // force every pair so the coordinator's merged store answers the
+    // same pair queries a resident store would (lazily-built shards
+    // would otherwise ship holes).
     let attrs = snapshot.attrs().to_vec();
     for (i, &a) in attrs.iter().enumerate() {
         // om-lint: allow(panic-path) — i < attrs.len() by the enumerate bound
@@ -200,13 +203,27 @@ fn level(req: &Request, om: &OpportunityMap) -> Response {
         Ok(attrs) => attrs,
         Err(_) => return Response::error(400, "level attr out of range"),
     };
-    // Eager pairs: the codec writes only materialized pair cubes, and
-    // the coordinator's merged level store must answer every pair query
-    // a resident store would.
-    let store = match current
-        .build_store_eager(Some(attrs))
-        .map_err(CompareError::Cube)
-    {
+    let anchor = match req.params.get("anchor").map(|a| a.parse::<usize>()) {
+        None => None,
+        Some(Ok(anchor)) if attrs.contains(&anchor) => Some(anchor),
+        Some(Ok(anchor)) => {
+            return Response::error(
+                422,
+                &format!("level anchor {anchor} is not one of the level's attrs"),
+            )
+        }
+        Some(Err(_)) => {
+            return Response::error(400, "parameter \"anchor\" must be a non-negative integer")
+        }
+    };
+    // One masked scan either way. The codec ships the pairs the scan
+    // filled: the anchor's, or — for the root level every anchor shares —
+    // all of them.
+    let built = match anchor {
+        Some(anchor) => current.build_store_anchored(Some(attrs), anchor),
+        None => current.build_store_eager(Some(attrs)),
+    };
+    let store = match built.map_err(CompareError::Cube) {
         Ok(store) => store,
         Err(e) => return Response::error(422, &format!("level store failed: {e}")),
     };

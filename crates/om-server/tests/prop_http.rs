@@ -231,6 +231,10 @@ fn arb_params() -> impl Strategy<Value = String> {
     const EXPECT: &[&str] = &["0", "1", "-1", "+0", "18446744073709551616", "abc", ""];
     let pair = prop_oneof![
         (0..EXPECT.len()).prop_map(|i| format!("expect={}", escape(EXPECT[i]))),
+        // A level's anchor: not a number, past the schema, the class
+        // index, or simply not one of the attrs the body lists.
+        (0..EXPECT.len()).prop_map(|i| format!("anchor={}", escape(EXPECT[i]))),
+        arb_index().prop_map(|a| format!("anchor={a}")),
         (arb_text(8), arb_text(8)).prop_map(|(k, v)| format!("{}={}", escape(&k), escape(&v))),
     ];
     collection::vec(pair, 0..3).prop_map(|pairs| pairs.join("&"))

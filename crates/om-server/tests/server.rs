@@ -472,6 +472,68 @@ fn live_ingestion_end_to_end() {
     let _ = std::fs::remove_dir_all(&wal_dir);
 }
 
+/// `/internal/level?anchor=A` is the anchor-free level minus the pair
+/// cubes a comparison on `A` never reads: the same 1-D cubes, the same
+/// anchor pair cubes, and exactly `attrs.len() − 1` pairs on the wire.
+#[test]
+fn anchored_level_is_the_anchors_part_of_the_whole_level() {
+    let server = start_server();
+    let addr = server.local_addr();
+    let om = engine();
+    let schema = om.dataset().schema();
+    let morning = om.condition_by_name("TimeOfCall", "morning").unwrap();
+    let anchor = schema.attr_index("PhoneModel").unwrap();
+    let attrs: Vec<usize> = schema
+        .non_class_indices()
+        .into_iter()
+        .filter(|&a| a != morning.attr)
+        .collect();
+    let body = om_api::InternalLevelRequest {
+        conditions: vec![om_api::ConditionWire {
+            attr: morning.attr as u64,
+            value: u64::from(morning.value),
+        }],
+        attrs: attrs.iter().map(|&a| a as u64).collect(),
+    }
+    .encode();
+    let level = |target: &str| {
+        let (status, reply) = post(addr, target, &body);
+        assert_eq!(status, 200, "{reply}");
+        let frame = om_api::InternalLevelResponse::parse(&reply).unwrap().store_b64;
+        om_cube::persist::decode_store(om_api::b64_decode(&frame).unwrap().into()).unwrap()
+    };
+    let whole = level("/internal/level");
+    let part = level(&format!("/internal/level?anchor={anchor}"));
+
+    assert_eq!(part.attrs(), whole.attrs());
+    assert_eq!(part.class_counts(), whole.class_counts());
+    assert_eq!(part.total_records(), whole.total_records());
+    for &a in &attrs {
+        assert_eq!(*part.one_dim(a).unwrap(), *whole.one_dim(a).unwrap());
+    }
+    assert_eq!(whole.n_pair_cubes(), attrs.len() * (attrs.len() - 1) / 2);
+    let held = part.held_pairs();
+    assert_eq!(held.len(), attrs.len() - 1);
+    for ((a, b), cube) in held {
+        assert!(a == anchor || b == anchor, "pair ({a}, {b}) is not the anchor's");
+        assert_eq!(*cube, *whole.pair(a, b).unwrap());
+    }
+
+    // An anchor the level cannot be built around is refused here, not
+    // answered with a store that fails later on the coordinator.
+    for (value, want) in [
+        ("abc".to_owned(), 400),
+        ("-1".to_owned(), 400),
+        (schema.n_attributes().to_string(), 422),
+        (schema.class_index().to_string(), 422),
+        (morning.attr.to_string(), 422),
+    ] {
+        let (status, reply) = post(addr, &format!("/internal/level?anchor={value}"), &body);
+        assert_eq!(status, want, "anchor={value}: {reply}");
+    }
+    server.shutdown();
+}
+
 #[test]
 fn graceful_shutdown_drains_in_flight_request() {
     let server = start_server();

@@ -83,8 +83,25 @@ TABLE
 echo "==> perfbench/smoke.sh (the benchmark still builds and runs against these crates)"
 # perfbench is its own package outside the workspace, so nothing above
 # compiles it: an API change that breaks it must fail here, not in the
-# benchmark pipeline.
+# benchmark pipeline. Its lock is frozen with it: cargo rewrites
+# perfbench/Cargo.lock when a path crate's `[dependencies]` moved, and
+# the benchmark pipeline builds `--offline` from the committed one.
+lock_before=$(sha256sum perfbench/Cargo.lock)
 perfbench/smoke.sh
+if [ "$lock_before" != "$(sha256sum perfbench/Cargo.lock)" ]; then
+    echo "cargo rewrote perfbench/Cargo.lock: a frozen [dependencies] table moved (ROADMAP ground rules)" >&2
+    exit 1
+fi
+
+# --smoke switches off the guards a full run is judged by (sample counts,
+# unimodal drill latencies, the 2 s set-up floor), so a change can pass
+# the smoke and still die in the benchmark pipeline. One full-shape run
+# per workload, as the driver invokes it, must exit 0.
+for workload in wide_single tall_single tall_cluster; do
+    echo "==> perfbench --workload $workload --seed 1 --seconds 30 --trace 0 (full shape, every guard on)"
+    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 30 --trace 0
+done
 
 echo "==> cluster loopback smoke (2 shards, byte-identity vs single node, chaos + ingest)"
 # Spawns 2 real shard processes on ephemeral ports, byte-compares every

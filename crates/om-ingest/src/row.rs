@@ -52,11 +52,7 @@ impl RowParser {
         let mut numeric = HashMap::new();
         for (attr, cut_points) in cuts {
             let domain = schema.attribute(*attr).domain();
-            let bin_ids = cut_points
-                .labels(3)
-                .iter()
-                .map(|l| domain.get(l))
-                .collect();
+            let bin_ids = cut_points.labels(3).iter().map(|l| domain.get(l)).collect();
             numeric.insert(
                 *attr,
                 NumericBinning {
@@ -145,10 +141,7 @@ impl RowParser {
         }
         Err(IngestError::BadRow {
             row,
-            reason: format!(
-                "attribute {:?}: unknown label {field:?}",
-                attribute.name()
-            ),
+            reason: format!("attribute {:?}: unknown label {field:?}", attribute.name()),
         })
     }
 }
@@ -188,7 +181,9 @@ mod tests {
     fn parses_labels_and_numbers_identically() {
         let (schema, cuts) = live_schema();
         let parser = RowParser::new(schema.clone(), &cuts).unwrap();
-        let by_number = parser.parse_fields(&fields(["red", "1.5", "yes"]), 1).unwrap();
+        let by_number = parser
+            .parse_fields(&fields(["red", "1.5", "yes"]), 1)
+            .unwrap();
         let bin_label = schema.attribute(1).domain().label(by_number[1]).unwrap();
         let by_label = parser
             .parse_fields(&fields(["red", bin_label, "yes"]), 2)
@@ -205,7 +200,9 @@ mod tests {
         assert_eq!(label, MISSING_LABEL);
         assert_eq!(
             row,
-            parser.parse_fields(&fields(["blue", "NaN", "no"]), 1).unwrap()
+            parser
+                .parse_fields(&fields(["blue", "NaN", "no"]), 1)
+                .unwrap()
         );
     }
 
@@ -217,8 +214,12 @@ mod tests {
             parser.parse_fields(&fields(["red", "1.5"]), 3),
             Err(IngestError::BadRow { row: 3, .. })
         ));
-        assert!(parser.parse_fields(&fields(["chartreuse", "1.5", "yes"]), 1).is_err());
-        assert!(parser.parse_fields(&fields(["red", "uphill", "yes"]), 1).is_err());
+        assert!(parser
+            .parse_fields(&fields(["chartreuse", "1.5", "yes"]), 1)
+            .is_err());
+        assert!(parser
+            .parse_fields(&fields(["red", "uphill", "yes"]), 1)
+            .is_err());
     }
 
     #[test]

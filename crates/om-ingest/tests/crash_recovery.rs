@@ -91,7 +91,12 @@ fn assert_comparisons_equal(a: &CubeStore, b: &CubeStore, stage: &str) {
     assert_eq!(ra.ranked.len(), rb.ranked.len(), "{stage}: rank length");
     for (x, y) in ra.ranked.iter().zip(&rb.ranked) {
         assert_eq!(x.attr, y.attr, "{stage}: rank order");
-        assert_eq!(x.score.to_bits(), y.score.to_bits(), "{stage}: score of {}", x.attr_name);
+        assert_eq!(
+            x.score.to_bits(),
+            y.score.to_bits(),
+            "{stage}: score of {}",
+            x.attr_name
+        );
     }
 }
 

@@ -92,7 +92,10 @@ fn ingested_rows_reach_the_published_snapshot() {
 
     let stats = handle.stats();
     assert_eq!(stats.rows_total, 1_000);
-    assert!(stats.segments_sealed_total >= 3, "256-row seals over 1000 rows");
+    assert!(
+        stats.segments_sealed_total >= 3,
+        "256-row seals over 1000 rows"
+    );
     assert!(stats.compactions_total >= 1);
     assert!(stats.wal_bytes > 0);
     assert_eq!(stats.store_generation, after.generation());
@@ -140,7 +143,11 @@ fn restart_recovers_to_identical_counts() {
         },
     )
     .unwrap();
-    assert_eq!(handle.stats().rows_total, 900, "every appended row recovered");
+    assert_eq!(
+        handle.stats().rows_total,
+        900,
+        "every appended row recovered"
+    );
     handle.flush().unwrap();
 
     // A run that never crashed: same rows, sealed and flushed normally.
@@ -160,10 +167,7 @@ fn restart_recovers_to_identical_counts() {
     never.append_rows(rows_of(&live)).unwrap();
     never.flush().unwrap();
 
-    assert_stores_equal(
-        shared.snapshot().store(),
-        never_shared.snapshot().store(),
-    );
+    assert_stores_equal(shared.snapshot().store(), never_shared.snapshot().store());
     handle.shutdown();
     never.shutdown();
     std::fs::remove_dir_all(&dir).unwrap();
@@ -190,9 +194,15 @@ fn bad_batches_commit_nothing() {
     let mut rows = rows_of(&dataset(10, 6));
     rows[7] = vec![9_999; base.schema().n_attributes()];
     assert!(handle.append_rows(rows).is_err());
-    let short: Vec<String> = ["definitely", "not", "enough", "fields"].map(String::from).into();
+    let short: Vec<String> = ["definitely", "not", "enough", "fields"]
+        .map(String::from)
+        .into();
     assert!(handle.append_labeled(&[short]).is_err());
-    assert_eq!(handle.stats().rows_total, 0, "rejected batches left no trace");
+    assert_eq!(
+        handle.stats().rows_total,
+        0,
+        "rejected batches left no trace"
+    );
     handle.flush().unwrap();
     assert_eq!(shared.snapshot().total_records(), 500);
 
@@ -238,7 +248,11 @@ fn concurrent_queries_never_see_a_torn_store() {
                     let class_counts = snap.class_counts().to_vec();
                     for &a in snap.attrs() {
                         let cube = snap.one_dim(a).unwrap();
-                        assert_eq!(cube.total(), total, "torn 1-D cube in gen {last_generation}");
+                        assert_eq!(
+                            cube.total(),
+                            total,
+                            "torn 1-D cube in gen {last_generation}"
+                        );
                         assert_eq!(cube.class_margin(), class_counts);
                     }
                     let pair = snap.pair(snap.attrs()[0], snap.attrs()[1]).unwrap();

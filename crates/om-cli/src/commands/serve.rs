@@ -37,8 +37,8 @@ OPTIONS:
   --duration-ms <ms>   Serve for this long then exit; 0 = forever [0]
   --ingest-wal <dir>   Enable live ingestion: POST /v1/ingest appends rows,
                        durably logged to a WAL under <dir>
-  --seal-rows <n>      Rows per WAL segment before it is sealed into a
-                       delta cube (with --ingest-wal) [4096]
+  --seal-rows <n>      Rows per WAL segment before it is sealed and folded
+                       into the store (with --ingest-wal) [4096]
   --verbose            Log one line per request to stderr
 
 Failpoints (chaos builds only): when compiled with the `failpoints`

@@ -67,42 +67,7 @@ pub fn build_cube(ds: &Dataset, attrs: &[usize]) -> Result<RuleCube, CubeError> 
         .iter()
         .map(|&a| ds.column(a).as_categorical().expect("validated categorical"))
         .collect();
-    let classes = ds.class_values();
-    let strides = cube.strides().to_vec();
-
-    match cols.len() {
-        0 => {
-            for &c in classes {
-                cube.add_flat(c as usize, 1);
-            }
-        }
-        1 => {
-            let s0 = strides[0];
-            let col0 = cols[0];
-            for (r, &c) in classes.iter().enumerate() {
-                cube.add_flat(col0[r] as usize * s0 + c as usize, 1);
-            }
-        }
-        2 => {
-            let (s0, s1) = (strides[0], strides[1]);
-            let (col0, col1) = (cols[0], cols[1]);
-            for (r, &c) in classes.iter().enumerate() {
-                cube.add_flat(
-                    col0[r] as usize * s0 + col1[r] as usize * s1 + c as usize,
-                    1,
-                );
-            }
-        }
-        _ => {
-            for (r, &c) in classes.iter().enumerate() {
-                let mut off = c as usize;
-                for (col, &s) in cols.iter().zip(&strides) {
-                    off += col[r] as usize * s;
-                }
-                cube.add_flat(off, 1);
-            }
-        }
-    }
+    cube.count_rows(&cols, ds.class_values());
     Ok(cube)
 }
 

@@ -5,9 +5,12 @@
 //! cubes built per batch can be merged instead of recounting history:
 //! `cube(A ∪ B) = cube(A) + cube(B)` for disjoint record sets. This gives
 //! an incremental pipeline: build tonight's cubes from tonight's records,
-//! merge into the running store.
+//! merge into the running store — or, building nothing, count tonight's
+//! records straight into the running store's cubes ([`CubeStore::fold`]).
 
 use std::sync::Arc;
+
+use om_data::{Dataset, ValueId};
 
 use crate::cube::{CubeError, RuleCube};
 use crate::store::CubeStore;
@@ -112,11 +115,14 @@ impl CubeStore {
         ))
     }
 
-    /// Merge another store's counts into `self` in place — the compactor
-    /// hot path. Cubes shared with a published snapshot (their `Arc` has
-    /// other owners) are copied once via `Arc::make_mut`; uniquely-owned
-    /// cubes are updated with zero allocation. `self` must be an eager
-    /// store; `other` may be lazy (its pair cubes materialize on demand).
+    /// Merge another store's counts into `self` in place. Cubes shared
+    /// with a published snapshot (their `Arc` has other owners) are
+    /// copied once via `Arc::make_mut`; uniquely-owned cubes are updated
+    /// with zero allocation. `self` must be an eager store. Every cube
+    /// `self` holds is added to `other`'s cube over the same attributes,
+    /// so a lazy `other` builds each pair cube it has not built yet.
+    /// Live ingest does not merge stores: it folds each sealed segment's
+    /// rows straight in with [`CubeStore::fold`].
     ///
     /// # Errors
     /// Fails on attribute/class/domain mismatches or a lazy `self`. All
@@ -157,28 +163,83 @@ impl CubeStore {
                 check(&*self.pair(a, b)?, &*other.pair(a, b)?)?;
             }
         }
-        for &a in &attrs {
-            let theirs = other.one_dim(a)?;
-            let slot = self
-                .one_d_mut()
-                .get_mut(&a)
-                .ok_or_else(|| CubeError::NoSuchDim(format!("attribute index {a}")))?;
-            Arc::make_mut(slot).merge_into(&theirs)?;
+        self.for_each_cube_mut(|attrs, cube| cube.merge_into(&*other.cube(attrs)?))?;
+        self.add_totals(other.class_counts(), other.total_records());
+        Ok(())
+    }
+
+    /// Count a batch of new records into `self` in place: what a live
+    /// ingest compaction does with each sealed segment. The result equals
+    /// `merge_from(&CubeStore::build(batch, ..))` over the same
+    /// attributes, but no store is built for the batch. Each held cube
+    /// gets the batch's rows counted straight into its tensor, with the
+    /// same copy-on-write as [`CubeStore::merge_from`].
+    ///
+    /// # Errors
+    /// Fails on a lazy `self`, or on a batch whose schema disagrees with
+    /// the store: different class labels, or an analysis attribute that
+    /// is missing, continuous, the class, or named or labelled otherwise.
+    /// Everything is checked before the first count moves, so `self` is
+    /// unchanged on error.
+    pub fn fold(&mut self, batch: &Dataset) -> Result<(), CubeError> {
+        let schema = batch.schema();
+        if schema.class().domain().labels() != self.class_labels() {
+            return Err(CubeError::Invalid(
+                "cannot fold a batch with different class labels".into(),
+            ));
         }
-        for (i, &a) in attrs.iter().enumerate() {
-            for &b in &attrs[i + 1..] {
-                let theirs = other.pair(a, b)?;
-                let key = (a.min(b), a.max(b));
-                let map = self.pairs_eager_mut().ok_or_else(|| {
-                    CubeError::Invalid("merge_from requires an eager destination store".into())
-                })?;
-                let slot = map
-                    .get_mut(&key)
-                    .ok_or_else(|| CubeError::NoSuchDim(format!("pair cube {key:?}")))?;
-                Arc::make_mut(slot).merge_into(&theirs)?;
+        let mut cols: Vec<&[ValueId]> = vec![&[]; schema.n_attributes()];
+        for &a in self.attrs() {
+            let differs = || {
+                CubeError::Invalid(format!(
+                    "cannot fold a batch whose attribute {a} differs from the store's"
+                ))
+            };
+            let held = self.one_dim(a)?;
+            let (Some(attr), [dim]) = (schema.attributes().get(a), held.dims()) else {
+                return Err(differs());
+            };
+            if a == schema.class_index()
+                || attr.name() != dim.name
+                || attr.domain().labels() != dim.labels.as_slice()
+            {
+                return Err(differs());
+            }
+            cols[a] = batch.categorical(a).map_err(|_| differs())?;
+        }
+        // Every cube is addressed with these columns and class ids, so
+        // every tensor must have their shape. Built stores always do; a
+        // decoded store's cubes carry their own labels.
+        let n_classes = self.class_labels().len();
+        let fits = |cube: &RuleCube| {
+            cube.n_classes() == n_classes
+                && cube.dims().iter().all(|d| {
+                    schema
+                        .attributes()
+                        .get(d.attr_index)
+                        .is_some_and(|attr| attr.cardinality() == d.cardinality())
+                })
+        };
+        let one_d = self.attrs().iter().map(|&a| self.one_dim(a));
+        let pairs = self.held_pairs().into_iter().map(|(_, cube)| Ok(cube));
+        for cube in one_d.chain(pairs) {
+            if !fits(&*cube?) {
+                return Err(CubeError::Invalid(
+                    "cannot fold into a store whose cubes disagree on shape".into(),
+                ));
             }
         }
-        self.add_totals(other.class_counts(), other.total_records());
+
+        let classes = batch.class_values();
+        self.for_each_cube_mut(|attrs, cube| {
+            match *attrs {
+                [a] => cube.count_rows(&[cols[a]], classes),
+                [a, b] => cube.count_rows(&[cols[a], cols[b]], classes),
+                _ => return Err(CubeError::NoSuchDim(format!("cube over {attrs:?}"))),
+            }
+            Ok(())
+        })?;
+        self.add_totals(&batch.class_counts(), batch.n_rows() as u64);
         Ok(())
     }
 }
@@ -310,6 +371,118 @@ mod tests {
     }
 
     #[test]
+    fn fold_copies_on_write_only_pinned_cubes() {
+        // The twin of the test above for what a compaction does with a
+        // sealed segment: the pinned clone keeps its cubes and counts, and
+        // the live store's copy of a pinned cube copies the counts only.
+        let (a, b, _) = halves();
+        let mut sa = CubeStore::build(&a, &StoreBuildOptions::default()).unwrap();
+        let pinned = sa.clone();
+        let before = pinned.pair(0, 1).unwrap();
+        sa.fold(&b).unwrap();
+        assert!(Arc::ptr_eq(&pinned.pair(0, 1).unwrap(), &before));
+        assert_eq!(pinned.total_records(), 3_000);
+        assert_eq!(sa.total_records(), 5_000);
+        let after = sa.pair(0, 1).unwrap();
+        assert_ne!(after.counts(), before.counts());
+        assert!(std::ptr::eq(after.dims().as_ptr(), before.dims().as_ptr()));
+        assert!(std::ptr::eq(
+            after.class_labels().as_ptr(),
+            before.class_labels().as_ptr()
+        ));
+        // With the pin gone, a second fold updates cubes in place.
+        drop((pinned, before, after));
+        let addr = Arc::as_ptr(&sa.pair(0, 1).unwrap());
+        sa.fold(&b).unwrap();
+        assert_eq!(Arc::as_ptr(&sa.pair(0, 1).unwrap()), addr);
+        assert_eq!(sa.total_records(), 7_000);
+    }
+
+    /// A 30-row batch over `(name, labels)` attributes, the last one the
+    /// class: a batch that can disagree with a store in one place.
+    fn batch_of(attrs: &[(&str, &[&str])]) -> Dataset {
+        use om_data::{Attribute, Column, Domain, Schema};
+        let schema = Schema::new(
+            attrs
+                .iter()
+                .map(|&(name, labels)| {
+                    Attribute::categorical(name, Domain::from_labels(labels.iter().copied()))
+                })
+                .collect(),
+            attrs.len() - 1,
+        )
+        .unwrap();
+        let columns = attrs
+            .iter()
+            .map(|&(_, labels)| {
+                Column::Categorical((0..30).map(|r| (r % labels.len()) as ValueId).collect())
+            })
+            .collect();
+        Dataset::from_columns(schema, columns).unwrap()
+    }
+
+    #[test]
+    fn fold_validates_before_touching_a_count() {
+        let (a, b, c): (&[&str], &[&str], &[&str]) =
+            (&["a0", "a1", "a2"], &["b0", "b1"], &["yes", "no"]);
+        let good = batch_of(&[("A", a), ("B", b), ("C", c)]);
+        let mut store = CubeStore::build(&good, &StoreBuildOptions::default()).unwrap();
+        let pinned = store.clone();
+        let bad = [
+            batch_of(&[("A", &["a0", "a1", "a2", "a3"]), ("B", b), ("C", c)]),
+            batch_of(&[("A", &["a0", "a2", "a1"]), ("B", b), ("C", c)]),
+            batch_of(&[("A", a), ("B2", b), ("C", c)]),
+            batch_of(&[("A", a), ("B", b), ("C", &["yes", "no", "maybe"])]),
+            batch_of(&[("A", a), ("B", b), ("C", &["no", "yes"])]),
+            batch_of(&[("A", a), ("C", c)]),
+            batch_of(&[("X", b), ("A", a), ("B", b), ("C", c)]),
+        ];
+        for batch in &bad {
+            assert!(store.fold(batch).is_err());
+            // The pinned clone makes any copy-on-write visible: every
+            // cube must still be the pinned one.
+            for &x in pinned.attrs() {
+                assert!(Arc::ptr_eq(
+                    &store.one_dim(x).unwrap(),
+                    &pinned.one_dim(x).unwrap()
+                ));
+            }
+            for ((key, mine), (_, theirs)) in store.held_pairs().iter().zip(pinned.held_pairs()) {
+                assert!(Arc::ptr_eq(mine, &theirs), "pair {key:?} was copied");
+            }
+            assert_eq!(store.total_records(), 30);
+            assert_eq!(store.class_counts(), pinned.class_counts());
+        }
+        store.fold(&good).unwrap();
+        assert_eq!(store.total_records(), 60);
+    }
+
+    #[test]
+    fn fold_refuses_a_store_whose_cubes_disagree_on_shape() {
+        // A decoded store's cubes carry their own labels. A pair cube
+        // narrower than its 1-D cubes must refuse the fold, not be
+        // indexed past its end.
+        let (b, c): (&[&str], &[&str]) = (&["b0", "b1"], &["yes", "no"]);
+        let wide = batch_of(&[("A", &["a0", "a1", "a2", "a3"]), ("B", b), ("C", c)]);
+        let narrow = batch_of(&[("A", &["a0", "a1", "a2"]), ("B", b), ("C", c)]);
+        let store = CubeStore::build(&wide, &StoreBuildOptions::default()).unwrap();
+        let mut mixed = CubeStore::assemble(
+            store.attrs().to_vec(),
+            store.class_labels().to_vec(),
+            store.class_counts().to_vec(),
+            store.total_records(),
+            store
+                .attrs()
+                .iter()
+                .map(|&x| (x, store.one_dim(x).unwrap()))
+                .collect(),
+            [((0, 1), Arc::new(build_cube(&narrow, &[0, 1]).unwrap()))].into(),
+        );
+        assert!(mixed.fold(&wide).is_err());
+        assert_eq!(mixed.total_records(), 30);
+    }
+
+    #[test]
     fn merge_from_rejects_lazy_destination() {
         let (a, b, _) = halves();
         let mut lazy = Arc::new(crate::ColumnIndex::build(&a).unwrap())
@@ -319,6 +492,7 @@ mod tests {
         assert!(!lazy.is_eager());
         let sb = CubeStore::build(&b, &StoreBuildOptions::default()).unwrap();
         assert!(lazy.merge_from(&sb).is_err());
+        assert!(lazy.fold(&b).is_err());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Epoch-based snapshot publication for live stores.
 //!
 //! The paper's store is rebuilt offline ("the generation is done
-//! off-line, e.g., in the evening"); a live deployment instead merges
-//! delta cubes into the serving store while queries run. The consistency
+//! off-line, e.g., in the evening"); a live deployment instead folds
+//! sealed segments into the serving store while queries run. The consistency
 //! contract is: **every query reads exactly one store generation** — a
 //! comparison must never mix a pre-merge 1-D cube with a post-merge pair
 //! cube, or its confidence ratios silently stop summing to the margins.

@@ -43,7 +43,7 @@ pub struct StoreBuildOptions {
     /// Build the per-column bitmap [`ColumnIndex`] alongside the cubes
     /// (one extra pass per column), so conditioned queries go through
     /// the counting kernel instead of record walks. On by default; turn
-    /// off for throwaway stores (ingest deltas) nothing conditions on.
+    /// off for throwaway stores nothing conditions on.
     pub index: bool,
 }
 
@@ -415,15 +415,41 @@ impl CubeStore {
         }
     }
 
-    pub(crate) fn one_d_mut(&mut self) -> &mut HashMap<usize, Arc<RuleCube>> {
-        &mut self.one_d
+    /// The held cube over `attrs`: `[a]` is a 1-D cube, `[a, b]` a pair.
+    pub(crate) fn cube(&self, attrs: &[usize]) -> Result<Arc<RuleCube>, CubeError> {
+        match *attrs {
+            [a] => self.one_dim(a),
+            [a, b] => self.pair(a, b),
+            _ => Err(CubeError::NoSuchDim(format!("cube over {attrs:?}"))),
+        }
     }
 
-    pub(crate) fn pairs_eager_mut(&mut self) -> Option<&mut HashMap<(usize, usize), Arc<RuleCube>>> {
-        match &mut self.pairs {
-            PairCubes::Eager(map) => Some(map),
-            PairCubes::Lazy { .. } => None,
+    /// Visit every held cube mutably, with the schema indices it spans
+    /// (`[a]` or `[a, b]`, ascending), copy-on-write: a cube a published
+    /// snapshot still pins is copied once by `Arc::make_mut` — its counts,
+    /// since the labels are shared — and a uniquely owned one is updated
+    /// in place. The one mutation path of [`CubeStore::fold`] and
+    /// [`CubeStore::merge_from`]; both validate before they call it.
+    ///
+    /// # Errors
+    /// Fails on a lazy store before visiting anything, and with `f`'s
+    /// first error (cubes visited before it stay updated).
+    pub(crate) fn for_each_cube_mut(
+        &mut self,
+        mut f: impl FnMut(&[usize], &mut RuleCube) -> Result<(), CubeError>,
+    ) -> Result<(), CubeError> {
+        let PairCubes::Eager(pairs) = &mut self.pairs else {
+            return Err(CubeError::Invalid(
+                "only an eager store can be added into".into(),
+            ));
+        };
+        for (&a, cube) in &mut self.one_d {
+            f(&[a], Arc::make_mut(cube))?;
         }
+        for (&(a, b), cube) in pairs.iter_mut() {
+            f(&[a, b], Arc::make_mut(cube))?;
+        }
+        Ok(())
     }
 
     pub(crate) fn add_totals(&mut self, class_counts: &[u64], total_records: u64) {

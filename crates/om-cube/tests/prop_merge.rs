@@ -95,6 +95,32 @@ fn anchored(rows: &[Row4], anchor: usize) -> CubeStore {
         .unwrap()
 }
 
+/// Two full stores hold the same counts: every cube, the class counts
+/// and the record total.
+fn assert_same_counts(got: &CubeStore, want: &CubeStore) {
+    prop_assert_eq!(got.total_records(), want.total_records());
+    prop_assert_eq!(got.class_counts(), want.class_counts());
+    for &a in want.attrs() {
+        prop_assert_eq!(&*got.one_dim(a).unwrap(), &*want.one_dim(a).unwrap());
+    }
+    let (got, want) = (got.held_pairs(), want.held_pairs());
+    prop_assert_eq!(got.len(), want.len());
+    for ((got_key, got_cube), (want_key, want_cube)) in got.iter().zip(&want) {
+        prop_assert_eq!(got_key, want_key);
+        prop_assert_eq!(&**got_cube, &**want_cube);
+    }
+}
+
+/// Every order of the three segments after the first.
+const ORDERS: [[usize; 3]; 6] = [
+    [1, 2, 3],
+    [1, 3, 2],
+    [2, 1, 3],
+    [2, 3, 1],
+    [3, 1, 2],
+    [3, 2, 1],
+];
+
 proptest! {
     #[test]
     fn merge_equals_concatenated_build(
@@ -246,5 +272,34 @@ proptest! {
         // A differently anchored part is not a part of this whole.
         let other = anchored(&parts[1], (anchor + 1) % 4);
         prop_assert!(a.merge(&other).is_err());
+    }
+
+    /// What a live compaction does with sealed segments: count each one
+    /// straight into the store. However the rows are cut into 1–4
+    /// segments, and in whatever order the later ones arrive, the result
+    /// is the build of their union, and every fold is exactly the merge
+    /// of that segment's own store.
+    #[test]
+    fn folded_segments_equal_the_build_of_their_union(
+        rows in proptest::collection::vec((0u8..3, 0u8..2, 0u8..2, 0u8..3, 0u8..2), 0..80),
+        n_segments in 1usize..=4,
+        assignment in proptest::collection::vec(0usize..4, 80),
+        order in 0usize..6
+    ) {
+        let opts = StoreBuildOptions::default();
+        let mut segments: Vec<Vec<Row4>> = vec![Vec::new(); n_segments];
+        for (row, segment) in rows.iter().zip(&assignment) {
+            segments[segment % n_segments].push(*row);
+        }
+        let mut folded = CubeStore::build(&dataset_of_four(&segments[0]), &opts).unwrap();
+        let mut merged = folded.clone();
+        for &s in ORDERS[order].iter().filter(|&&s| s < n_segments) {
+            let batch = dataset_of_four(&segments[s]);
+            folded.fold(&batch).unwrap();
+            merged.merge_from(&CubeStore::build(&batch, &opts).unwrap()).unwrap();
+            assert_same_counts(&folded, &merged);
+        }
+        let union = CubeStore::build(&dataset_of_four(&rows), &opts).unwrap();
+        assert_same_counts(&folded, &union);
     }
 }

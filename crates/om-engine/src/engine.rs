@@ -306,9 +306,10 @@ impl OpportunityMap {
     }
 
     /// Start live ingestion into this engine's store: appended rows are
-    /// WAL-logged under `config.wal_dir`, built into delta cubes, merged
-    /// off the query path, and published as new store generations.
-    /// Unmerged WAL segments from a previous run are replayed first.
+    /// WAL-logged under `config.wal_dir`, folded into the store segment
+    /// by segment off the query path, and published as new store
+    /// generations. Sealed WAL segments from a previous run are folded in
+    /// first.
     ///
     /// # Errors
     /// Fails if the schema still has continuous attributes the engine did

@@ -19,9 +19,9 @@ pub enum IngestError {
     Io(std::io::Error),
     /// Structural WAL corruption beyond a recoverable torn tail.
     Wal(String),
-    /// Delta dataset assembly failed.
+    /// A sealed segment's rows did not form a dataset.
     Data(DataError),
-    /// Delta cube build or merge failed.
+    /// Folding a sealed segment into the store failed.
     Cube(CubeError),
     /// An injected fault (chaos builds) or tripped budget.
     Fault(FaultError),
@@ -36,8 +36,8 @@ impl std::fmt::Display for IngestError {
             IngestError::Schema(msg) => write!(f, "schema: {msg}"),
             IngestError::Io(e) => write!(f, "wal io: {e}"),
             IngestError::Wal(msg) => write!(f, "wal: {msg}"),
-            IngestError::Data(e) => write!(f, "delta data: {e}"),
-            IngestError::Cube(e) => write!(f, "delta cube: {e}"),
+            IngestError::Data(e) => write!(f, "segment data: {e}"),
+            IngestError::Cube(e) => write!(f, "cube fold: {e}"),
             IngestError::Fault(e) => write!(f, "fault: {e}"),
             IngestError::Closed => write!(f, "ingestor is shut down"),
         }

@@ -14,10 +14,11 @@
 //! * [`row`] — validation of live rows against the serving schema,
 //!   binning numerics through the offline build's cut points.
 //! * [`IngestHandle`] — the staging buffer and seal protocol: every
-//!   `seal_rows` rows, the WAL rotates and the batch becomes a *delta*
-//!   [`om_cube::CubeStore`].
-//! * the compactor — a background thread merging deltas into the master
-//!   store and publishing immutable generations through
+//!   `seal_rows` rows, the WAL rotates and the batch becomes a *sealed
+//!   segment*, its rows transposed into an [`om_data::Dataset`].
+//! * the compactor — a background thread folding each sealed segment
+//!   into the master store ([`om_cube::CubeStore::fold`]) and publishing
+//!   immutable generations through
 //!   [`om_cube::SharedStore`], so queries never see a torn store.
 
 // Request-path crate: panics here become 500s or worker deaths, so

@@ -20,9 +20,9 @@
 //!
 //! The directory holds `seg-NNNNNNNN.wal` files. Appends go to the
 //! highest-numbered (*active*) segment; `seal` rotates to a fresh one.
-//! Sealed segments are immutable and correspond 1:1 to delta cubes.
-//! Segments are never deleted: recovery replays every sealed segment
-//! over the freshly-rebuilt base store, and reloads the active segment's
+//! Sealed segments are immutable, and each is folded into the store
+//! once. Segments are never deleted: recovery folds every sealed segment
+//! into the freshly-rebuilt base store, and reloads the active segment's
 //! rows into the staging buffer. Because appends are strictly sequential
 //! within one file, a crash can only damage the final frame of a
 //! segment; replay stops at the first bad frame and reports a torn tail
@@ -58,11 +58,11 @@ pub struct Wal {
 /// Everything recovered from an existing WAL directory on open.
 #[derive(Debug, Default)]
 pub struct Recovery {
-    /// Row batches of each sealed segment, oldest first — one delta cube
-    /// per entry.
+    /// Row batches of each sealed segment, oldest first — one fold into
+    /// the store per entry.
     pub sealed: Vec<Vec<Vec<ValueId>>>,
     /// Rows of the still-active segment (the staging buffer's content at
-    /// crash time that never made it into a delta).
+    /// crash time that was never sealed).
     pub active: Vec<Vec<ValueId>>,
     /// True if any segment ended in a torn or corrupt frame that was
     /// dropped during replay.
@@ -247,12 +247,12 @@ impl Wal {
     }
 
     /// Seal the active segment and rotate to a fresh one. The sealed
-    /// segment's rows are exactly what the caller built a delta from.
+    /// segment's rows are exactly what the caller hands the compactor.
     ///
     /// # Errors
     /// I/O failures creating the next segment; in durable mode
     /// (`sync_writes`), also a failed final sync — a segment must not be
-    /// sealed (and its delta served) while its frames may not be on disk.
+    /// sealed (and its rows served) while its frames may not be on disk.
     pub fn seal(&mut self) -> Result<(), IngestError> {
         if self.sync_writes {
             self.file.sync_data()?;

@@ -14,6 +14,11 @@ if git grep -nE 'om[-_]bench|vendor/[c]riterion|[c]riterion::|BENCH_[6-9]\.json|
     exit 1
 fi
 
+echo "==> cargo fmt --check, one crate at a time (the rest of the tree predates rustfmt)"
+for crate in om-ingest; do
+    cargo fmt -p "$crate" --check
+done
+
 echo "==> cargo build --release (root package + opmap)"
 # The root `cargo build` covers only the root package; the cluster
 # smokes below run target/release/opmap, so build it explicitly or

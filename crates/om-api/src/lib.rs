@@ -8,14 +8,17 @@
 //!
 //! Layout:
 //! - [`json`] — a small strict JSON value type ([`json::Json`]) with a
-//!   parser and an encoder with one fixed float/escape formatting.
+//!   parser, and the escape and float rules of the one writer.
 //! - [`error`] — the uniform `/v1` error envelope
 //!   `{"error":{"code","message","retry_after_ms"?,"row"?}}` and the
 //!   code → HTTP-status mapping.
 //! - [`request`] — typed request bodies (`POST /v1/compare`, `/drill`,
 //!   `/gi`, `/cube/slice`, `/ingest`, `/compare/batch`).
-//! - [`response`] — typed response bodies; their encoders are the
-//!   one JSON writer of the whole stack (server, coordinator, CLI).
+//! - [`response`] — typed response bodies.
+//! - `wire` — the one codec and JSON writer of the whole stack
+//!   (server, coordinator, CLI): each wire struct is declared once, with
+//!   every field's key and kind, and gets its equality, encoder and
+//!   decoder from that declaration.
 //! - [`internal`] — shard-internal wire types for cluster mode
 //!   (`/internal/*`): base64 carriage of encoded stores and schema
 //!   datasets between om-server shards and the om-cluster coordinator.
@@ -34,7 +37,7 @@ pub mod json;
 pub mod request;
 pub mod response;
 
-mod de;
+mod wire;
 
 pub use error::{ErrorCode, ErrorEnvelope};
 pub use internal::{

@@ -120,7 +120,7 @@ fn is_keyword(word: &str) -> bool {
     matches!(
         word,
         "return" | "in" | "if" | "else" | "match" | "break" | "continue" | "await" | "move"
-            | "mut" | "ref" | "as" | "where" | "let"
+            | "mut" | "ref" | "as" | "where" | "let" | "for"
     )
 }
 
@@ -172,8 +172,9 @@ mod tests {
     #[test]
     fn flags_indexing_but_not_full_range_or_literals() {
         let f = run_on(
-            "crates/om-api/src/de.rs",
-            "fn f(b: &[u8]) { let x = b[0]; let all = &b[..]; let arr = [0u8; 4]; }",
+            "crates/om-api/src/wire.rs",
+            "fn f(b: &[u8]) { let x = b[0]; let all = &b[..]; let arr = [0u8; 4]; }\n\
+             impl W for [u64; 2] {}",
         );
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].message.contains("index"));

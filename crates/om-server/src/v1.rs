@@ -283,6 +283,14 @@ fn drill(
     opts: &RouteOptions,
 ) -> Result<Response, ErrorEnvelope> {
     let body = DrillRequest::parse(&req.body).map_err(bad_request)?;
+    // `null` decodes as NaN, and no score is below NaN: a non-finite
+    // floor would silently walk to the maximum depth.
+    if body.min_score.is_some_and(|s| !s.is_finite()) {
+        return Err(ErrorEnvelope::new(
+            ErrorCode::Invalid,
+            "\"min_score\" must be a finite number",
+        ));
+    }
     let config = drill_config_for(ops, body.depth, body.min_score);
     if body.path.is_empty() {
         let levels = ops

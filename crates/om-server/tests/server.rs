@@ -200,6 +200,24 @@ fn drill_answers_with_levels() {
 }
 
 #[test]
+fn drill_refuses_a_non_finite_min_score() {
+    let server = start_server();
+    for min_score in ["null", "1e999", "-1e999"] {
+        let (status, body) = post(
+            server.local_addr(),
+            "/v1/drill",
+            &format!(
+                r#"{{"attr":"PhoneModel","v1":"ph1","v2":"ph2","class":"dropped","min_score":{min_score}}}"#
+            ),
+        );
+        assert_eq!(status, 422, "min_score {min_score}: {body}");
+        assert!(body.contains("\"code\":\"invalid\""), "{body}");
+        assert!(body.contains("min_score"), "{body}");
+    }
+    server.shutdown();
+}
+
+#[test]
 fn malformed_requests_get_400_and_server_survives() {
     let server = start_server();
     let addr = server.local_addr();

@@ -67,12 +67,62 @@ pub struct CallGraph {
 /// are classified as lock acquisitions or blocking intrinsics by the
 /// effect pass instead of as calls.
 pub const OPAQUE_METHODS: &[&str] = &[
-    "append", "as_str", "check", "clear", "clone", "cloned", "collect", "compare_exchange",
-    "contains", "contains_key", "default", "drain", "entry", "extend", "fetch_add", "fetch_sub",
-    "filter", "find", "flush", "fold", "get", "get_mut", "insert", "into_iter", "is_empty",
-    "iter", "join", "len", "load", "lock", "map", "max", "min", "new", "next", "open", "parse",
-    "peek", "pop", "position", "push", "read", "recv", "remove", "replace", "send", "set",
-    "sort", "split", "store", "swap", "take", "to_owned", "to_string", "to_vec", "unwrap_or",
+    "append",
+    "as_str",
+    "check",
+    "clear",
+    "clone",
+    "cloned",
+    "collect",
+    "compare_exchange",
+    "contains",
+    "contains_key",
+    "default",
+    "drain",
+    "entry",
+    "extend",
+    "fetch_add",
+    "fetch_sub",
+    "filter",
+    "find",
+    "flush",
+    "fold",
+    "get",
+    "get_mut",
+    "insert",
+    "into_iter",
+    "is_empty",
+    "iter",
+    "join",
+    "len",
+    "load",
+    "lock",
+    "map",
+    "max",
+    "min",
+    "new",
+    "next",
+    "open",
+    "parse",
+    "peek",
+    "pop",
+    "position",
+    "push",
+    "read",
+    "recv",
+    "remove",
+    "replace",
+    "send",
+    "set",
+    "sort",
+    "split",
+    "store",
+    "swap",
+    "take",
+    "to_owned",
+    "to_string",
+    "to_vec",
+    "unwrap_or",
     "write",
 ];
 
@@ -188,7 +238,10 @@ impl CallGraph {
             match &n.owner {
                 Some(o) => {
                     methods.entry(&n.name).or_default().push(i);
-                    owned.entry((o.as_str(), n.name.as_str())).or_default().push(i);
+                    owned
+                        .entry((o.as_str(), n.name.as_str()))
+                        .or_default()
+                        .push(i);
                 }
                 None => frees.entry(&n.name).or_default().push(i),
             }
@@ -227,16 +280,17 @@ impl CallGraph {
                 }
                 let name = t.text.as_str();
                 let prev_dot = k >= 1 && code[k - 1].is_punct('.');
-                let prev_path =
-                    k >= 2 && code[k - 1].is_punct(':') && code[k - 2].is_punct(':');
+                let prev_path = k >= 2 && code[k - 1].is_punct(':') && code[k - 2].is_punct(':');
                 let mut targets: Vec<usize> = Vec::new();
                 if prev_dot {
                     if !OPAQUE_METHODS.contains(&name) {
                         // `self.m(...)` prefers the caller's own type.
                         let recv_self = k >= 2 && code[k - 2].is_ident("self");
-                        let own = n.owner.as_deref().filter(|_| recv_self).and_then(|o| {
-                            owned.get(&(o, name)).filter(|v| !v.is_empty())
-                        });
+                        let own = n
+                            .owner
+                            .as_deref()
+                            .filter(|_| recv_self)
+                            .and_then(|o| owned.get(&(o, name)).filter(|v| !v.is_empty()));
                         let pool = own.or_else(|| methods.get(name));
                         if let Some(pool) = pool {
                             targets.extend(
@@ -247,7 +301,9 @@ impl CallGraph {
                         }
                     }
                 } else if prev_path {
-                    let qualifier = code.get(k.wrapping_sub(3)).filter(|q| q.kind == TokKind::Ident);
+                    let qualifier = code
+                        .get(k.wrapping_sub(3))
+                        .filter(|q| q.kind == TokKind::Ident);
                     if let Some(q) = qualifier {
                         let owner_name = if q.is_ident("Self") {
                             n.owner.clone()
@@ -392,13 +448,22 @@ mod tests {
             ("crates/c/src/lib.rs", "pub fn lone() { helper(); }\n"),
         ];
         let manifests = vec![
-            ("crates/a/Cargo.toml", "[dependencies]\nb = { path = \"../b\" }\n"),
+            (
+                "crates/a/Cargo.toml",
+                "[dependencies]\nb = { path = \"../b\" }\n",
+            ),
             ("crates/b/Cargo.toml", "[dependencies]\n"),
             ("crates/c/Cargo.toml", "[dependencies]\n"),
         ];
         let g = CallGraph::build(&ws_with_manifests(files, manifests));
-        assert!(edge(&g, "caller", "helper"), "a depends on b: edge expected");
-        assert!(!edge(&g, "lone", "helper"), "c does not depend on b: no edge");
+        assert!(
+            edge(&g, "caller", "helper"),
+            "a depends on b: edge expected"
+        );
+        assert!(
+            !edge(&g, "lone", "helper"),
+            "c does not depend on b: no edge"
+        );
     }
 
     #[test]
@@ -417,9 +482,17 @@ mod tests {
             .position(|n| n.name == "step" && n.owner.is_none())
             .unwrap();
         let method_site = &g.calls[work][0];
-        assert_eq!(method_site.targets, vec![self_step], "self.step() binds to A::step");
+        assert_eq!(
+            method_site.targets,
+            vec![self_step],
+            "self.step() binds to A::step"
+        );
         let free_site = &g.calls[work][1];
-        assert_eq!(free_site.targets, vec![free_step], "bare step() binds to the free fn");
+        assert_eq!(
+            free_site.targets,
+            vec![free_step],
+            "bare step() binds to the free fn"
+        );
     }
 
     #[test]
@@ -445,7 +518,10 @@ mod tests {
         let src = "struct A;\nimpl A { fn get(&self) {} }\nfn drive() { m.get(); }\n";
         let g = CallGraph::build(&ws(vec![("crates/x/src/lib.rs", src)]));
         let drive = node(&g, "drive");
-        assert!(g.calls[drive].is_empty(), "std-shadowed names never resolve");
+        assert!(
+            g.calls[drive].is_empty(),
+            "std-shadowed names never resolve"
+        );
     }
 
     #[test]

@@ -29,7 +29,11 @@ impl Check for EnvelopeCodes {
     }
 
     fn run(&self, ws: &Workspace) -> Vec<Finding> {
-        let Some(src) = ws.sources.iter().find(|s| s.rel == ws.config.envelope_source) else {
+        let Some(src) = ws
+            .sources
+            .iter()
+            .find(|s| s.rel == ws.config.envelope_source)
+        else {
             return Vec::new(); // nothing to check in this tree
         };
         let code = &src.info.code;
@@ -49,7 +53,10 @@ impl Check for EnvelopeCodes {
                         .iter()
                         .find(|t| t.kind == TokKind::Str)
                     {
-                        wire.insert(code[i + 3].text.clone(), (lit.text.clone(), code[i + 3].line));
+                        wire.insert(
+                            code[i + 3].text.clone(),
+                            (lit.text.clone(), code[i + 3].line),
+                        );
                     }
                     i += 4;
                 } else {
@@ -148,11 +155,7 @@ impl Check for EnvelopeCodes {
 
 /// Token range (inclusive) of the body of `fn name` in this file.
 fn fn_body(src: &crate::SourceFile, name: &str) -> Option<(usize, usize)> {
-    src.info
-        .fns
-        .iter()
-        .find(|f| f.name == name)
-        .map(|f| f.body)
+    src.info.fns.iter().find(|f| f.name == name).map(|f| f.body)
 }
 
 /// Parse `| `code` | 404 | ... |` into ("code", 404).
@@ -223,7 +226,10 @@ impl ErrorCode {
     fn missing_and_unknown_and_mismatch() {
         let w = ws("| `bad_request` | 418 | x |\n| `gone` | 410 | y |\n");
         let f = EnvelopeCodes.run(&w);
-        assert!(f.iter().any(|f| f.message.contains("\"overloaded\"")), "{f:?}");
+        assert!(
+            f.iter().any(|f| f.message.contains("\"overloaded\"")),
+            "{f:?}"
+        );
         assert!(f.iter().any(|f| f.message.contains("\"gone\"")));
         assert!(f.iter().any(|f| f.message.contains("418")));
     }

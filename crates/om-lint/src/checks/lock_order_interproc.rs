@@ -61,9 +61,7 @@ impl Check for LockOrderInterproc {
                     } else {
                         edges
                             .entry((held.clone(), inner.clone()))
-                            .or_insert_with(|| {
-                                format!("{rel}:{} (fn {})", other.line, node.name)
-                            });
+                            .or_insert_with(|| format!("{rel}:{} (fn {})", other.line, node.name));
                     }
                 }
                 // Acquisitions reached through calls made under the guard.

@@ -48,8 +48,13 @@ impl Check for MetricsRegistered {
                     continue;
                 }
                 for (name, _) in metric_names(&t.text) {
-                    let slot = if is_render { &mut rendered } else { &mut referenced };
-                    slot.entry(name).or_insert_with(|| (src.rel.clone(), t.line));
+                    let slot = if is_render {
+                        &mut rendered
+                    } else {
+                        &mut referenced
+                    };
+                    slot.entry(name)
+                        .or_insert_with(|| (src.rel.clone(), t.line));
                 }
             }
         }

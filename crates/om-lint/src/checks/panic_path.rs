@@ -35,7 +35,11 @@ impl Check for PanicPath {
         let mut out = Vec::new();
         for src in &ws.sources {
             if src.role != Role::Src
-                || !ws.config.panic_scopes.iter().any(|s| src.rel.starts_with(s))
+                || !ws
+                    .config
+                    .panic_scopes
+                    .iter()
+                    .any(|s| src.rel.starts_with(s))
             {
                 continue;
             }
@@ -119,8 +123,21 @@ fn index_site(src: &crate::SourceFile, i: usize) -> Option<Finding> {
 fn is_keyword(word: &str) -> bool {
     matches!(
         word,
-        "return" | "in" | "if" | "else" | "match" | "break" | "continue" | "await" | "move"
-            | "mut" | "ref" | "as" | "where" | "let" | "for"
+        "return"
+            | "in"
+            | "if"
+            | "else"
+            | "match"
+            | "break"
+            | "continue"
+            | "await"
+            | "move"
+            | "mut"
+            | "ref"
+            | "as"
+            | "where"
+            | "let"
+            | "for"
     )
 }
 

@@ -26,9 +26,9 @@ pub(crate) fn run(ws: &Workspace, raw: &[Finding]) -> Vec<Finding> {
                 if !known.contains(&check.as_str()) {
                     continue;
                 }
-                let still_fires = raw.iter().any(|f| {
-                    f.check == *check && f.file == src.rel && f.line == sup.applies_line
-                });
+                let still_fires = raw
+                    .iter()
+                    .any(|f| f.check == *check && f.file == src.rel && f.line == sup.applies_line);
                 if !still_fires {
                     out.push(Finding::new(
                         NAME,

@@ -369,9 +369,9 @@ pub fn run(parsed: &mut Parsed, out: &mut dyn Write) -> CliResult {
     parsed.reject_unknown()?;
 
     // Arm OM_FAILPOINTS on the coordinator side too (shard child
-    // processes arm their own registry in `serve`); a no-op unless this
-    // binary was built with the `failpoints` feature.
-    om_engine::fail::init_from_env();
+    // processes arm their own registry in `serve`). A malformed entry is
+    // a usage error before any shard starts.
+    om_engine::fail::init_from_env().map_err(CliError::Usage)?;
 
     let work = std::env::temp_dir().join(format!(
         "om-cluster-run-{}-{seed}-{n_partitions}x{replicas}",

@@ -41,9 +41,9 @@ OPTIONS:
                        into the store (with --ingest-wal) [4096]
   --verbose            Log one line per request to stderr
 
-Failpoints (chaos builds only): when compiled with the `failpoints`
-feature, OM_FAILPOINTS arms fault injection, e.g.
-OM_FAILPOINTS=\"engine.compare=delay:50;server.respond=error:boom\".";
+Failpoints: OM_FAILPOINTS arms fault injection on any build, e.g.
+OM_FAILPOINTS=\"engine.compare=delay:50;server.respond=error:boom\".
+An entry naming an unknown seam or action refuses to start.";
 
 /// Entry point for `opmap serve`.
 ///
@@ -85,9 +85,9 @@ pub fn run(parsed: &mut Parsed, out: &mut dyn Write) -> CliResult {
     let engine = super::build_engine(parsed, dataset)?;
     parsed.reject_unknown()?;
 
-    // Arm OM_FAILPOINTS fault injection; a no-op unless this binary was
-    // built with the `failpoints` feature (chaos runs only).
-    om_engine::fail::init_from_env();
+    // Arm OM_FAILPOINTS fault injection (chaos runs); a malformed entry
+    // is a usage error, never a run with less chaos than asked for.
+    om_engine::fail::init_from_env().map_err(CliError::Usage)?;
 
     let engine = Arc::new(engine);
     let ingest = match &ingest_wal {

@@ -345,3 +345,23 @@ fn report_command_writes_markdown() {
     assert!(doc.contains("# Opportunity Map analysis report"), "{doc}");
     assert!(doc.contains("## 3. Significant differences"), "{doc}");
 }
+
+/// A misspelled `OM_FAILPOINTS` entry must refuse to start rather than
+/// run a chaos smoke with no chaos in it.
+#[test]
+fn unknown_failpoint_seam_refuses_to_start() {
+    for args in [
+        &["serve", "--records", "200", "--addr", "127.0.0.1:0", "--duration-ms", "1"][..],
+        &["cluster", "--shards", "1", "--records", "200", "--requests", "1"][..],
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_opmap"))
+            .args(args)
+            .env("OM_FAILPOINTS", "engine.comapre=delay:5")
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} started: {stderr}");
+        assert!(stderr.contains("usage error"), "{args:?}: {stderr}");
+        assert!(stderr.contains("engine.comapre=delay:5"), "{args:?}: {stderr}");
+    }
+}

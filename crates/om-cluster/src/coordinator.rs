@@ -114,6 +114,7 @@ use om_data::{Schema, ValueId};
 use om_engine::{
     fail, Budget, Condition, EngineConfig, FaultError, OpportunityMap, SharedStore, StoreSnapshot,
 };
+use om_engine::fail::Seam;
 use om_exec::gather_in_order;
 use om_ingest::RowParser;
 use om_server::ops::{ingest_envelope, EngineOps, IngestAck, OpsError, RootPopulation};
@@ -254,7 +255,7 @@ fn fetch_store_once(
     expect: u64,
     metrics: &ClusterMetrics,
 ) -> Result<Fetch, String> {
-    fail::inject("cluster.fetch").map_err(|e| e.to_string())?;
+    fail::inject(Seam::ClusterFetch).map_err(|e| e.to_string())?;
     let (status, body) = shard.get(&format!("/internal/store?expect={expect}"))?;
     match status {
         200 => {
@@ -715,7 +716,7 @@ impl Coordinator {
             loop {
                 // Per-attempt seam: bounds the retry ladder under chaos
                 // and gives tests a hook between attempts.
-                if let Err(e) = fail::inject("cluster.replica-retry") {
+                if let Err(e) = fail::inject(Seam::ClusterReplicaRetry) {
                     failures.push((g, format!("failpoint: {e}")));
                     break;
                 }
@@ -1209,7 +1210,7 @@ impl Coordinator {
             };
             // Per-replica seam: a skipped replica is a miss, queued for
             // catch-up replay like any other write failure.
-            if let Err(e) = fail::inject("cluster.ingest-replica") {
+            if let Err(e) = fail::inject(Seam::ClusterIngestReplica) {
                 failures.push((g, format!("failpoint: {e}")));
                 missed.push(g);
                 continue;
@@ -1329,7 +1330,7 @@ impl DrillPopulation for ClusterPopulation<'_> {
     fn descend(&mut self, condition: Condition) -> Result<Descent, CompareError> {
         // Each condition costs a cluster-wide count; the seam bounds the
         // walk the same way compare.drill-level bounds levels.
-        if let Err(e) = fail::inject("cluster.validate-prefix") {
+        if let Err(e) = fail::inject(Seam::ClusterValidatePrefix) {
             let env = self
                 .co
                 .overloaded(format!("prefix validation aborted: {e}"));

@@ -23,7 +23,8 @@ use std::sync::Arc;
 use om_car::Condition;
 use om_cube::{ColumnIndex, CubeStore, PopulationSelector};
 use om_data::{DataError, Dataset, Schema};
-use om_fault::{fail, Budget};
+use om_fault::fail::{self, Seam};
+use om_fault::Budget;
 
 use crate::rank::{CompareConfig, CompareError, Comparator, ComparisonResult, ComparisonSpec};
 
@@ -274,7 +275,7 @@ where
 
     for depth in 0..=last {
         budget.check()?;
-        fail::inject("compare.drill-level")?;
+        fail::inject(Seam::CompareDrillLevel)?;
         let attrs = candidate_attrs_in(pop.schema(), spec.attr, &excluded);
         if attrs.len() < 2 {
             break; // only the selected attribute left — nothing to rank

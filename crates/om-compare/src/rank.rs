@@ -15,7 +15,8 @@ use std::fmt;
 use om_cube::olap::slice;
 use om_cube::{CubeError, CubeStore, RuleCube};
 use om_data::ValueId;
-use om_fault::{fail, Budget, FaultError};
+use om_fault::fail::{self, Seam};
+use om_fault::{Budget, FaultError};
 
 use crate::interval::IntervalMethod;
 use crate::measure::{score_attribute, AttrScore, SubPopCounts};
@@ -375,7 +376,7 @@ pub fn score_candidate(
     norm: &NormalizedSpec,
     other: usize,
 ) -> Result<AttrScore, CompareError> {
-    fail::inject("compare.attr")?;
+    fail::inject(Seam::CompareAttr)?;
     let spec = &norm.spec;
     let (labels, d1, d2) =
         subpop_counts(store, spec.attr, other, spec.value_1, spec.value_2, spec.class)?;

@@ -19,7 +19,7 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use om_data::DataError;
-use om_fault::fail;
+use om_fault::fail::{self, Seam};
 
 use crate::cube::{CubeDim, RuleCube};
 
@@ -229,7 +229,7 @@ pub fn encode_cube(cube: &RuleCube) -> Result<Bytes, DataError> {
 /// # Errors
 /// Fails on bad magic/version, truncation, or checksum mismatch.
 pub fn decode_cube(buf: Bytes) -> Result<RuleCube, DataError> {
-    fail::inject("cube.decode").map_err(|e| DataError::Decode(e.to_string()))?;
+    fail::inject(Seam::CubeDecode).map_err(|e| DataError::Decode(e.to_string()))?;
     decode_cube_body(open_frame(buf, MAGIC, "cube")?)
 }
 
@@ -383,7 +383,7 @@ fn decode_store_body(mut buf: Bytes) -> Result<crate::store::CubeStore, DataErro
 /// Fails on bad magic/version, truncation, checksum mismatch, or
 /// inconsistent cube blobs.
 pub fn decode_store(buf: Bytes) -> Result<crate::store::CubeStore, DataError> {
-    fail::inject("store.decode").map_err(|e| DataError::Decode(e.to_string()))?;
+    fail::inject(Seam::StoreDecode).map_err(|e| DataError::Decode(e.to_string()))?;
     decode_store_body(open_frame(buf, STORE_MAGIC, "store")?)
 }
 

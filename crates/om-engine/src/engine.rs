@@ -17,7 +17,8 @@ use om_exec::{
     rank_parallel, BatchItem, BatchOutcome, DrillSource, ExecConfig, Executor, StoreRef,
 };
 use om_explore::{ExploreError, ExploreQuery, ExploreReport};
-use om_fault::{fail, Budget, FaultError};
+use om_fault::fail::{self, Seam};
+use om_fault::{Budget, FaultError};
 use om_ingest::{IngestConfig, IngestError, IngestHandle};
 use om_gi::{
     mine_exceptions_budgeted, mine_influence_budgeted, mine_trends_budgeted, Exception,
@@ -444,7 +445,7 @@ impl OpportunityMap {
         spec: &ComparisonSpec,
         ctx: ExecCtx<'_>,
     ) -> Result<ComparisonResult, EngineError> {
-        fail::inject("engine.compare")?;
+        fail::inject(Seam::EngineCompare)?;
         self.compare_on(&self.store(), spec, ctx)
     }
 
@@ -496,7 +497,7 @@ impl OpportunityMap {
         query: &ExploreQuery,
         ctx: ExecCtx<'_>,
     ) -> Result<ExploreReport, EngineError> {
-        fail::inject("engine.explore")?;
+        fail::inject(Seam::EngineExplore)?;
         self.explore_on(&self.store(), query, ctx)
     }
 
@@ -599,7 +600,7 @@ impl OpportunityMap {
         config: &DrillConfig,
         ctx: ExecCtx<'_>,
     ) -> Result<Vec<DrillLevel>, EngineError> {
-        fail::inject("engine.drill")?;
+        fail::inject(Seam::EngineDrill)?;
         let spec = self.spec_by_name(attr_name, value_1, value_2, class)?;
         let mut pop = SelectorPopulation::new(self.kernel()?.selector(), spec.attr);
         Ok(self.drill_down_on(&mut pop, &spec, config, ctx)?)
@@ -641,7 +642,7 @@ impl OpportunityMap {
         drill_config: &DrillConfig,
         ctx: ExecCtx<'_>,
     ) -> Result<Vec<BatchOutcome>, EngineError> {
-        fail::inject("engine.batch")?;
+        fail::inject(Seam::EngineBatch)?;
         if let Some(budget) = ctx.budget {
             budget.check()?;
         }
@@ -679,7 +680,7 @@ impl OpportunityMap {
     /// # Errors
     /// [`EngineError::Fault`] on budget overrun.
     pub fn run_general_impressions(&self, ctx: ExecCtx<'_>) -> Result<GiReport, EngineError> {
-        fail::inject("engine.gi")?;
+        fail::inject(Seam::EngineGi)?;
         self.general_impressions_on(&self.store(), ctx)
     }
 

@@ -31,7 +31,8 @@ use om_compare::{
 };
 use om_cube::ColumnIndex;
 use om_data::ValueId;
-use om_fault::{fail, Budget};
+use om_fault::fail::{self, Seam};
+use om_fault::Budget;
 
 use crate::pool::Executor;
 use crate::rank::{rank_parallel, StoreRef};
@@ -237,7 +238,7 @@ fn run_compare_group(
     config: &CompareConfig,
     members: Vec<(usize, ComparisonSpec, Budget)>,
 ) -> Vec<(usize, BatchOutcome)> {
-    if let Err(e) = fail::inject("exec.batch-group") {
+    if let Err(e) = fail::inject(Seam::ExecBatchGroup) {
         let out = BatchOutcome::from_error(&CompareError::Fault(e));
         return members.iter().map(|(i, _, _)| (*i, out.clone())).collect();
     }
@@ -289,7 +290,7 @@ fn run_compare_group(
         for (i, norm, item_budget, mut scores) in live {
             let step = (|| -> Result<AttrScore, CompareError> {
                 item_budget.check()?;
-                fail::inject("compare.attr")?;
+                fail::inject(Seam::CompareAttr)?;
                 let oriented_lo = norm.spec.value_1 <= norm.spec.value_2;
                 let (d1, d2) = if oriented_lo { (&s_lo, &s_hi) } else { (&s_hi, &s_lo) };
                 Ok(score_attribute(

@@ -16,7 +16,8 @@ use om_compare::{
     ComparisonSpec, NormalizedSpec,
 };
 use om_cube::{CubeStore, StoreSnapshot};
-use om_fault::{fail, Budget};
+use om_fault::fail::{self, Seam};
+use om_fault::Budget;
 
 use crate::pool::Executor;
 
@@ -61,7 +62,7 @@ pub fn rank_parallel<S: StoreRef>(
     budget: &Budget,
 ) -> Result<ComparisonResult, CompareError> {
     budget.check()?;
-    fail::inject("exec.rank")?;
+    fail::inject(Seam::ExecRank)?;
     let norm = normalize(store.store(), config, spec)?;
     let candidates: Vec<usize> = store
         .store()

@@ -13,7 +13,8 @@ use std::cmp::Ordering;
 use om_compare::{subpop_slices, CompareConfig, ComparisonResult, ComparisonSpec};
 use om_data::ValueId;
 use om_exec::{rank_parallel, Executor, StoreRef};
-use om_fault::{fail, Budget};
+use om_fault::fail::{self, Seam};
+use om_fault::Budget;
 
 use crate::error::ExploreError;
 use crate::greedy::{greedy, GreedyOutcome, Picked};
@@ -70,7 +71,7 @@ pub(crate) fn explore_compare<S: StoreRef>(
             continue;
         }
         budget.check()?;
-        fail::inject("explore.scan")?;
+        fail::inject(Seam::ExploreScan)?;
         let (_labels, d1, d2) = subpop_slices(cs, attr, b, result.value_1, result.value_2)?;
         push_cands_from(&d1, &[], &mut pool1)?;
         push_cands_from(&d2, &[], &mut pool2)?;

@@ -17,7 +17,8 @@ use std::sync::Arc;
 
 use om_cube::CubeStore;
 use om_exec::{gather_in_order, Executor, StoreRef};
-use om_fault::{fail, Budget};
+use om_fault::fail::{self, Seam};
+use om_fault::Budget;
 
 use crate::error::ExploreError;
 use crate::pool::{conditioned, overlap_upper, push_cands_from, Cand, Cond};
@@ -168,7 +169,7 @@ fn expand_children(
             continue;
         }
         budget.check()?;
-        fail::inject("explore.scan")?;
+        fail::inject(Seam::ExploreScan)?;
         let sub = conditioned(store, p, b)?;
         let mut fresh = Vec::new();
         push_cands_from(&sub, &[p], &mut fresh)?;
@@ -241,7 +242,7 @@ pub(crate) fn greedy<S: StoreRef>(
                 Err(e) => return Err(e),
             }
         }
-        if fail::inject("explore.step").is_err() {
+        if fail::inject(Seam::ExploreStep).is_err() {
             out.truncated = true;
             break;
         }

@@ -5,7 +5,8 @@ use std::sync::Arc;
 
 use om_cube::{CubeStore, RuleCube};
 use om_data::ValueId;
-use om_fault::{fail, Budget};
+use om_fault::fail::{self, Seam};
+use om_fault::Budget;
 
 use crate::error::ExploreError;
 
@@ -160,7 +161,7 @@ pub(crate) fn build_pool(
         None => {
             for &a in store.attrs() {
                 budget.check()?;
-                fail::inject("explore.scan")?;
+                fail::inject(Seam::ExploreScan)?;
                 let one = store.one_dim(a)?;
                 push_cands_from(&one, &[], &mut pool)?;
             }
@@ -171,7 +172,7 @@ pub(crate) fn build_pool(
                     continue;
                 }
                 budget.check()?;
-                fail::inject("explore.scan")?;
+                fail::inject(Seam::ExploreScan)?;
                 let sub = conditioned(store, s, b)?;
                 push_cands_from(&sub, &[], &mut pool)?;
             }

@@ -242,55 +242,3 @@ proptest! {
         }
     }
 }
-
-#[cfg(feature = "failpoints")]
-mod chaos {
-    use super::*;
-    use om_fault::fail;
-    use std::sync::{Mutex, OnceLock};
-
-    /// Failpoint arming is process-global; serialize chaos tests.
-    fn guard() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        let m = LOCK.get_or_init(|| Mutex::new(()));
-        m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    #[test]
-    fn step_fault_truncates_with_a_partial_prefix() {
-        let _g = guard();
-        let (store, _) = fixture(4_000, 7);
-        let full = run(&store, &ExploreQuery::top_k(5), 1);
-        fail::configure("explore.step", fail::Action::Error("injected".into()));
-        let exec = Executor::serial();
-        let partial = explore(
-            &exec,
-            &store,
-            &CompareConfig::default(),
-            &ExploreQuery::top_k(5),
-            &Budget::unlimited(),
-        );
-        fail::remove("explore.step");
-        let partial = partial.unwrap();
-        assert!(partial.truncated);
-        assert_eq!(partial.summaries.len(), 1, "one step completed before the fault");
-        assert_eq!(partial.summaries[0], full.summaries[0], "partial is a prefix");
-    }
-
-    #[test]
-    fn scan_fault_before_any_summary_propagates() {
-        let _g = guard();
-        let (store, _) = fixture(4_000, 7);
-        fail::configure("explore.scan", fail::Action::Error("injected".into()));
-        let exec = Executor::serial();
-        let r = explore(
-            &exec,
-            &store,
-            &CompareConfig::default(),
-            &ExploreQuery::top_k(5),
-            &Budget::unlimited(),
-        );
-        fail::remove("explore.scan");
-        assert!(matches!(r, Err(ExploreError::Fault(_))), "{r:?}");
-    }
-}

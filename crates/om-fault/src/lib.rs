@@ -12,10 +12,10 @@
 //!   plus a clock read when a deadline is armed), and exceeding the
 //!   budget surfaces as a typed [`FaultError::DeadlineExceeded`] instead
 //!   of running forever.
-//! * [`fail`] — named failpoints for deterministic chaos testing. With
-//!   the `failpoints` feature off (the default) every hook compiles to an
-//!   inlined `Ok(())`; with it on, tests inject delays, errors and panics
-//!   at engine and persistence seams.
+//! * [`fail`] — typed failpoint seams for deterministic chaos testing.
+//!   Every build carries them; an unarmed seam costs one relaxed atomic
+//!   load and a branch. Tests, or `OM_FAILPOINTS` on any binary, inject
+//!   delays, errors and panics at engine and persistence seams.
 
 pub mod budget;
 pub mod fail;

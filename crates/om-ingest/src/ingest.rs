@@ -38,7 +38,7 @@ use parking_lot::Mutex;
 use om_cube::{CubeStore, SharedStore};
 use om_data::{Column, Dataset, Schema, ValueId};
 use om_discretize::CutPoints;
-use om_fault::fail;
+use om_fault::fail::{self, Seam};
 
 use crate::error::IngestError;
 use crate::row::RowParser;
@@ -162,7 +162,7 @@ fn compactor_loop(
                     // An injected merge fault models the process dying
                     // before compaction: the segment stays WAL-durable
                     // and is replayed on restart.
-                    let folded = fail::inject("ingest.merge")
+                    let folded = fail::inject(Seam::IngestMerge)
                         .map_err(IngestError::from)
                         .and_then(|()| Ok(master.fold(&batch)?));
                     match folded {
@@ -344,7 +344,7 @@ impl IngestHandle {
         let n = rows.len();
         // om-lint: allow(lock-across-io) — the state lock IS the WAL serialization point: appends must hit the log in lock order, so the fsync happens under it by contract (docs/ingest.md)
         let mut state = self.inner.state.lock();
-        fail::inject("ingest.append")?;
+        fail::inject(Seam::IngestAppend)?;
         state.wal.append(&rows)?;
         self.inner
             .metrics
@@ -379,7 +379,7 @@ impl IngestHandle {
         // The ISSUE's crash point: rows are WAL-durable but the segment
         // is not yet sealed. An injected error here leaves exactly that
         // state behind for recovery to replay.
-        fail::inject("ingest.seal")?;
+        fail::inject(Seam::IngestSeal)?;
         state.wal.seal()?;
         let rows = std::mem::take(&mut state.staging);
         let batch = segment_dataset(self.inner.parser.schema(), &rows)?;

@@ -1,18 +1,17 @@
-//! Crash-recovery chaos suite (compiled only with `--features
-//! failpoints`): kill the append→seal→merge protocol at each stage via
-//! injected faults, restart over the same WAL directory, and require the
-//! recovered store to be count-identical to a run that never crashed.
+//! Crash-recovery chaos suite: kill the append→seal→merge protocol at
+//! each stage via injected faults, restart over the same WAL directory,
+//! and require the recovered store to be count-identical to a run that
+//! never crashed.
 //!
 //! One test function walks all stages sequentially — the failpoint
 //! registry is process-global, so scenarios must not run concurrently.
-#![cfg(feature = "failpoints")]
 
 use std::path::{Path, PathBuf};
 
 use om_compare::{Comparator, ComparisonSpec};
 use om_cube::{CubeStore, SharedStore, StoreBuildOptions};
 use om_data::{Dataset, ValueId};
-use om_fault::fail::{self, Action};
+use om_fault::fail::{self, Action, Seam};
 use om_ingest::{IngestConfig, IngestHandle};
 use om_synth::{generate_scaleup, ScaleUpConfig};
 
@@ -119,10 +118,10 @@ fn crash_at_every_protocol_stage_recovers_exact_counts() {
     clean.flush().unwrap();
     let truth = clean_shared.snapshot();
 
-    for (stage, failpoint) in [
-        ("append", "ingest.append"),
-        ("seal", "ingest.seal"),
-        ("merge", "ingest.merge"),
+    for (stage, seam) in [
+        ("append", Seam::IngestAppend),
+        ("seal", Seam::IngestSeal),
+        ("merge", Seam::IngestMerge),
     ] {
         let dir = tmp_dir(stage);
         // Life 1: the fault fires mid-protocol, then the process "dies"
@@ -130,7 +129,7 @@ fn crash_at_every_protocol_stage_recovers_exact_counts() {
         {
             let shared = shared_over(&base);
             let handle = start(&base, &shared, &dir);
-            fail::configure(failpoint, Action::Error(format!("killed at {stage}")));
+            fail::configure(seam, Action::Error(format!("killed at {stage}")));
             let result = handle.append_rows(rows_of(&live));
             // Drain the compactor while the fault is still armed so a
             // merge-stage fault deterministically drops its delta.

@@ -1,13 +1,13 @@
 //! om-lint: a zero-dependency workspace invariant checker.
 //!
-//! The last four PRs bought production guarantees — panic-isolated
-//! request paths, registered `/metrics` counters, a documented error
-//! envelope, vendored-only dependencies, WAL frame discipline — but
-//! none of them were machine-checked. This crate mines those rules out
-//! of the source tree and enforces them: a hand-rolled Rust lexer
+//! The workspace's production guarantees — panic-isolated request
+//! paths, registered `/metrics` counters, a documented error envelope,
+//! lock discipline, budgeted request loops — are not all expressible to
+//! the compiler. This crate mines those rules out of the source tree
+//! and enforces them: a hand-rolled Rust lexer
 //! ([`lexer`]), a lightweight item scanner ([`scan`]), a workspace
 //! call graph with per-function effect summaries ([`callgraph`],
-//! [`effects`]), and ten repo-specific checks ([`checks`]) that run
+//! [`effects`]), and six repo-specific checks ([`checks`]) that run
 //! per-file, workspace-wide and interprocedurally, report `file:line`
 //! findings (optionally as JSON), and honor inline suppressions:
 //!
@@ -93,8 +93,6 @@ pub struct CheckConfig {
     pub envelope_source: String,
     /// The markdown file carrying the error-code table.
     pub envelope_doc: String,
-    /// The file declaring `SEAMS`, the failpoint name registry.
-    pub failpoint_registry: String,
     /// Path prefixes where `budget-coverage` requires request-path
     /// loops to poll a Budget/failpoint seam.
     pub budget_scopes: Vec<String>,
@@ -124,7 +122,6 @@ impl Default for CheckConfig {
             ],
             envelope_source: "crates/om-api/src/error.rs".into(),
             envelope_doc: "docs/api.md".into(),
-            failpoint_registry: "crates/om-fault/src/fail.rs".into(),
             budget_scopes: vec![
                 "crates/om-server/src/".into(),
                 "crates/om-cluster/src/".into(),
@@ -228,8 +225,7 @@ impl Workspace {
         // suppressions erase them.
         findings.extend(checks::unused_suppression::run(self, &findings));
         findings.extend(self.suppression_hygiene());
-        // Apply .rs suppressions (manifest suppressions are handled by
-        // the vendor check itself, which reads `#` comments).
+        // Apply suppressions.
         let by_file: BTreeMap<&str, &ScanInfo> = self
             .sources
             .iter()

@@ -1,5 +1,6 @@
 //! Fixture: the same fan-out loop, bounded — every round polls the
-//! request budget before paying for another network fetch.
+//! request budget, or crosses a failpoint seam, before paying for
+//! another network fetch.
 
 use std::io::Read;
 use std::net::TcpStream;
@@ -28,6 +29,27 @@ pub fn handle_count(budget: &Budget, addrs: &[String]) -> std::io::Result<u64> {
         total = total.wrapping_add(fetch_count(a)?);
     }
     Ok(total)
+}
+
+pub fn handle_count_seamed(addrs: &[String]) -> std::io::Result<u64> {
+    let mut total = 0u64;
+    for a in addrs {
+        if fail::inject(Seam::ClusterFetch).is_err() {
+            break;
+        }
+        total = total.wrapping_add(fetch_count(a)?);
+    }
+    Ok(total)
+}
+
+pub enum Seam {
+    ClusterFetch,
+}
+
+mod fail {
+    pub fn inject(_seam: super::Seam) -> Result<(), String> {
+        Ok(())
+    }
 }
 
 fn fetch_count(addr: &str) -> std::io::Result<u64> {

@@ -5,7 +5,7 @@
 use std::path::PathBuf;
 
 use om_lint::fixtures::{fixtures_dir, run_all};
-use om_lint::{find_workspace_root, jsonout, CheckConfig, Workspace};
+use om_lint::{checks, find_workspace_root, jsonout, CheckConfig, Workspace};
 
 fn workspace_root() -> PathBuf {
     let here = std::env::current_dir().expect("cwd");
@@ -15,8 +15,10 @@ fn workspace_root() -> PathBuf {
 #[test]
 fn fixture_corpus_is_green() {
     let outcomes = run_all(&fixtures_dir(&workspace_root())).expect("corpus loads");
-    // Every check ships both kinds; a missing dir shows up as a failure.
-    assert!(outcomes.len() >= 24, "corpus too small: {}", outcomes.len());
+    // Every check and driver pass ships both kinds; a missing dir shows
+    // up as a failure.
+    let named = checks::all().len() + checks::driver_passes().len();
+    assert_eq!(outcomes.len(), 2 * named, "one fixture pair per check");
     let failures: Vec<_> = outcomes.iter().filter(|o| !o.pass).collect();
     assert!(failures.is_empty(), "fixture failures: {failures:?}");
 }

@@ -39,6 +39,7 @@ use om_compare::CompareError;
 use om_cube::persist::encode_store;
 use om_cube::PopulationSelector;
 use om_data::persist::encode_dataset;
+use om_engine::fail::{self, Seam};
 use om_engine::{IngestHandle, OpportunityMap};
 
 use crate::http::{Request, Response};
@@ -105,9 +106,8 @@ fn schema(om: &OpportunityMap) -> Response {
 fn store(req: &Request, om: &OpportunityMap, wire: &StoreWireCache) -> Response {
     // Chaos seam: delay or fail the shard-side store fetch — the
     // coordinator's hedged fetches and whole-request deadline are
-    // exercised against exactly this handler. Compiles to nothing
-    // without `failpoints`.
-    if let Err(e) = om_fault::fail::inject("server.internal-store") {
+    // exercised against exactly this handler.
+    if let Err(e) = fail::inject(Seam::ServerInternalStore) {
         return Response::error(500, &e.to_string());
     }
     let Some(expect) = req.params.get("expect") else {

@@ -44,7 +44,8 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::TrySendError;
 use om_engine::{IngestHandle, OpportunityMap};
-use om_fault::{fail, Budget, CancelToken};
+use om_fault::fail::{self, Seam};
+use om_fault::{Budget, CancelToken};
 
 use crate::http::{ParseError, Response};
 use crate::internal::StoreWireCache;
@@ -373,8 +374,8 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
 fn respond(req: &http::Request, shared: &Shared) -> Response {
     // Chaos seam: a configured failpoint here injects an error (-> 500)
     // or a panic (caught by the worker's isolation barrier) before any
-    // real work happens. Compiles to nothing without `failpoints`.
-    if let Err(e) = fail::inject("server.respond") {
+    // real work happens.
+    if let Err(e) = fail::inject(Seam::ServerRespond) {
         return Response::error(500, &e.to_string());
     }
     let opts = RouteOptions {

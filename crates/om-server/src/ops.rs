@@ -34,6 +34,7 @@ use om_engine::{
     fail, BatchItem, BatchOutcome, Budget, Condition, EngineError, FaultError, GiReport,
     IngestError, IngestHandle, OpportunityMap, StoreSnapshot,
 };
+use om_engine::fail::Seam;
 use om_exec::{DrillSource, DrillWalk};
 
 /// A backend failure, in one of the two shapes the handlers map from:
@@ -236,7 +237,7 @@ pub trait EngineOps: Send + Sync {
         budget: &Budget,
     ) -> Result<Vec<DrillLevel>, OpsError> {
         let om = self.engine();
-        fail::inject("engine.drill")?;
+        fail::inject(Seam::EngineDrill)?;
         let spec = om.spec_by_name(attr, value_1, value_2, class)?;
         let mut pop = self.drill_root(spec.attr)?;
         om.drill_down_on(&mut *pop, &spec, config, om.exec_ctx(Some(budget)))
@@ -291,7 +292,7 @@ pub trait EngineOps: Send + Sync {
         budget: &Budget,
     ) -> Result<Vec<BatchOutcome>, OpsError> {
         let om = self.engine();
-        fail::inject("engine.batch")?;
+        fail::inject(Seam::EngineBatch)?;
         budget.check()?;
         let store = self.query_store(budget)?;
         let ctx = om.exec_ctx(Some(budget));
@@ -310,7 +311,7 @@ pub trait EngineOps: Send + Sync {
         budget: &Budget,
     ) -> Result<om_explore::ExploreReport, OpsError> {
         let om = self.engine();
-        fail::inject("engine.explore")?;
+        fail::inject(Seam::EngineExplore)?;
         let store = self.query_store(budget)?;
         Ok(om.explore_on(&store, query, om.exec_ctx(Some(budget)))?)
     }
@@ -325,7 +326,7 @@ fn compare_by_name<T: EngineOps + ?Sized>(
 ) -> Result<(ComparisonResult, Option<CoverageWire>), OpsError> {
     let om = ops.engine();
     let spec = om.spec_by_name(attr, value_1, value_2, class)?;
-    fail::inject("engine.compare")?;
+    fail::inject(Seam::EngineCompare)?;
     let (store, coverage) = ops.pin_store(allow_partial, budget)?;
     let result = om.compare_on(&store, &spec, om.exec_ctx(Some(budget)))?;
     Ok((result, coverage))
@@ -338,7 +339,7 @@ fn general_impressions<T: EngineOps + ?Sized>(
     budget: &Budget,
 ) -> Result<(GiReport, Option<CoverageWire>), OpsError> {
     let om = ops.engine();
-    fail::inject("engine.gi")?;
+    fail::inject(Seam::EngineGi)?;
     let (store, coverage) = ops.pin_store(allow_partial, budget)?;
     let report = om.general_impressions_on(&store, om.exec_ctx(Some(budget)))?;
     Ok((report, coverage))

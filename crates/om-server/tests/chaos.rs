@@ -2,10 +2,9 @@
 //! panics into the request path, and the suite asserts the server sheds,
 //! times out, isolates and drains exactly as designed.
 //!
-//! Only built with `--features failpoints`; the registry is
-//! process-global, so every test serializes on one mutex and disarms
-//! its failpoints on exit (even when the assertion panics).
-#![cfg(feature = "failpoints")]
+//! The failpoint registry is process-global, so every test in this
+//! binary serializes on one mutex and disarms its failpoints on exit
+//! (even when the assertion panics).
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -13,7 +12,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 use om_engine::{EngineConfig, OpportunityMap};
-use om_fault::fail::{self, Action};
+use om_fault::fail::{self, Action, Seam};
 use om_server::{Server, ServerConfig};
 use om_synth::paper_scenario;
 
@@ -88,7 +87,7 @@ fn expensive_query_times_out_while_cheap_queries_succeed() {
     let _chaos = chaos();
     // Every per-attribute step of a comparison stalls 30ms; with a 150ms
     // budget the deadline trips after ~5 attributes.
-    fail::configure("compare.attr", Action::Delay(Duration::from_millis(30)));
+    fail::configure(Seam::CompareAttr, Action::Delay(Duration::from_millis(30)));
     let budget = Duration::from_millis(150);
     let server = Server::start(
         engine(),
@@ -145,7 +144,7 @@ fn injected_panic_is_500_and_the_worker_pool_survives() {
     .unwrap();
     let addr = server.local_addr();
 
-    fail::configure("server.respond", Action::Panic("chaos".into()));
+    fail::configure(Seam::ServerRespond, Action::Panic("chaos".into()));
     for _ in 0..3 {
         let (status, _, body) = get(addr, "/healthz");
         assert_eq!(status, 500, "{body}");
@@ -153,7 +152,7 @@ fn injected_panic_is_500_and_the_worker_pool_survives() {
     }
 
     // Disarmed, the same (sole) worker keeps serving.
-    fail::remove("server.respond");
+    fail::remove(Seam::ServerRespond);
     let (status, _, body) = get(addr, "/healthz");
     assert_eq!(status, 200, "{body}");
     assert_eq!(server.metrics().panics_caught(), 3);
@@ -165,7 +164,7 @@ fn injected_panic_is_500_and_the_worker_pool_survives() {
 #[test]
 fn injected_error_is_500_with_the_injected_message() {
     let _chaos = chaos();
-    fail::configure("engine.compare", Action::Error("chaos wire fault".into()));
+    fail::configure(Seam::EngineCompare, Action::Error("chaos wire fault".into()));
     let server = Server::start(engine(), ServerConfig::default()).unwrap();
     let (status, _, body) = compare(server.local_addr());
     assert_eq!(status, 500, "{body}");
@@ -179,7 +178,7 @@ fn full_admission_queue_sheds_overflow_with_503() {
     // One worker stalled 400ms per request and a single queue slot: of
     // six concurrent comparisons, at most two can be served promptly and
     // the rest must be shed at admission.
-    fail::configure("engine.compare", Action::Delay(Duration::from_millis(400)));
+    fail::configure(Seam::EngineCompare, Action::Delay(Duration::from_millis(400)));
     let server = Server::start(
         engine(),
         ServerConfig {
@@ -219,7 +218,7 @@ fn full_admission_queue_sheds_overflow_with_503() {
 #[test]
 fn graceful_shutdown_drains_queued_requests() {
     let _chaos = chaos();
-    fail::configure("engine.compare", Action::Delay(Duration::from_millis(200)));
+    fail::configure(Seam::EngineCompare, Action::Delay(Duration::from_millis(200)));
     let server = Server::start(
         engine(),
         ServerConfig {
@@ -254,7 +253,7 @@ fn injected_decode_faults_surface_as_typed_errors() {
         om_cube::CubeStore::build(&ds, &om_cube::StoreBuildOptions::default()).unwrap();
     let blob = om_cube::persist::encode_store(&store).unwrap();
 
-    fail::configure("store.decode", Action::Error("disk bit rot".into()));
+    fail::configure(Seam::StoreDecode, Action::Error("disk bit rot".into()));
     let err = match om_cube::persist::decode_store(blob.clone()) {
         Err(e) => e,
         Ok(_) => panic!("armed store.decode failpoint did not fire"),
@@ -264,7 +263,7 @@ fn injected_decode_faults_surface_as_typed_errors() {
 
     // Disarmed, the same bytes decode fine — the fault was injected, not
     // a real corruption.
-    fail::remove("store.decode");
+    fail::remove(Seam::StoreDecode);
     let roundtrip = om_cube::persist::decode_store(blob).unwrap();
     assert_eq!(roundtrip.attrs(), store.attrs());
 }

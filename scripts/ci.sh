@@ -15,7 +15,7 @@ if git grep -nE 'om[-_]bench|vendor/[c]riterion|[c]riterion::|BENCH_[6-9]\.json|
 fi
 
 echo "==> cargo fmt --check, one crate at a time (the rest of the tree predates rustfmt)"
-for crate in om-ingest om-api; do
+for crate in om-ingest om-api om-fault om-lint; do
     cargo fmt -p "$crate" --check
 done
 
@@ -28,17 +28,8 @@ cargo test -q
 echo "==> vendored shims' own tests (outside the default members)"
 cargo test -q -p bytes -p crossbeam -p parking_lot -p proptest -p rand
 
-echo "==> cargo test -p om-server --features failpoints -q (chaos suite)"
-cargo test -p om-server --features failpoints -q
-
-echo "==> cargo test -p om-ingest --features failpoints -q (ingest recovery + snapshot consistency)"
-cargo test -p om-ingest --features failpoints -q
-
 echo "==> cargo test -p om-exec --test determinism -q (parallel == serial, byte-for-byte)"
 cargo test -p om-exec --test determinism -q
-
-echo "==> cargo test -p om-cluster --features failpoints -q (fault-tolerance suite incl. hedging + deadline)"
-cargo test -p om-cluster --features failpoints -q
 
 echo "==> om-lint fixtures (check self-test corpus; debug + release)"
 # Both build configs: the interprocedural fixpoint must behave the same
@@ -60,26 +51,10 @@ if [ "$lint_elapsed" -gt 30 ]; then
     exit 1
 fi
 
-# One clippy run for the workspace, then one per (crate, features) row:
-# the feature configs the workspace run does not build.
-clippy() {
-    echo "==> cargo clippy $* --all-targets -- -D warnings"
-    cargo clippy "$@" --all-targets -- -D warnings
-}
-clippy --workspace
-while read -r crate features; do
-    clippy -p "$crate" ${features:+--features "$features"}
-done <<'TABLE'
-om-server failpoints
-om-ingest failpoints
-om-exec failpoints
-om-api
-om-cluster
-om-cluster failpoints
-om-cli failpoints
-om-explore
-om-explore failpoints
-TABLE
+# No manifest declares a feature, so the workspace run builds the one
+# configuration there is.
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> perfbench/smoke.sh (the benchmark still builds and runs against these crates)"
 # perfbench is its own package outside the workspace, so nothing above
@@ -124,10 +99,11 @@ target/release/opmap cluster --shards 2 --replicas 2 --records 6000 \
   --requests 200 --verify --chaos --ingest
 
 echo "==> replicated chaos smoke under failpoints (delayed store fetches)"
-# The failpoints build config must hold the same guarantees while every
-# shard's store handler is slowed; exercises retry + deadline paths.
+# The same guarantees must hold while every shard's store handler is
+# slowed; exercises retry + deadline paths. OM_FAILPOINTS arms the
+# release binary; a misspelled entry refuses to start.
 OM_FAILPOINTS="server.internal-store=delay:5" \
-  cargo run -q -p om-cli --features failpoints -- cluster \
+  target/release/opmap cluster \
   --shards 2 --replicas 2 --records 4000 --requests 120 \
   --verify --chaos --ingest
 

@@ -23,7 +23,7 @@ pub enum IngestError {
     Data(DataError),
     /// Folding a sealed segment into the store failed.
     Cube(CubeError),
-    /// An injected fault (chaos builds) or tripped budget.
+    /// An injected fault (chaos tests) or tripped budget.
     Fault(FaultError),
     /// The ingestor was shut down; no more rows are accepted.
     Closed,

@@ -76,14 +76,11 @@ fn read_line_bounded<R: BufRead>(
                 }
                 line.push(b);
                 if line.len() > limit {
-                    return Err(ParseError::Malformed(format!(
-                        "line exceeds {limit} bytes"
-                    )));
+                    return Err(ParseError::Malformed(format!("line exceeds {limit} bytes")));
                 }
             }
             Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut =>
+                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
                 return Err(if *got_any {
                     ParseError::TimedOut
@@ -206,8 +203,7 @@ pub fn parse_request_routed<S: Read>(
     let request_line = read_line_bounded(&mut reader, MAX_REQUEST_LINE, &mut got_any)?;
 
     let mut parts = request_line.split(' ');
-    let (method, target, version) = match (parts.next(), parts.next(), parts.next(), parts.next())
-    {
+    let (method, target, version) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(t), Some(v), None) if !m.is_empty() && !t.is_empty() => (m, t, v),
         _ => {
             return Err(ParseError::Malformed(format!(
@@ -300,8 +296,7 @@ pub fn parse_request_routed<S: Read>(
             Ok(0) => return Err(ParseError::Malformed("truncated body".into())),
             Ok(n) => read += n,
             Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut =>
+                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
                 return Err(ParseError::TimedOut);
             }
@@ -443,8 +438,8 @@ mod tests {
 
     #[test]
     fn parses_query_in_sorted_key_order() {
-        let r = parse_str("GET /internal/store?expect=3&attr=Phone%20Model HTTP/1.1\r\n\r\n")
-            .unwrap();
+        let r =
+            parse_str("GET /internal/store?expect=3&attr=Phone%20Model HTTP/1.1\r\n\r\n").unwrap();
         assert_eq!(r.path, "/internal/store");
         assert_eq!(r.params.keys().collect::<Vec<_>>(), ["attr", "expect"]);
         assert_eq!(r.params["attr"], "Phone Model");
@@ -495,8 +490,10 @@ mod tests {
 
     #[test]
     fn reads_posted_body_to_content_length() {
-        let r = parse_str("POST /ingest HTTP/1.1\r\nContent-Length: 12\r\n\r\na,b,c\nd,e,f\nignored tail")
-            .unwrap();
+        let r = parse_str(
+            "POST /ingest HTTP/1.1\r\nContent-Length: 12\r\n\r\na,b,c\nd,e,f\nignored tail",
+        )
+        .unwrap();
         assert_eq!(r.method, "POST");
         assert_eq!(r.body, "a,b,c\nd,e,f\n");
     }

@@ -60,18 +60,22 @@ pub(crate) fn route_internal(
     wire: &StoreWireCache,
 ) -> Response {
     match req.path.as_str() {
-        "/internal/schema" | "/internal/generation" | "/internal/store"
-            if req.method != "GET" =>
-        {
+        "/internal/schema" | "/internal/generation" | "/internal/store" if req.method != "GET" => {
             Response::error(
                 405,
-                &format!("method {} not allowed for {} (use GET)", req.method, req.path),
+                &format!(
+                    "method {} not allowed for {} (use GET)",
+                    req.method, req.path
+                ),
             )
         }
         "/internal/level" | "/internal/count" | "/internal/flush" if req.method != "POST" => {
             Response::error(
                 405,
-                &format!("method {} not allowed for {} (use POST)", req.method, req.path),
+                &format!(
+                    "method {} not allowed for {} (use POST)",
+                    req.method, req.path
+                ),
             )
         }
         "/internal/schema" => schema(om),

@@ -157,12 +157,18 @@ mod tests {
         assert!(r.body.contains("\"label\":\"ph1\""));
         assert!(r.body.contains("\"confidences\":["));
 
-        let r = post("/v1/cube/slice", r#"{"attr":"PhoneModel","by":"TimeOfCall"}"#);
+        let r = post(
+            "/v1/cube/slice",
+            r#"{"attr":"PhoneModel","by":"TimeOfCall"}"#,
+        );
         assert_eq!(r.status, 200);
         assert!(r.body.contains("\"dims\":["));
         assert!(r.body.contains("\"cells\":["));
 
-        let r = post("/v1/cube/slice", r#"{"attr":"PhoneModel","by":"PhoneModel"}"#);
+        let r = post(
+            "/v1/cube/slice",
+            r#"{"attr":"PhoneModel","by":"PhoneModel"}"#,
+        );
         assert_eq!(r.status, 404, "store rejects the self-pair: {}", r.body);
     }
 

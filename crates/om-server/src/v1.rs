@@ -10,12 +10,12 @@
 //! status is derived from the code.
 
 use om_api::{
-    AttrScoreWire, BatchItemRequest, BatchItemResult, BatchRequest, BatchResponse,
-    CompareRequest, CompareResponse, DrillLevelWire, DrillRequest, DrillResponse, ErrorCode,
-    ErrorEnvelope, ExceptionWire, ExploreCompareWire, ExploreCondWire, ExploreRequest,
-    ExploreResponse, ExploreSummaryWire, GiRequest, GiResponse, IngestRequest, IngestResponse,
-    InfluenceWire, PairCellWire, PairDimWire, SliceRequest, SliceResponse, SliceValueWire,
-    TrendWire, ValueContributionWire,
+    AttrScoreWire, BatchItemRequest, BatchItemResult, BatchRequest, BatchResponse, CompareRequest,
+    CompareResponse, DrillLevelWire, DrillRequest, DrillResponse, ErrorCode, ErrorEnvelope,
+    ExceptionWire, ExploreCompareWire, ExploreCondWire, ExploreRequest, ExploreResponse,
+    ExploreSummaryWire, GiRequest, GiResponse, InfluenceWire, IngestRequest, IngestResponse,
+    PairCellWire, PairDimWire, SliceRequest, SliceResponse, SliceValueWire, TrendWire,
+    ValueContributionWire,
 };
 use om_compare::{AttrScore, ComparisonResult, DrillConfig, DrillLevel};
 use om_cube::CubeView;
@@ -376,15 +376,16 @@ fn cube_slice(
             let cube = store.one_dim(attr).map_err(|e| {
                 ErrorEnvelope::new(ErrorCode::UnknownName, format!("cube error: {e}"))
             })?;
-            let view = CubeView::from_cube(&cube).map_err(|e| {
-                ErrorEnvelope::new(ErrorCode::Invalid, format!("cube error: {e}"))
-            })?;
+            let view = CubeView::from_cube(&cube)
+                .map_err(|e| ErrorEnvelope::new(ErrorCode::Invalid, format!("cube error: {e}")))?;
             let values = (0..view.n_values() as u32)
                 .map(|v| SliceValueWire {
                     // om-lint: allow(panic-path) — v < n_values() == value_labels().len() by the range bound
                     label: view.value_labels()[v as usize].clone(),
                     total: view.value_total(v),
-                    counts: (0..view.n_classes() as u32).map(|c| view.count(v, c)).collect(),
+                    counts: (0..view.n_classes() as u32)
+                        .map(|c| view.count(v, c))
+                        .collect(),
                     // NaN is the wire's spelling of "empty value": it
                     // encodes as `null`.
                     confidences: (0..view.n_classes() as u32)
@@ -403,9 +404,9 @@ fn cube_slice(
             let by = ops
                 .attr_index(by_name)
                 .map_err(|e| ops_envelope(&e, opts))?;
-            let cube = store.pair(attr, by).map_err(|e| {
-                ErrorEnvelope::new(ErrorCode::NotFound, format!("cube error: {e}"))
-            })?;
+            let cube = store
+                .pair(attr, by)
+                .map_err(|e| ErrorEnvelope::new(ErrorCode::NotFound, format!("cube error: {e}")))?;
             let cells = cube
                 .iter_cells()
                 .filter(|(_, _, count)| *count > 0)
@@ -627,7 +628,10 @@ pub fn route_v1(req: &Request, ops: &dyn EngineOps, opts: &RouteOptions) -> Resp
     if req.method != "POST" {
         return envelope_response(&ErrorEnvelope::new(
             ErrorCode::MethodNotAllowed,
-            format!("method {} not allowed for {} (use POST)", req.method, req.path),
+            format!(
+                "method {} not allowed for {} (use POST)",
+                req.method, req.path
+            ),
         ));
     }
     let outcome = match req.path.as_str() {

@@ -164,7 +164,10 @@ fn injected_panic_is_500_and_the_worker_pool_survives() {
 #[test]
 fn injected_error_is_500_with_the_injected_message() {
     let _chaos = chaos();
-    fail::configure(Seam::EngineCompare, Action::Error("chaos wire fault".into()));
+    fail::configure(
+        Seam::EngineCompare,
+        Action::Error("chaos wire fault".into()),
+    );
     let server = Server::start(engine(), ServerConfig::default()).unwrap();
     let (status, _, body) = compare(server.local_addr());
     assert_eq!(status, 500, "{body}");
@@ -178,7 +181,10 @@ fn full_admission_queue_sheds_overflow_with_503() {
     // One worker stalled 400ms per request and a single queue slot: of
     // six concurrent comparisons, at most two can be served promptly and
     // the rest must be shed at admission.
-    fail::configure(Seam::EngineCompare, Action::Delay(Duration::from_millis(400)));
+    fail::configure(
+        Seam::EngineCompare,
+        Action::Delay(Duration::from_millis(400)),
+    );
     let server = Server::start(
         engine(),
         ServerConfig {
@@ -218,7 +224,10 @@ fn full_admission_queue_sheds_overflow_with_503() {
 #[test]
 fn graceful_shutdown_drains_queued_requests() {
     let _chaos = chaos();
-    fail::configure(Seam::EngineCompare, Action::Delay(Duration::from_millis(200)));
+    fail::configure(
+        Seam::EngineCompare,
+        Action::Delay(Duration::from_millis(200)),
+    );
     let server = Server::start(
         engine(),
         ServerConfig {
@@ -249,8 +258,7 @@ fn graceful_shutdown_drains_queued_requests() {
 fn injected_decode_faults_surface_as_typed_errors() {
     let _chaos = chaos();
     let (ds, _) = paper_scenario(500, 7);
-    let store =
-        om_cube::CubeStore::build(&ds, &om_cube::StoreBuildOptions::default()).unwrap();
+    let store = om_cube::CubeStore::build(&ds, &om_cube::StoreBuildOptions::default()).unwrap();
     let blob = om_cube::persist::encode_store(&store).unwrap();
 
     fail::configure(Seam::StoreDecode, Action::Error("disk bit rot".into()));

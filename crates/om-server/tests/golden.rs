@@ -66,8 +66,7 @@ fn check_golden(name: &str, actual: &str) {
     );
 }
 
-const V1_COMPARE_BODY: &str =
-    r#"{"attr":"PhoneModel","v1":"ph1","v2":"ph2","class":"dropped"}"#;
+const V1_COMPARE_BODY: &str = r#"{"attr":"PhoneModel","v1":"ph1","v2":"ph2","class":"dropped"}"#;
 
 #[test]
 fn v1_compare_shape() {
@@ -75,7 +74,11 @@ fn v1_compare_shape() {
     assert_eq!(v1.status, 200);
     check_golden("v1_compare.json", &v1.body);
     let parsed = om_api::CompareResponse::parse(&v1.body).unwrap();
-    assert_eq!(parsed.encode(), v1.body, "om-api round-trip must be lossless");
+    assert_eq!(
+        parsed.encode(),
+        v1.body,
+        "om-api round-trip must be lossless"
+    );
 }
 
 #[test]
@@ -100,7 +103,10 @@ fn v1_drill_with_fixed_path() {
     check_golden("v1_drill_path.json", &v1.body);
     let parsed = om_api::DrillResponse::parse(&v1.body).unwrap();
     assert_eq!(parsed.levels.len(), 2, "root + one pinned condition");
-    assert_eq!(parsed.levels[1].conditions, vec!["TimeOfCall=evening".to_owned()]);
+    assert_eq!(
+        parsed.levels[1].conditions,
+        vec!["TimeOfCall=evening".to_owned()]
+    );
     assert_eq!(parsed.encode(), v1.body);
 }
 
@@ -118,12 +124,21 @@ fn v1_slice_shapes() {
     let one = post("/v1/cube/slice", r#"{"attr":"PhoneModel"}"#);
     assert_eq!(one.status, 200);
     check_golden("v1_slice_one_dim.json", &one.body);
-    assert_eq!(om_api::SliceResponse::parse(&one.body).unwrap().encode(), one.body);
+    assert_eq!(
+        om_api::SliceResponse::parse(&one.body).unwrap().encode(),
+        one.body
+    );
 
-    let pair = post("/v1/cube/slice", r#"{"attr":"PhoneModel","by":"TimeOfCall"}"#);
+    let pair = post(
+        "/v1/cube/slice",
+        r#"{"attr":"PhoneModel","by":"TimeOfCall"}"#,
+    );
     assert_eq!(pair.status, 200);
     check_golden("v1_slice_pair.json", &pair.body);
-    assert_eq!(om_api::SliceResponse::parse(&pair.body).unwrap().encode(), pair.body);
+    assert_eq!(
+        om_api::SliceResponse::parse(&pair.body).unwrap().encode(),
+        pair.body
+    );
 }
 
 #[test]
@@ -141,7 +156,10 @@ fn v1_batch_shape() {
         panic!("item 1 should be a comparison")
     };
     assert_eq!(c.encode(), post("/v1/compare", V1_COMPARE_BODY).body);
-    assert!(matches!(&parsed.items[1], om_api::BatchItemResult::Drill(_)));
+    assert!(matches!(
+        &parsed.items[1],
+        om_api::BatchItemResult::Drill(_)
+    ));
     let om_api::BatchItemResult::Error(e) = &parsed.items[2] else {
         panic!("item 3 should carry an error envelope")
     };
@@ -159,7 +177,11 @@ fn v1_explore_shape() {
     assert!((1..=5).contains(&parsed.summaries.len()), "{}", r.body);
     assert!(!parsed.truncated);
     assert!(parsed.compare.is_none());
-    assert_eq!(parsed.encode(), r.body, "om-api round-trip must be lossless");
+    assert_eq!(
+        parsed.encode(),
+        r.body,
+        "om-api round-trip must be lossless"
+    );
 }
 
 #[test]
@@ -194,13 +216,19 @@ fn v1_explore_compare_shape() {
     assert!((1..=6).contains(&parsed.summaries.len()), "{}", r.body);
     let compare = parsed.compare.as_ref().expect("compare metadata present");
     assert_eq!(compare.attribute, "PhoneModel");
-    assert!(parsed.summaries.iter().all(|s| s.side.is_some() && s.mass.is_some()));
+    assert!(parsed
+        .summaries
+        .iter()
+        .all(|s| s.side.is_some() && s.mass.is_some()));
     assert_eq!(parsed.encode(), r.body);
 }
 
 #[test]
 fn v1_explore_error_envelopes() {
-    let unknown = post("/v1/explore", r#"{"k":3,"slice":[{"attr":"Bogus","value":"x"}]}"#);
+    let unknown = post(
+        "/v1/explore",
+        r#"{"k":3,"slice":[{"attr":"Bogus","value":"x"}]}"#,
+    );
     assert_eq!(unknown.status, 404, "{}", unknown.body);
     check_golden("v1_explore_error_unknown.json", &unknown.body);
 
@@ -230,7 +258,12 @@ fn row_fields_of(om: &OpportunityMap) -> Vec<String> {
     (0..ds.schema().n_attributes())
         .map(|i| {
             let id = ds.column(i).as_categorical().expect("discretized")[0];
-            ds.schema().attribute(i).domain().label(id).unwrap().to_owned()
+            ds.schema()
+                .attribute(i)
+                .domain()
+                .label(id)
+                .unwrap()
+                .to_owned()
         })
         .collect()
 }
@@ -267,7 +300,10 @@ fn v1_ingest_roundtrip() {
 
     let row = row_fields_of(&om);
     let ok = post(
-        &om_api::IngestRequest { rows: vec![row.clone(), row.clone()] }.encode(),
+        &om_api::IngestRequest {
+            rows: vec![row.clone(), row.clone()],
+        }
+        .encode(),
         &opts,
     );
     assert_eq!(ok.status, 200, "{}", ok.body);
@@ -300,7 +336,9 @@ fn v1_ingest_roundtrip() {
     assert_eq!(shed.status, 503, "{}", shed.body);
     assert_eq!(shed.retry_after, Some(3));
     assert_eq!(
-        om_api::ErrorEnvelope::parse(&shed.body).unwrap().retry_after_ms,
+        om_api::ErrorEnvelope::parse(&shed.body)
+            .unwrap()
+            .retry_after_ms,
         Some(3000)
     );
 
@@ -364,7 +402,9 @@ fn v1_error_envelopes() {
         assert_eq!(env.encode(), *body);
     }
     assert_eq!(
-        om_api::ErrorEnvelope::parse(&overloaded.body).unwrap().retry_after_ms,
+        om_api::ErrorEnvelope::parse(&overloaded.body)
+            .unwrap()
+            .retry_after_ms,
         Some(1000)
     );
 }

@@ -61,7 +61,12 @@ impl ShardClient {
         self.request("POST", path, Some(body))
     }
 
-    fn request(&self, method: &str, path: &str, body: Option<&str>) -> Result<(u16, String), String> {
+    fn request(
+        &self,
+        method: &str,
+        path: &str,
+        body: Option<&str>,
+    ) -> Result<(u16, String), String> {
         let deadline = Instant::now() + self.timeout;
         let remaining = |stage: &str| -> Result<Duration, String> {
             let left = deadline.saturating_duration_since(Instant::now());
@@ -133,7 +138,12 @@ impl ShardClient {
     ///
     /// # Errors
     /// Transport failures and non-200 responses.
-    pub fn expect_ok(&self, method: &str, path: &str, body: Option<&str>) -> Result<String, String> {
+    pub fn expect_ok(
+        &self,
+        method: &str,
+        path: &str,
+        body: Option<&str>,
+    ) -> Result<String, String> {
         let (status, body) = self.request(method, path, body)?;
         if status == 200 {
             Ok(body)
@@ -179,7 +189,10 @@ mod tests {
         let result = client.get("/internal/generation");
         let elapsed = started.elapsed();
 
-        assert!(result.is_err(), "trickled response must not parse as success");
+        assert!(
+            result.is_err(),
+            "trickled response must not parse as success"
+        );
         assert!(
             elapsed < Duration::from_secs(2),
             "request ran {elapsed:?}, far past the {timeout:?} whole-request deadline"

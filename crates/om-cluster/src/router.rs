@@ -86,7 +86,10 @@ mod tests {
         // and must never happen silently.
         assert_eq!(row_hash(&[""]), 0xcbf2_9ce4_8422_2325);
         assert_eq!(row_hash(&["a"]), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(row_hash(&["morning", "highway", "ph2"]), row_hash(&["morning", "highway", "ph2"]));
+        assert_eq!(
+            row_hash(&["morning", "highway", "ph2"]),
+            row_hash(&["morning", "highway", "ph2"])
+        );
     }
 
     #[test]

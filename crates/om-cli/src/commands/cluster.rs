@@ -32,6 +32,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -616,16 +617,14 @@ fn run_inner(out: &mut dyn Write, opts: &RunOptions, work: &Path) -> CliResult {
     }
     let elapsed = started.elapsed();
     if replicated_chaos {
-        let (_, metrics) = coord_client
-            .get("/metrics")
-            .map_err(|e| CliError::Failed(format!("cannot scrape coordinator metrics: {e}")))?;
-        for needed in ["om_cluster_failovers_total", "om_cluster_breaker_opens_total"] {
-            let active = metrics
-                .lines()
-                .any(|l| l.starts_with(needed) && !l.ends_with(" 0"));
-            if !active {
+        let m = coordinator.cluster_metrics();
+        for (needed, counter) in [
+            ("failovers_total", &m.failovers_total),
+            ("breaker_opens_total", &m.breaker_opens_total),
+        ] {
+            if counter.load(Ordering::Relaxed) == 0 {
                 return Err(CliError::Failed(format!(
-                    "chaos ran a full kill/rejoin cycle but {needed} never moved"
+                    "chaos ran a full kill/rejoin cycle but the cluster's {needed} never moved"
                 )));
             }
         }

@@ -428,31 +428,6 @@ impl IngestHandle {
         &self.inner.shared
     }
 
-    /// Render the ingest Prometheus series (appended to `/metrics`).
-    pub fn render_metrics(&self) -> String {
-        let stats = self.stats();
-        format!(
-            "# TYPE om_ingest_rows_total counter\n\
-             om_ingest_rows_total {}\n\
-             # TYPE om_ingest_segments_sealed_total counter\n\
-             om_ingest_segments_sealed_total {}\n\
-             # TYPE om_compactions_total counter\n\
-             om_compactions_total {}\n\
-             # TYPE om_ingest_merge_failures_total counter\n\
-             om_ingest_merge_failures_total {}\n\
-             # TYPE om_store_generation gauge\n\
-             om_store_generation {}\n\
-             # TYPE om_wal_bytes gauge\n\
-             om_wal_bytes {}\n",
-            stats.rows_total,
-            stats.segments_sealed_total,
-            stats.compactions_total,
-            stats.merge_failures_total,
-            stats.store_generation,
-            stats.wal_bytes
-        )
-    }
-
     /// Stop accepting rows and join the compactor after it drains its
     /// queue. Staged-but-unsealed rows stay in the WAL for the next
     /// start. Idempotent.

@@ -424,7 +424,6 @@ mod tests {
                     text: text.to_owned(),
                 })
                 .collect(),
-            docs: Vec::new(),
             config: CheckConfig::default(),
             analysis: std::sync::OnceLock::new(),
         }

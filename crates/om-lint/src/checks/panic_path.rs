@@ -159,7 +159,6 @@ mod tests {
             root: std::path::PathBuf::new(),
             sources: vec![src_file(rel, text)],
             manifests: vec![],
-            docs: vec![],
             config: CheckConfig::default(),
             analysis: std::sync::OnceLock::new(),
         };

@@ -1,13 +1,12 @@
 //! om-lint: a zero-dependency workspace invariant checker.
 //!
 //! The workspace's production guarantees — panic-isolated request
-//! paths, registered `/metrics` counters, a documented error envelope,
-//! lock discipline, budgeted request loops — are not all expressible to
-//! the compiler. This crate mines those rules out of the source tree
-//! and enforces them: a hand-rolled Rust lexer
+//! paths, lock discipline, budgeted request loops — are not all
+//! expressible to the compiler. This crate mines those rules out of the
+//! source tree and enforces them: a hand-rolled Rust lexer
 //! ([`lexer`]), a lightweight item scanner ([`scan`]), a workspace
 //! call graph with per-function effect summaries ([`callgraph`],
-//! [`effects`]), and six repo-specific checks ([`checks`]) that run
+//! [`effects`]), and four repo-specific checks ([`checks`]) that run
 //! per-file, workspace-wide and interprocedurally, report `file:line`
 //! findings (optionally as JSON), and honor inline suppressions:
 //!
@@ -73,7 +72,7 @@ pub struct SourceFile {
     pub info: ScanInfo,
 }
 
-/// One raw text file (manifests and docs are parsed line-wise).
+/// One raw text file (manifests are parsed line-wise).
 #[derive(Debug)]
 pub struct TextFile {
     pub rel: String,
@@ -87,12 +86,6 @@ pub struct TextFile {
 pub struct CheckConfig {
     /// Path prefixes where `panic-path` forbids panicking constructs.
     pub panic_scopes: Vec<String>,
-    /// Files whose string literals define the rendered `/metrics` set.
-    pub metrics_render_files: Vec<String>,
-    /// The file defining `ErrorCode::as_str` / `http_status`.
-    pub envelope_source: String,
-    /// The markdown file carrying the error-code table.
-    pub envelope_doc: String,
     /// Path prefixes where `budget-coverage` requires request-path
     /// loops to poll a Budget/failpoint seam.
     pub budget_scopes: Vec<String>,
@@ -115,13 +108,6 @@ impl Default for CheckConfig {
                 "crates/om-cube/src/bitmap.rs".into(),
                 "crates/om-cube/src/kernel.rs".into(),
             ],
-            metrics_render_files: vec![
-                "crates/om-server/src/metrics.rs".into(),
-                "crates/om-ingest/src/ingest.rs".into(),
-                "crates/om-cluster/src/metrics.rs".into(),
-            ],
-            envelope_source: "crates/om-api/src/error.rs".into(),
-            envelope_doc: "docs/api.md".into(),
             budget_scopes: vec![
                 "crates/om-server/src/".into(),
                 "crates/om-cluster/src/".into(),
@@ -141,12 +127,11 @@ impl Default for CheckConfig {
 }
 
 /// The loaded workspace: every Rust file lexed and scanned, manifests
-/// and docs as text.
+/// as text.
 pub struct Workspace {
     pub root: PathBuf,
     pub sources: Vec<SourceFile>,
     pub manifests: Vec<TextFile>,
-    pub docs: Vec<TextFile>,
     pub config: CheckConfig,
     /// Lazily built interprocedural analysis, shared by every check
     /// that needs the call graph (built once per run, not per check).
@@ -164,7 +149,6 @@ impl Workspace {
     pub fn load(root: &Path, config: CheckConfig) -> Result<Self, String> {
         let mut sources = Vec::new();
         let mut manifests = Vec::new();
-        let mut docs = Vec::new();
 
         for top in SCAN_DIRS {
             let dir = root.join(top);
@@ -176,23 +160,6 @@ impl Workspace {
         if root_manifest.is_file() {
             manifests.push(load_text(&root_manifest, root)?);
         }
-        let docs_dir = root.join("docs");
-        if docs_dir.is_dir() {
-            let mut entries: Vec<_> = fs::read_dir(&docs_dir)
-                .map_err(|e| format!("read {}: {e}", docs_dir.display()))?
-                .filter_map(Result::ok)
-                .map(|e| e.path())
-                .filter(|p| p.extension().is_some_and(|x| x == "md"))
-                .collect();
-            entries.sort();
-            for p in entries {
-                docs.push(load_text(&p, root)?);
-            }
-        }
-        let readme = root.join("README.md");
-        if readme.is_file() {
-            docs.push(load_text(&readme, root)?);
-        }
 
         sources.sort_by(|a, b| a.rel.cmp(&b.rel));
         manifests.sort_by(|a, b| a.rel.cmp(&b.rel));
@@ -200,7 +167,6 @@ impl Workspace {
             root: root.to_owned(),
             sources,
             manifests,
-            docs,
             config,
             analysis: OnceLock::new(),
         })

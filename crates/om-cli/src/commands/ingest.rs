@@ -1,10 +1,10 @@
 //! `opmap ingest` — append CSV rows to a running server's live store.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::io::Write;
 use std::time::Duration;
 
 use om_api::{ErrorEnvelope, IngestRequest, IngestResponse};
+use om_cluster::ShardClient;
 
 use crate::args::Parsed;
 use crate::{CliError, CliResult};
@@ -25,7 +25,7 @@ OPTIONS:
   --batch <n>          Rows per POST request [500]
   --skip-header        Skip the first line of <file> (a CSV header)";
 
-/// How long to wait for each connection / reply before giving up.
+/// How long one batch's whole request (connect, send, reply) may take.
 const IO_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Entry point for `opmap ingest`.
@@ -67,12 +67,15 @@ pub fn run(parsed: &mut Parsed, out: &mut dyn Write) -> CliResult {
         .map(|line| om_data::csv::split_record(line, ','))
         .collect();
 
+    let client = ShardClient::new(addr.clone(), IO_TIMEOUT);
     let mut accepted = 0u64;
     let mut batches = 0usize;
     let mut last: Option<IngestResponse> = None;
     for (chunk_no, chunk) in rows.chunks(batch).enumerate() {
         let body = IngestRequest { rows: chunk.to_vec() }.encode();
-        let (status, reply) = post_ingest(&addr, &body)?;
+        let (status, reply) = client
+            .post("/v1/ingest", &body)
+            .map_err(|e| CliError::Failed(format!("ingest to {addr} failed: {e}")))?;
         if status != 200 {
             return Err(CliError::Failed(reject_message(
                 status,
@@ -137,37 +140,6 @@ fn reject_message(
         }
         Err(_) => format!("{prefix}: {}", reply.trim()),
     }
-}
-
-/// POST `body` to `/v1/ingest` and return (status, reply body).
-fn post_ingest(addr: &str, body: &str) -> Result<(u16, String), CliError> {
-    let connect_err = |e: std::io::Error| {
-        CliError::Failed(format!("cannot reach server at {addr}: {e}"))
-    };
-    let mut stream = TcpStream::connect(addr).map_err(connect_err)?;
-    stream.set_read_timeout(Some(IO_TIMEOUT)).ok();
-    stream.set_write_timeout(Some(IO_TIMEOUT)).ok();
-    let request = format!(
-        "POST /v1/ingest HTTP/1.1\r\nHost: {addr}\r\n\
-         Content-Type: application/json\r\nContent-Length: {}\r\n\
-         Connection: close\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(request.as_bytes()).map_err(connect_err)?;
-    let mut response = String::new();
-    stream.read_to_string(&mut response).map_err(connect_err)?;
-    let status = response
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse::<u16>().ok())
-        .ok_or_else(|| {
-            CliError::Failed(format!("malformed reply from {addr}: {response:?}"))
-        })?;
-    let reply = response
-        .split_once("\r\n\r\n")
-        .map_or("", |(_, b)| b)
-        .to_owned();
-    Ok((status, reply))
 }
 
 #[cfg(test)]

@@ -110,27 +110,25 @@ impl Bitmap {
         let key = (pos >> CHUNK_BITS) as u16;
         let low = (pos & 0xFFFF) as u16;
         match self.chunks.last_mut() {
-            Some(chunk) if chunk.key == key => {
-                match &mut chunk.data {
-                    Container::Array(v) => {
-                        debug_assert!(v.last().is_none_or(|&p| p < low), "push out of order");
-                        if v.len() == ARRAY_MAX {
-                            let mut dense = array_to_dense(v);
-                            set_bit(&mut dense, low);
-                            chunk.data = Container::Dense {
-                                words: dense,
-                                len: (ARRAY_MAX + 1) as u32,
-                            };
-                        } else {
-                            v.push(low);
-                        }
-                    }
-                    Container::Dense { words, len } => {
-                        set_bit(words, low);
-                        *len += 1;
+            Some(chunk) if chunk.key == key => match &mut chunk.data {
+                Container::Array(v) => {
+                    debug_assert!(v.last().is_none_or(|&p| p < low), "push out of order");
+                    if v.len() == ARRAY_MAX {
+                        let mut dense = array_to_dense(v);
+                        set_bit(&mut dense, low);
+                        chunk.data = Container::Dense {
+                            words: dense,
+                            len: (ARRAY_MAX + 1) as u32,
+                        };
+                    } else {
+                        v.push(low);
                     }
                 }
-            }
+                Container::Dense { words, len } => {
+                    set_bit(words, low);
+                    *len += 1;
+                }
+            },
             _ => {
                 debug_assert!(
                     self.chunks.last().is_none_or(|c| c.key < key),

@@ -418,10 +418,16 @@ mod tests {
         assert_eq!(kernel_store.class_counts(), walk_store.class_counts());
         assert_eq!(kernel_store.total_records(), walk_store.total_records());
         for &a in walk_store.attrs() {
-            assert_eq!(*kernel_store.one_dim(a).unwrap(), *walk_store.one_dim(a).unwrap());
+            assert_eq!(
+                *kernel_store.one_dim(a).unwrap(),
+                *walk_store.one_dim(a).unwrap()
+            );
             for &b in walk_store.attrs() {
                 if a < b {
-                    assert_eq!(*kernel_store.pair(a, b).unwrap(), *walk_store.pair(a, b).unwrap());
+                    assert_eq!(
+                        *kernel_store.pair(a, b).unwrap(),
+                        *walk_store.pair(a, b).unwrap()
+                    );
                 }
             }
         }
@@ -447,12 +453,18 @@ mod tests {
         .unwrap();
         assert_eq!(kernel_store.class_counts(), walk_store.class_counts());
         for &a in &attrs {
-            assert_eq!(*kernel_store.one_dim(a).unwrap(), *walk_store.one_dim(a).unwrap());
+            assert_eq!(
+                *kernel_store.one_dim(a).unwrap(),
+                *walk_store.one_dim(a).unwrap()
+            );
         }
         // Non-anchor pair cubes build lazily through the selector; counts
         // must still match the record walk exactly.
         assert_eq!(kernel_store.n_pair_cubes(), 4);
-        assert_eq!(*kernel_store.pair(0, 3).unwrap(), *walk_store.pair(0, 3).unwrap());
+        assert_eq!(
+            *kernel_store.pair(0, 3).unwrap(),
+            *walk_store.pair(0, 3).unwrap()
+        );
         assert_eq!(kernel_store.lazy_builds(), 1);
     }
 
@@ -462,13 +474,23 @@ mod tests {
         let sel = kernel(&ds).selector().narrow(5, 0).unwrap();
         let store = sel.build_store_anchored(None, 1).unwrap();
         assert_eq!(store.n_pair_cubes(), 5, "one pair per non-anchor attribute");
-        assert_eq!(store.lazy_builds(), 0, "anchor pairs came from the shared scan");
+        assert_eq!(
+            store.lazy_builds(),
+            0,
+            "anchor pairs came from the shared scan"
+        );
         let sub = ds.sub_population(5, 0).unwrap();
         for b in [0usize, 2, 3, 4] {
-            assert_eq!(*store.pair(1, b).unwrap(), build_cube(&sub, &[1.min(b), 1.max(b)]).unwrap());
+            assert_eq!(
+                *store.pair(1, b).unwrap(),
+                build_cube(&sub, &[1.min(b), 1.max(b)]).unwrap()
+            );
         }
         // A non-anchor pair still resolves — lazily.
-        assert_eq!(*store.pair(2, 3).unwrap(), build_cube(&sub, &[2, 3]).unwrap());
+        assert_eq!(
+            *store.pair(2, 3).unwrap(),
+            build_cube(&sub, &[2, 3]).unwrap()
+        );
         assert_eq!(store.lazy_builds(), 1);
     }
 
@@ -481,7 +503,11 @@ mod tests {
             .unwrap()
             .narrow(4, 2)
             .unwrap();
-        let sub = ds.sub_population(0, 1).unwrap().sub_population(4, 2).unwrap();
+        let sub = ds
+            .sub_population(0, 1)
+            .unwrap()
+            .sub_population(4, 2)
+            .unwrap();
         assert_eq!(sel.count(), sub.n_rows() as u64);
         assert_eq!(sel.conditions(), &[(0, 1), (4, 2)]);
         let store = sel.build_store_anchored(None, 3).unwrap();

@@ -33,16 +33,16 @@ pub mod snapshot;
 pub mod store;
 pub mod view;
 
+pub use bitmap::Bitmap;
 pub use build::build_cube;
+pub use cube::{CubeDim, CubeError, RuleCube};
+pub use kernel::{ColumnIndex, PopulationSelector};
 pub use merge::merge_cubes;
-pub use snapshot::{SharedStore, StoreSnapshot};
+pub use query::conditioned_one_dim;
 pub use query::{
     filter_rules, filter_rules_budgeted, top_k_by_confidence, top_k_by_confidence_budgeted,
     CubeRule,
 };
-pub use bitmap::Bitmap;
-pub use cube::{CubeDim, CubeError, RuleCube};
-pub use kernel::{ColumnIndex, PopulationSelector};
-pub use query::conditioned_one_dim;
+pub use snapshot::{SharedStore, StoreSnapshot};
 pub use store::{CubeStore, StoreBuildOptions};
 pub use view::CubeView;

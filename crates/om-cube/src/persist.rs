@@ -330,7 +330,10 @@ fn decode_store_body(mut buf: Bytes) -> Result<crate::store::CubeStore, DataErro
     // store does not list, or repeats would let a later merge add counts
     // into the wrong cube.
     let filed_as = |cube: &RuleCube, key: &[usize]| {
-        cube.dims().iter().map(|d| d.attr_index).eq(key.iter().copied())
+        cube.dims()
+            .iter()
+            .map(|d| d.attr_index)
+            .eq(key.iter().copied())
     };
     let mut one_d = HashMap::with_capacity(n_attrs);
     for &a in &attrs {
@@ -488,8 +491,10 @@ mod store_tests {
     /// Where a store payload keeps its pair count and each pair entry
     /// (8 key bytes, then the length-prefixed cube).
     fn pair_layout(payload: &[u8]) -> (usize, Vec<usize>) {
-        let u32_at = |at: usize| u32::from_le_bytes(payload[at..at + 4].try_into().unwrap()) as usize;
-        let u64_at = |at: usize| u64::from_le_bytes(payload[at..at + 8].try_into().unwrap()) as usize;
+        let u32_at =
+            |at: usize| u32::from_le_bytes(payload[at..at + 4].try_into().unwrap()) as usize;
+        let u64_at =
+            |at: usize| u64::from_le_bytes(payload[at..at + 8].try_into().unwrap()) as usize;
         let n_attrs = u32_at(0);
         let mut at = 4 + 4 * n_attrs;
         let n_classes = u32_at(at);
@@ -535,7 +540,8 @@ mod store_tests {
                         Ok(store) => {
                             assert_eq!((x.min(y) as usize, x.max(y) as usize), want);
                             for ((a, b), cube) in store.held_pairs() {
-                                let dims: Vec<_> = cube.dims().iter().map(|d| d.attr_index).collect();
+                                let dims: Vec<_> =
+                                    cube.dims().iter().map(|d| d.attr_index).collect();
                                 assert_eq!(dims, [a, b]);
                             }
                         }
@@ -609,7 +615,10 @@ mod tests {
         // Check-value from the CRC catalogue: CRC-32/ISO-HDLC("123456789").
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414F_A339
+        );
     }
 
     #[test]

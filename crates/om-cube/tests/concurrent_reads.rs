@@ -66,10 +66,7 @@ fn eight_threads_query_the_store_identically_to_serial() {
                     let i = (t + round) % attrs.len();
                     let cube = store.one_dim(attrs[i]).unwrap();
                     assert_eq!(cube.total(), serial_totals[i]);
-                    assert_eq!(
-                        store.pair(attrs[0], attrs[1]).unwrap().total(),
-                        pair_total
-                    );
+                    assert_eq!(store.pair(attrs[0], attrs[1]).unwrap().total(), pair_total);
                 }
             })
         })

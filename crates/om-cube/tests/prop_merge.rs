@@ -16,9 +16,12 @@ fn dataset_from(rows: &[(u8, u8, u8)]) -> Dataset {
     let bl = ["b0", "b1"];
     let cl = ["c0", "c1"];
     // Intern every label up front so all batches share identical domains.
-    b.push_row(&[Cell::Str("a0"), Cell::Str("b0"), Cell::Str("c0")]).unwrap();
-    b.push_row(&[Cell::Str("a1"), Cell::Str("b1"), Cell::Str("c1")]).unwrap();
-    b.push_row(&[Cell::Str("a2"), Cell::Str("b0"), Cell::Str("c0")]).unwrap();
+    b.push_row(&[Cell::Str("a0"), Cell::Str("b0"), Cell::Str("c0")])
+        .unwrap();
+    b.push_row(&[Cell::Str("a1"), Cell::Str("b1"), Cell::Str("c1")])
+        .unwrap();
+    b.push_row(&[Cell::Str("a2"), Cell::Str("b0"), Cell::Str("c0")])
+        .unwrap();
     for &(a, bb, c) in rows {
         b.push_row(&[
             Cell::Str(al[a as usize % 3]),
@@ -65,10 +68,19 @@ type Row4 = (u8, u8, u8, u8, u8);
 /// one of them holds three of the six pairs — a strict part of the whole.
 fn dataset_of_four(rows: &[Row4]) -> Dataset {
     let attr = |name: &str, n: usize| {
-        Attribute::categorical(name, Domain::from_labels((0..n).map(|v| format!("{name}{v}"))))
+        Attribute::categorical(
+            name,
+            Domain::from_labels((0..n).map(|v| format!("{name}{v}"))),
+        )
     };
     let schema = Schema::new(
-        vec![attr("A", 3), attr("B", 2), attr("D", 2), attr("E", 3), attr("C", 2)],
+        vec![
+            attr("A", 3),
+            attr("B", 2),
+            attr("D", 2),
+            attr("E", 3),
+            attr("C", 2),
+        ],
         4,
     )
     .unwrap();

@@ -22,7 +22,8 @@ fn small_cube() -> RuleCube {
             _ => "b2",
         };
         let c = if i % 5 == 0 { "y" } else { "n" };
-        b.push_row(&[Cell::Str(a), Cell::Str(bb), Cell::Str(c)]).unwrap();
+        b.push_row(&[Cell::Str(a), Cell::Str(bb), Cell::Str(c)])
+            .unwrap();
     }
     let ds = b.finish().unwrap();
     build_cube(&ds, &[0, 1]).unwrap()
@@ -37,7 +38,8 @@ fn small_store() -> CubeStore {
         let a = if i % 2 == 0 { "a0" } else { "a1" };
         let bb = if i % 3 == 0 { "b0" } else { "b1" };
         let c = if i % 5 == 0 { "y" } else { "n" };
-        b.push_row(&[Cell::Str(a), Cell::Str(bb), Cell::Str(c)]).unwrap();
+        b.push_row(&[Cell::Str(a), Cell::Str(bb), Cell::Str(c)])
+            .unwrap();
     }
     let ds = b.finish().unwrap();
     CubeStore::build(&ds, &StoreBuildOptions::default()).unwrap()

@@ -2,8 +2,8 @@
 //! the data, and OLAP operations must preserve mass.
 
 use om_cube::olap::{dice, rollup, slice};
-use om_cube::{build_cube, CubeStore, StoreBuildOptions};
-use om_data::{Cell, Dataset, DatasetBuilder};
+use om_cube::{build_cube, CubeDim, CubeStore, RuleCube, StoreBuildOptions};
+use om_data::{Cell, Dataset, DatasetBuilder, ValueId};
 use proptest::prelude::*;
 
 /// A random 3-attribute categorical dataset.
@@ -31,7 +31,64 @@ fn arb_dataset() -> impl Strategy<Value = Dataset> {
     })
 }
 
+/// A random cube of arity 0–3 (cardinality 1–4 per dimension, 1–3
+/// classes) with random counts, zeros included.
+fn arb_cube() -> impl Strategy<Value = RuleCube> {
+    (
+        proptest::collection::vec(1usize..=4, 0..=3),
+        1usize..=3,
+        proptest::collection::vec(0u64..4, 192),
+    )
+        .prop_map(|(cards, n_classes, counts)| {
+            let dims = cards
+                .iter()
+                .enumerate()
+                .map(|(i, &card)| CubeDim {
+                    attr_index: i,
+                    name: format!("A{i}"),
+                    labels: (0..card).map(|v| format!("a{i}_{v}")).collect(),
+                })
+                .collect();
+            let classes = (0..n_classes).map(|c| format!("c{c}")).collect();
+            let mut cube = RuleCube::new(dims, classes);
+            let cells: Vec<_> = cube
+                .iter_cells()
+                .map(|(coords, class, _)| (coords, class))
+                .collect();
+            for ((coords, class), inc) in cells.iter().zip(counts) {
+                cube.add(coords, *class, inc).unwrap();
+            }
+            cube
+        })
+}
+
+/// The slice of `cube` by a walk over its cells: the reference the
+/// row-major slice must equal.
+fn slice_by_walk(cube: &RuleCube, dim: usize, value: ValueId) -> RuleCube {
+    let mut dims = cube.dims().to_vec();
+    dims.remove(dim);
+    let mut out = RuleCube::new(dims, cube.class_labels().to_vec());
+    for (mut coords, class, count) in cube.iter_cells() {
+        if coords[dim] == value {
+            coords.remove(dim);
+            out.add(&coords, class, count).unwrap();
+        }
+    }
+    out
+}
+
 proptest! {
+    #[test]
+    fn slice_equals_the_cell_walk_for_every_dim_and_value(cube in arb_cube()) {
+        for (dim, d) in cube.dims().iter().enumerate() {
+            for value in 0..d.cardinality() as ValueId {
+                prop_assert_eq!(slice(&cube, dim, value).unwrap(), slice_by_walk(&cube, dim, value));
+            }
+            prop_assert!(slice(&cube, dim, d.cardinality() as ValueId).is_err());
+        }
+        prop_assert!(slice(&cube, cube.n_attr_dims(), 0).is_err());
+    }
+
     #[test]
     fn cube_counts_equal_direct_counts(ds in arb_dataset()) {
         let cube = build_cube(&ds, &[0, 1]).unwrap();

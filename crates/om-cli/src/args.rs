@@ -51,9 +51,9 @@ impl Parsed {
                 if is_switch {
                     switches.push(key.to_owned());
                 } else {
-                    let value = argv.get(i + 1).ok_or_else(|| {
-                        CliError::Usage(format!("option --{key} needs a value"))
-                    })?;
+                    let value = argv
+                        .get(i + 1)
+                        .ok_or_else(|| CliError::Usage(format!("option --{key} needs a value")))?;
                     if value.starts_with("--") {
                         return Err(CliError::Usage(format!(
                             "option --{key} needs a value, found {value:?}"
@@ -122,17 +122,13 @@ impl Parsed {
     ///
     /// # Errors
     /// Fails if present but unparsable.
-    pub fn parse_or<T: std::str::FromStr>(
-        &mut self,
-        key: &str,
-        default: T,
-    ) -> Result<T, CliError> {
+    pub fn parse_or<T: std::str::FromStr>(&mut self, key: &str, default: T) -> Result<T, CliError> {
         self.consumed.push(key.to_owned());
         match self.options.get(key) {
             None => Ok(default),
-            Some(raw) => raw.parse::<T>().map_err(|_| {
-                CliError::Usage(format!("option --{key} has invalid value {raw:?}"))
-            }),
+            Some(raw) => raw
+                .parse::<T>()
+                .map_err(|_| CliError::Usage(format!("option --{key} has invalid value {raw:?}"))),
         }
     }
 

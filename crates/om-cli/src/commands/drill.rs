@@ -43,8 +43,14 @@ pub fn run(parsed: &mut Parsed, out: &mut dyn Write) -> CliResult {
         min_normalized_score: floor,
         ..DrillConfig::default()
     };
-    let levels =
-        om.run_drill_down_by_name(&attr, &v1, &v2, &target, &config, om.exec_ctx(Some(&budget)))?;
+    let levels = om.run_drill_down_by_name(
+        &attr,
+        &v1,
+        &v2,
+        &target,
+        &config,
+        om.exec_ctx(Some(&budget)),
+    )?;
     for (i, level) in levels.iter().enumerate() {
         if level.conditions.is_empty() {
             writeln!(out, "== level {i}: unconditioned ==").ok();

@@ -60,7 +60,12 @@ pub fn run(parsed: &mut Parsed, out: &mut dyn Write) -> CliResult {
     parsed.reject_unknown()?;
 
     let query = ExploreQuery {
-        slice: slice.as_deref().map(parse_slice).transpose()?.into_iter().collect(),
+        slice: slice
+            .as_deref()
+            .map(parse_slice)
+            .transpose()?
+            .into_iter()
+            .collect(),
         k,
         max_conditions: max_conds
             .as_deref()

@@ -28,7 +28,9 @@ pub fn run(parsed: &mut Parsed, out: &mut dyn Write) -> CliResult {
         writeln!(out, "{HELP}").ok();
         return Ok(());
     }
-    let domain = parsed.optional("domain").unwrap_or_else(|| "call-log".into());
+    let domain = parsed
+        .optional("domain")
+        .unwrap_or_else(|| "call-log".into());
     let records = parsed.parse_or("records", 50_000usize)?;
     let seed = parsed.parse_or("seed", 42u64)?;
     let n_attrs = parsed.parse_or("attrs", 40usize)?;

@@ -34,9 +34,8 @@ pub fn run(parsed: &mut Parsed, out: &mut dyn Write) -> CliResult {
     let om = super::build_engine(parsed, ds)?;
     parsed.reject_unknown()?;
 
-    let split = |raw: &str| -> Vec<String> {
-        raw.split(',').map(|s| s.trim().to_owned()).collect()
-    };
+    let split =
+        |raw: &str| -> Vec<String> { raw.split(',').map(|s| s.trim().to_owned()).collect() };
     let g1 = split(&g1_raw);
     let g2 = split(&g2_raw);
     let g1_refs: Vec<&str> = g1.iter().map(String::as_str).collect();

@@ -72,7 +72,10 @@ pub fn run(parsed: &mut Parsed, out: &mut dyn Write) -> CliResult {
     let mut batches = 0usize;
     let mut last: Option<IngestResponse> = None;
     for (chunk_no, chunk) in rows.chunks(batch).enumerate() {
-        let body = IngestRequest { rows: chunk.to_vec() }.encode();
+        let body = IngestRequest {
+            rows: chunk.to_vec(),
+        }
+        .encode();
         let (status, reply) = client
             .post("/v1/ingest", &body)
             .map_err(|e| CliError::Failed(format!("ingest to {addr} failed: {e}")))?;
@@ -86,9 +89,8 @@ pub fn run(parsed: &mut Parsed, out: &mut dyn Write) -> CliResult {
                 batch,
             )));
         }
-        let parsed_reply = IngestResponse::parse(&reply).map_err(|e| {
-            CliError::Failed(format!("malformed ingest reply from {addr}: {e}"))
-        })?;
+        let parsed_reply = IngestResponse::parse(&reply)
+            .map_err(|e| CliError::Failed(format!("malformed ingest reply from {addr}: {e}")))?;
         accepted += parsed_reply.accepted;
         last = Some(parsed_reply);
         batches += 1;
@@ -239,7 +241,11 @@ mod tests {
             .join(",");
         let file =
             std::env::temp_dir().join(format!("om-cli-ingest-rows-{}.csv", std::process::id()));
-        std::fs::write(&file, format!("{header}\n{row}\n{row}\n{row}\n{row}\n{row}\n")).unwrap();
+        std::fs::write(
+            &file,
+            format!("{header}\n{row}\n{row}\n{row}\n{row}\n{row}\n"),
+        )
+        .unwrap();
 
         let addr = server.local_addr().to_string();
         let (r, text) = run_args(&[
@@ -252,10 +258,7 @@ mod tests {
             "--skip-header",
         ]);
         assert!(r.is_ok(), "{r:?}");
-        assert!(
-            text.contains("appended 5 row(s) in 3 batch(es)"),
-            "{text}"
-        );
+        assert!(text.contains("appended 5 row(s) in 3 batch(es)"), "{text}");
         handle.flush().unwrap();
         assert_eq!(handle.stats().rows_total, 5);
 

@@ -6,7 +6,6 @@ pub mod describe;
 pub mod detail;
 pub mod drill;
 pub mod explore;
-pub mod shell;
 pub mod generate;
 pub mod gi;
 pub mod groups;
@@ -17,6 +16,7 @@ pub mod report;
 pub mod rules;
 pub mod scan;
 pub mod serve;
+pub mod shell;
 
 use std::io::BufReader;
 
@@ -50,7 +50,9 @@ pub(crate) fn build_engine(parsed: &mut Parsed, ds: Dataset) -> Result<Opportuni
     if bins > 0 {
         config.discretization = om_discretize::Method::EqualFrequency(bins);
     }
-    config.exec = om_engine::ExecConfig { workers: exec_workers };
+    config.exec = om_engine::ExecConfig {
+        workers: exec_workers,
+    };
     Ok(OpportunityMap::build(ds, config)?)
 }
 

@@ -48,7 +48,12 @@ pub fn run(parsed: &mut Parsed, out: &mut dyn Write) -> CliResult {
         .ok();
         return Ok(());
     }
-    writeln!(out, "{} significant pair(s) on class {target:?}:\n", findings.len()).ok();
+    writeln!(
+        out,
+        "{} significant pair(s) on class {target:?}:\n",
+        findings.len()
+    )
+    .ok();
     for (i, f) in findings.iter().enumerate() {
         writeln!(
             out,

@@ -58,12 +58,7 @@ pub fn run_repl<R: BufRead, W: Write + ?Sized>(om: &OpportunityMap, input: R, ou
             ["attrs"] => {
                 for &a in om.store().attrs() {
                     let attr = om.dataset().schema().attribute(a);
-                    let _ = writeln!(
-                        out,
-                        "  {:<24} ({} values)",
-                        attr.name(),
-                        attr.cardinality()
-                    );
+                    let _ = writeln!(out, "  {:<24} ({} values)", attr.name(), attr.cardinality());
                 }
             }
             ["select", name] => match om.attr_index(name) {
@@ -79,21 +74,19 @@ pub fn run_repl<R: BufRead, W: Write + ?Sized>(om: &OpportunityMap, input: R, ou
                     let _ = writeln!(out, "error: {e}");
                 }
             },
-            ["select", a_name, b_name] => {
-                match (om.attr_index(a_name), om.attr_index(b_name)) {
-                    (Ok(a), Ok(b)) => match explorer.select_pair(a, b) {
-                        Ok(_) => {
-                            let _ = writeln!(out, "selected 3-D cube of {a_name} × {b_name}");
-                        }
-                        Err(e) => {
-                            let _ = writeln!(out, "error: {e}");
-                        }
-                    },
-                    (Err(e), _) | (_, Err(e)) => {
+            ["select", a_name, b_name] => match (om.attr_index(a_name), om.attr_index(b_name)) {
+                (Ok(a), Ok(b)) => match explorer.select_pair(a, b) {
+                    Ok(_) => {
+                        let _ = writeln!(out, "selected 3-D cube of {a_name} × {b_name}");
+                    }
+                    Err(e) => {
                         let _ = writeln!(out, "error: {e}");
                     }
+                },
+                (Err(e), _) | (_, Err(e)) => {
+                    let _ = writeln!(out, "error: {e}");
                 }
-            }
+            },
             ["show", rest @ ..] => {
                 let Some(cube) = explorer.current() else {
                     let _ = writeln!(out, "error: nothing selected; use 'select' first");
@@ -120,18 +113,16 @@ pub fn run_repl<R: BufRead, W: Write + ?Sized>(om: &OpportunityMap, input: R, ou
                             om.class_id(class_label).map_err(|e| e.to_string())
                         };
                         match class {
-                            Ok(c) => match render_pair_heatmap(
-                                cube,
-                                c,
-                                &PairViewOptions::default(),
-                            ) {
-                                Ok(text) => {
-                                    let _ = writeln!(out, "{text}");
+                            Ok(c) => {
+                                match render_pair_heatmap(cube, c, &PairViewOptions::default()) {
+                                    Ok(text) => {
+                                        let _ = writeln!(out, "{text}");
+                                    }
+                                    Err(e) => {
+                                        let _ = writeln!(out, "error: {e}");
+                                    }
                                 }
-                                Err(e) => {
-                                    let _ = writeln!(out, "error: {e}");
-                                }
-                            },
+                            }
                             Err(e) => {
                                 let _ = writeln!(out, "error: {e}");
                             }
@@ -161,18 +152,12 @@ pub fn run_repl<R: BufRead, W: Write + ?Sized>(om: &OpportunityMap, input: R, ou
                         .iter()
                         .position(|l| l == value_label)
                         .map(|v| (dim, v as u32))
-                        .ok_or_else(|| {
-                            format!("unknown value {value_label:?} of {attr_name}")
-                        })
+                        .ok_or_else(|| format!("unknown value {value_label:?} of {attr_name}"))
                 });
                 match r {
                     Ok((dim, v)) => match explorer.slice(dim, v) {
                         Ok(cube) => {
-                            let _ = writeln!(
-                                out,
-                                "sliced: {} records remain",
-                                cube.total()
-                            );
+                            let _ = writeln!(out, "sliced: {} records remain", cube.total());
                         }
                         Err(e) => {
                             let _ = writeln!(out, "error: {e}");
@@ -257,9 +242,7 @@ fn explorer_dim(
     let cube = explorer
         .current()
         .ok_or_else(|| "nothing selected; use 'select' first".to_owned())?;
-    let attr = om
-        .attr_index(attr_name)
-        .map_err(|e| e.to_string())?;
+    let attr = om.attr_index(attr_name).map_err(|e| e.to_string())?;
     cube.dims()
         .iter()
         .position(|d| d.attr_index == attr)

@@ -20,7 +20,15 @@ fn temp_csv(name: &str) -> String {
 fn full_analysis_flow() {
     let csv = temp_csv("calls.csv");
     let text = opmap(&[
-        "generate", "--domain", "call-log", "--records", "30000", "--seed", "7", "--out", &csv,
+        "generate",
+        "--domain",
+        "call-log",
+        "--records",
+        "30000",
+        "--seed",
+        "7",
+        "--out",
+        &csv,
     ])
     .unwrap();
     assert!(text.contains("30000 records"), "{text}");
@@ -31,15 +39,32 @@ fn full_analysis_flow() {
     assert!(text.contains("pair cubes materialized"), "{text}");
 
     let text = opmap(&[
-        "detail", "--data", &csv, "--class", "CallDisposition", "--attr", "PhoneModel",
+        "detail",
+        "--data",
+        &csv,
+        "--class",
+        "CallDisposition",
+        "--attr",
+        "PhoneModel",
     ])
     .unwrap();
     assert!(text.contains("ph1"), "{text}");
     assert!(text.contains("conf="), "{text}");
 
     let text = opmap(&[
-        "compare", "--data", &csv, "--class", "CallDisposition", "--attr", "PhoneModel",
-        "--v1", "ph1", "--v2", "ph2", "--target", "dropped",
+        "compare",
+        "--data",
+        &csv,
+        "--class",
+        "CallDisposition",
+        "--attr",
+        "PhoneModel",
+        "--v1",
+        "ph1",
+        "--v2",
+        "ph2",
+        "--target",
+        "dropped",
     ])
     .unwrap();
     assert!(text.contains("Rule 1: PhoneModel=ph1"), "{text}");
@@ -55,8 +80,17 @@ fn full_analysis_flow() {
     assert!(text.contains("influential attributes"), "{text}");
 
     let text = opmap(&[
-        "rules", "--data", &csv, "--class", "CallDisposition",
-        "--min-support", "0.001", "--min-confidence", "0.02", "--top", "5",
+        "rules",
+        "--data",
+        &csv,
+        "--class",
+        "CallDisposition",
+        "--min-support",
+        "0.001",
+        "--min-confidence",
+        "0.02",
+        "--top",
+        "5",
     ])
     .unwrap();
     assert!(text.contains("rules (showing up to 5)"), "{text}");
@@ -64,9 +98,21 @@ fn full_analysis_flow() {
 
     // Restricted mining through the CLI.
     let text = opmap(&[
-        "rules", "--data", &csv, "--class", "CallDisposition",
-        "--min-support", "0.0005", "--min-confidence", "0.0",
-        "--max-conditions", "3", "--fix", "PhoneModel=ph2", "--top", "3",
+        "rules",
+        "--data",
+        &csv,
+        "--class",
+        "CallDisposition",
+        "--min-support",
+        "0.0005",
+        "--min-confidence",
+        "0.0",
+        "--max-conditions",
+        "3",
+        "--fix",
+        "PhoneModel=ph2",
+        "--top",
+        "3",
     ])
     .unwrap();
     assert!(text.contains("PhoneModel=ph2"), "{text}");
@@ -76,12 +122,33 @@ fn full_analysis_flow() {
 fn compare_no_ci_flag_changes_scores() {
     let csv = temp_csv("calls_noci.csv");
     opmap(&[
-        "generate", "--domain", "call-log", "--records", "20000", "--seed", "11", "--out", &csv,
+        "generate",
+        "--domain",
+        "call-log",
+        "--records",
+        "20000",
+        "--seed",
+        "11",
+        "--out",
+        &csv,
     ])
     .unwrap();
     let base = [
-        "compare", "--data", &csv, "--class", "CallDisposition", "--attr", "PhoneModel",
-        "--v1", "ph1", "--v2", "ph2", "--target", "dropped", "--top", "3",
+        "compare",
+        "--data",
+        &csv,
+        "--class",
+        "CallDisposition",
+        "--attr",
+        "PhoneModel",
+        "--v1",
+        "ph1",
+        "--v2",
+        "ph2",
+        "--target",
+        "dropped",
+        "--top",
+        "3",
     ];
     let with_ci = opmap(&base).unwrap();
     let mut no_ci_args: Vec<&str> = base.to_vec();
@@ -92,7 +159,9 @@ fn compare_no_ci_flag_changes_scores() {
 
 #[test]
 fn command_help_screens() {
-    for cmd in ["generate", "overview", "detail", "compare", "gi", "rules", "explore", "shell"] {
+    for cmd in [
+        "generate", "overview", "detail", "compare", "gi", "rules", "explore", "shell",
+    ] {
         let text = opmap(&[cmd, "--help"]).unwrap();
         assert!(text.contains("OPTIONS"), "{cmd}: {text}");
     }
@@ -101,7 +170,11 @@ fn command_help_screens() {
 #[test]
 fn missing_file_reports_cleanly() {
     let r = opmap(&[
-        "overview", "--data", "/nonexistent/nope.csv", "--class", "C",
+        "overview",
+        "--data",
+        "/nonexistent/nope.csv",
+        "--class",
+        "C",
     ]);
     match r {
         Err(CliError::Failed(msg)) => assert!(msg.contains("cannot open"), "{msg}"),
@@ -113,7 +186,15 @@ fn missing_file_reports_cleanly() {
 fn unknown_option_rejected() {
     let csv = temp_csv("calls_opt.csv");
     opmap(&[
-        "generate", "--domain", "scaleup", "--records", "500", "--attrs", "4", "--out", &csv,
+        "generate",
+        "--domain",
+        "scaleup",
+        "--records",
+        "500",
+        "--attrs",
+        "4",
+        "--out",
+        &csv,
     ])
     .unwrap();
     let r = opmap(&[
@@ -126,12 +207,31 @@ fn unknown_option_rejected() {
 fn bad_value_labels_reported() {
     let csv = temp_csv("calls_badval.csv");
     opmap(&[
-        "generate", "--domain", "call-log", "--records", "5000", "--seed", "3", "--out", &csv,
+        "generate",
+        "--domain",
+        "call-log",
+        "--records",
+        "5000",
+        "--seed",
+        "3",
+        "--out",
+        &csv,
     ])
     .unwrap();
     let r = opmap(&[
-        "compare", "--data", &csv, "--class", "CallDisposition", "--attr", "PhoneModel",
-        "--v1", "ph1", "--v2", "ph99", "--target", "dropped",
+        "compare",
+        "--data",
+        &csv,
+        "--class",
+        "CallDisposition",
+        "--attr",
+        "PhoneModel",
+        "--v1",
+        "ph1",
+        "--v2",
+        "ph99",
+        "--target",
+        "dropped",
     ]);
     match r {
         Err(CliError::Failed(msg)) => assert!(msg.contains("ph99"), "{msg}"),
@@ -143,12 +243,31 @@ fn bad_value_labels_reported() {
 fn exhausted_budget_reports_cleanly_and_generous_budget_matches_unlimited() {
     let csv = temp_csv("calls_budget.csv");
     opmap(&[
-        "generate", "--domain", "call-log", "--records", "10000", "--seed", "9", "--out", &csv,
+        "generate",
+        "--domain",
+        "call-log",
+        "--records",
+        "10000",
+        "--seed",
+        "9",
+        "--out",
+        &csv,
     ])
     .unwrap();
     let base = [
-        "compare", "--data", &csv, "--class", "CallDisposition", "--attr", "PhoneModel",
-        "--v1", "ph1", "--v2", "ph2", "--target", "dropped",
+        "compare",
+        "--data",
+        &csv,
+        "--class",
+        "CallDisposition",
+        "--attr",
+        "PhoneModel",
+        "--v1",
+        "ph1",
+        "--v2",
+        "ph2",
+        "--target",
+        "dropped",
     ];
 
     // An impossible budget fails with actionable guidance, not a panic
@@ -173,14 +292,34 @@ fn exhausted_budget_reports_cleanly_and_generous_budget_matches_unlimited() {
 
     // gi and drill accept the flag too.
     let text = opmap(&[
-        "gi", "--data", &csv, "--class", "CallDisposition", "--budget-ms", "60000",
+        "gi",
+        "--data",
+        &csv,
+        "--class",
+        "CallDisposition",
+        "--budget-ms",
+        "60000",
     ])
     .unwrap();
     assert!(text.contains("influential attributes"), "{text}");
     let text = opmap(&[
-        "drill", "--data", &csv, "--class", "CallDisposition", "--attr", "PhoneModel",
-        "--v1", "ph1", "--v2", "ph2", "--target", "dropped", "--depth", "1",
-        "--budget-ms", "60000",
+        "drill",
+        "--data",
+        &csv,
+        "--class",
+        "CallDisposition",
+        "--attr",
+        "PhoneModel",
+        "--v1",
+        "ph1",
+        "--v2",
+        "ph2",
+        "--target",
+        "dropped",
+        "--depth",
+        "1",
+        "--budget-ms",
+        "60000",
     ])
     .unwrap();
     assert!(text.contains("drill-down finished"), "{text}");
@@ -196,12 +335,33 @@ fn generate_rejects_unknown_domain() {
 fn drill_command_runs() {
     let csv = temp_csv("calls_drill.csv");
     opmap(&[
-        "generate", "--domain", "call-log", "--records", "40000", "--seed", "21", "--out", &csv,
+        "generate",
+        "--domain",
+        "call-log",
+        "--records",
+        "40000",
+        "--seed",
+        "21",
+        "--out",
+        &csv,
     ])
     .unwrap();
     let text = opmap(&[
-        "drill", "--data", &csv, "--class", "CallDisposition", "--attr", "PhoneModel",
-        "--v1", "ph1", "--v2", "ph2", "--target", "dropped", "--depth", "1",
+        "drill",
+        "--data",
+        &csv,
+        "--class",
+        "CallDisposition",
+        "--attr",
+        "PhoneModel",
+        "--v1",
+        "ph1",
+        "--v2",
+        "ph2",
+        "--target",
+        "dropped",
+        "--depth",
+        "1",
     ])
     .unwrap();
     assert!(text.contains("level 0: unconditioned"), "{text}");
@@ -212,11 +372,25 @@ fn drill_command_runs() {
 fn explore_command_picks_topk_summaries() {
     let csv = temp_csv("calls_explore.csv");
     opmap(&[
-        "generate", "--domain", "call-log", "--records", "20000", "--seed", "31", "--out", &csv,
+        "generate",
+        "--domain",
+        "call-log",
+        "--records",
+        "20000",
+        "--seed",
+        "31",
+        "--out",
+        &csv,
     ])
     .unwrap();
     let text = opmap(&[
-        "explore", "--data", &csv, "--class", "CallDisposition", "--k", "4",
+        "explore",
+        "--data",
+        &csv,
+        "--class",
+        "CallDisposition",
+        "--k",
+        "4",
     ])
     .unwrap();
     assert!(text.contains("record(s) in scope"), "{text}");
@@ -225,32 +399,72 @@ fn explore_command_picks_topk_summaries() {
 
     // Compare mode labels each summary with its side of the split.
     let text = opmap(&[
-        "explore", "--data", &csv, "--class", "CallDisposition", "--k", "4",
-        "--attr", "PhoneModel", "--v1", "ph1", "--v2", "ph2", "--target", "dropped",
+        "explore",
+        "--data",
+        &csv,
+        "--class",
+        "CallDisposition",
+        "--k",
+        "4",
+        "--attr",
+        "PhoneModel",
+        "--v1",
+        "ph1",
+        "--v2",
+        "ph2",
+        "--target",
+        "dropped",
     ])
     .unwrap();
-    assert!(text.contains("exploring both sides of PhoneModel"), "{text}");
+    assert!(
+        text.contains("exploring both sides of PhoneModel"),
+        "{text}"
+    );
     assert!(text.contains("side="), "{text}");
     assert!(text.contains("mass="), "{text}");
 
     // A slice pins its attribute, so no summary may mention it again.
     let slice = opmap(&[
-        "explore", "--data", &csv, "--class", "CallDisposition", "--k", "3",
-        "--slice", "TimeOfCall=morning",
+        "explore",
+        "--data",
+        &csv,
+        "--class",
+        "CallDisposition",
+        "--k",
+        "3",
+        "--slice",
+        "TimeOfCall=morning",
     ])
     .unwrap();
-    assert!(!slice.contains("TimeOfCall="), "sliced attr must not reappear: {slice}");
+    assert!(
+        !slice.contains("TimeOfCall="),
+        "sliced attr must not reappear: {slice}"
+    );
 }
 
 #[test]
 fn scan_command_finds_the_phone_pair() {
     let csv = temp_csv("calls_scan.csv");
     opmap(&[
-        "generate", "--domain", "call-log", "--records", "40000", "--seed", "23", "--out", &csv,
+        "generate",
+        "--domain",
+        "call-log",
+        "--records",
+        "40000",
+        "--seed",
+        "23",
+        "--out",
+        &csv,
     ])
     .unwrap();
     let text = opmap(&[
-        "scan", "--data", &csv, "--class", "CallDisposition", "--target", "dropped",
+        "scan",
+        "--data",
+        &csv,
+        "--class",
+        "CallDisposition",
+        "--target",
+        "dropped",
     ])
     .unwrap();
     assert!(text.contains("significant pair"), "{text}");
@@ -262,7 +476,15 @@ fn scan_command_finds_the_phone_pair() {
 fn describe_command_summarizes() {
     let csv = temp_csv("calls_desc.csv");
     opmap(&[
-        "generate", "--domain", "call-log", "--records", "5000", "--seed", "2", "--out", &csv,
+        "generate",
+        "--domain",
+        "call-log",
+        "--records",
+        "5000",
+        "--seed",
+        "2",
+        "--out",
+        &csv,
     ])
     .unwrap();
     let text = opmap(&["describe", "--data", &csv, "--class", "CallDisposition"]).unwrap();
@@ -276,12 +498,29 @@ fn describe_command_summarizes() {
 fn heatmap_command_renders() {
     let csv = temp_csv("calls_heat.csv");
     opmap(&[
-        "generate", "--domain", "call-log", "--records", "20000", "--seed", "4", "--out", &csv,
+        "generate",
+        "--domain",
+        "call-log",
+        "--records",
+        "20000",
+        "--seed",
+        "4",
+        "--out",
+        &csv,
     ])
     .unwrap();
     let text = opmap(&[
-        "heatmap", "--data", &csv, "--class", "CallDisposition",
-        "--attr-a", "PhoneModel", "--attr-b", "TimeOfCall", "--target", "dropped",
+        "heatmap",
+        "--data",
+        &csv,
+        "--class",
+        "CallDisposition",
+        "--attr-a",
+        "PhoneModel",
+        "--attr-b",
+        "TimeOfCall",
+        "--target",
+        "dropped",
     ])
     .unwrap();
     assert!(text.contains("PhoneModel × TimeOfCall"), "{text}");
@@ -292,12 +531,33 @@ fn heatmap_command_renders() {
 fn compare_json_format() {
     let csv = temp_csv("calls_json.csv");
     opmap(&[
-        "generate", "--domain", "call-log", "--records", "10000", "--seed", "6", "--out", &csv,
+        "generate",
+        "--domain",
+        "call-log",
+        "--records",
+        "10000",
+        "--seed",
+        "6",
+        "--out",
+        &csv,
     ])
     .unwrap();
     let text = opmap(&[
-        "compare", "--data", &csv, "--class", "CallDisposition", "--attr", "PhoneModel",
-        "--v1", "ph1", "--v2", "ph2", "--target", "dropped", "--format", "json",
+        "compare",
+        "--data",
+        &csv,
+        "--class",
+        "CallDisposition",
+        "--attr",
+        "PhoneModel",
+        "--v1",
+        "ph1",
+        "--v2",
+        "ph2",
+        "--target",
+        "dropped",
+        "--format",
+        "json",
     ])
     .unwrap();
     let trimmed = text.trim();
@@ -305,8 +565,21 @@ fn compare_json_format() {
     assert!(trimmed.contains("\"ranked\":["), "{text}");
     // Bad format rejected.
     let r = opmap(&[
-        "compare", "--data", &csv, "--class", "CallDisposition", "--attr", "PhoneModel",
-        "--v1", "ph1", "--v2", "ph2", "--target", "dropped", "--format", "yaml",
+        "compare",
+        "--data",
+        &csv,
+        "--class",
+        "CallDisposition",
+        "--attr",
+        "PhoneModel",
+        "--v1",
+        "ph1",
+        "--v2",
+        "ph2",
+        "--target",
+        "dropped",
+        "--format",
+        "yaml",
     ]);
     assert!(matches!(r, Err(CliError::Usage(_))));
 }
@@ -315,15 +588,37 @@ fn compare_json_format() {
 fn groups_command_runs() {
     let csv = temp_csv("calls_groups.csv");
     opmap(&[
-        "generate", "--domain", "call-log", "--records", "30000", "--seed", "8", "--out", &csv,
+        "generate",
+        "--domain",
+        "call-log",
+        "--records",
+        "30000",
+        "--seed",
+        "8",
+        "--out",
+        &csv,
     ])
     .unwrap();
     let text = opmap(&[
-        "groups", "--data", &csv, "--class", "CallDisposition", "--attr", "PhoneModel",
-        "--g1", "ph1,ph3", "--g2", "ph2,ph4", "--target", "dropped",
+        "groups",
+        "--data",
+        &csv,
+        "--class",
+        "CallDisposition",
+        "--attr",
+        "PhoneModel",
+        "--g1",
+        "ph1,ph3",
+        "--g2",
+        "ph2,ph4",
+        "--target",
+        "dropped",
     ])
     .unwrap();
-    assert!(text.contains("{ph1, ph3}") || text.contains("{ph2, ph4}"), "{text}");
+    assert!(
+        text.contains("{ph1, ph3}") || text.contains("{ph2, ph4}"),
+        "{text}"
+    );
     assert!(text.contains("Rule 1"), "{text}");
 }
 
@@ -331,13 +626,28 @@ fn groups_command_runs() {
 fn report_command_writes_markdown() {
     let csv = temp_csv("calls_report.csv");
     opmap(&[
-        "generate", "--domain", "call-log", "--records", "30000", "--seed", "14", "--out", &csv,
+        "generate",
+        "--domain",
+        "call-log",
+        "--records",
+        "30000",
+        "--seed",
+        "14",
+        "--out",
+        &csv,
     ])
     .unwrap();
     let md_path = temp_csv("analysis.md");
     let text = opmap(&[
-        "report", "--data", &csv, "--class", "CallDisposition", "--target", "dropped",
-        "--out", &md_path,
+        "report",
+        "--data",
+        &csv,
+        "--class",
+        "CallDisposition",
+        "--target",
+        "dropped",
+        "--out",
+        &md_path,
     ])
     .unwrap();
     assert!(text.contains("report written"), "{text}");
@@ -351,8 +661,24 @@ fn report_command_writes_markdown() {
 #[test]
 fn unknown_failpoint_seam_refuses_to_start() {
     for args in [
-        &["serve", "--records", "200", "--addr", "127.0.0.1:0", "--duration-ms", "1"][..],
-        &["cluster", "--shards", "1", "--records", "200", "--requests", "1"][..],
+        &[
+            "serve",
+            "--records",
+            "200",
+            "--addr",
+            "127.0.0.1:0",
+            "--duration-ms",
+            "1",
+        ][..],
+        &[
+            "cluster",
+            "--shards",
+            "1",
+            "--records",
+            "200",
+            "--requests",
+            "1",
+        ][..],
     ] {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_opmap"))
             .args(args)
@@ -362,6 +688,9 @@ fn unknown_failpoint_seam_refuses_to_start() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(!out.status.success(), "{args:?} started: {stderr}");
         assert!(stderr.contains("usage error"), "{args:?}: {stderr}");
-        assert!(stderr.contains("engine.comapre=delay:5"), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("engine.comapre=delay:5"),
+            "{args:?}: {stderr}"
+        );
     }
 }

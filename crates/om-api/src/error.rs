@@ -1,4 +1,4 @@
-//! The uniform `/v1` error envelope:
+//! The uniform error envelope every non-2xx response carries:
 //! `{"error":{"code":"...","message":"...","retry_after_ms":N,"row":N}}`
 //! (`retry_after_ms` only on overload, `row` only on per-row ingest
 //! rejections).
@@ -30,7 +30,7 @@ macro_rules! error_codes {
                 }
             }
 
-            /// The HTTP status a `/v1` response carries for this code.
+            /// The HTTP status a response carries for this code.
             #[must_use]
             pub fn http_status(self) -> u16 {
                 match self {
@@ -54,6 +54,10 @@ error_codes! {
     NotFound => "not_found", 404,
     /// Wrong HTTP method for the route.
     MethodNotAllowed => "method_not_allowed", 405,
+    /// The client stalled past the server's read timeout mid-request.
+    RequestTimeout => "request_timeout", 408,
+    /// A shard's store moved past the generation the caller pinned.
+    StaleGeneration => "stale_generation", 409,
     /// Out of budget / shedding — retry after `retry_after_ms`.
     Overloaded => "overloaded", 503,
     /// An internal failure.
@@ -80,7 +84,7 @@ impl Wire for ErrorCode {
 }
 
 wire! {
-    /// The structured error every `/v1` endpoint answers with.
+    /// The structured error every route answers a failure with.
     #[derive(Debug, Clone, Eq)]
     pub struct ErrorEnvelope: encode, parse, from_json {
         pub code: ErrorCode as "error.code",
@@ -145,6 +149,8 @@ mod tests {
             (ErrorCode::UnknownName, 404),
             (ErrorCode::NotFound, 404),
             (ErrorCode::MethodNotAllowed, 405),
+            (ErrorCode::RequestTimeout, 408),
+            (ErrorCode::StaleGeneration, 409),
             (ErrorCode::Invalid, 422),
             (ErrorCode::Overloaded, 503),
             (ErrorCode::Internal, 500),

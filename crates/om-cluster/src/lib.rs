@@ -42,7 +42,7 @@ pub mod metrics;
 pub mod partition;
 pub mod router;
 
-pub use client::ShardClient;
+pub use client::{ShardClient, ShardError};
 pub use coordinator::{ClusterConfig, Coordinator};
 pub use health::{backoff_delay, Admission, Health, HealthConfig};
 pub use metrics::ClusterMetrics;

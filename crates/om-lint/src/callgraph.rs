@@ -12,7 +12,7 @@
 //! ([`OPAQUE_METHODS`]: `get`, `insert`, `parse`, `lock`, ...) are
 //! never resolved by bare name — a distinctive method name is the price
 //! of interprocedural visibility, which is why e.g. `ShardClient`
-//! exposes `expect_ok` rather than relying on `get`/`post` call sites
+//! exposes `call` rather than relying on `get`/`post` call sites
 //! resolving. Calls through closures, function pointers and trait
 //! objects whose concrete type never appears at the call site are
 //! invisible (documented under-approximation in docs/lint.md).

@@ -7,6 +7,8 @@
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
 
+use om_api::ErrorEnvelope;
+
 /// Upper bound on the request line (method + target + version).
 pub const MAX_REQUEST_LINE: usize = 4096;
 /// Upper bound on one header line.
@@ -317,7 +319,9 @@ pub fn parse_request_routed<S: Read>(
     ))
 }
 
-/// An HTTP response ready to be written.
+/// An HTTP response ready to be written. Every non-2xx response is
+/// built from an [`ErrorEnvelope`] (see its `From` impl), so a failure
+/// has one body shape on every route.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Response {
     pub status: u16,
@@ -326,6 +330,19 @@ pub struct Response {
     /// When set, a `Retry-After: <secs>` header is emitted — used by
     /// overload (`503`) responses to tell clients when to come back.
     pub retry_after: Option<u64>,
+}
+
+impl From<ErrorEnvelope> for Response {
+    /// The status comes from the envelope's code, and `Retry-After` from
+    /// its `retry_after_ms`, rounded up to whole seconds (at least 1).
+    fn from(env: ErrorEnvelope) -> Self {
+        Self {
+            status: env.code.http_status(),
+            content_type: "application/json",
+            body: env.encode(),
+            retry_after: env.retry_after_ms.map(|ms| ms.div_ceil(1000).max(1)),
+        }
+    }
 }
 
 impl Response {
@@ -351,39 +368,6 @@ impl Response {
         }
     }
 
-    /// An error response with a JSON `{"error": ...}` body.
-    #[must_use]
-    pub fn error(status: u16, message: &str) -> Self {
-        let mut body = String::with_capacity(message.len() + 16);
-        body.push_str("{\"error\":\"");
-        for c in message.chars() {
-            match c {
-                '"' => body.push_str("\\\""),
-                '\\' => body.push_str("\\\\"),
-                '\n' => body.push_str("\\n"),
-                c if (c as u32) < 0x20 => {
-                    use std::fmt::Write as _;
-                    let _ = write!(body, "\\u{:04x}", c as u32);
-                }
-                c => body.push(c),
-            }
-        }
-        body.push_str("\"}");
-        Self {
-            status,
-            content_type: "application/json",
-            body,
-            retry_after: None,
-        }
-    }
-
-    /// Attach a `Retry-After` header (seconds).
-    #[must_use]
-    pub fn with_retry_after(mut self, secs: u64) -> Self {
-        self.retry_after = Some(secs);
-        self
-    }
-
     fn reason(&self) -> &'static str {
         match self.status {
             200 => "OK",
@@ -391,6 +375,7 @@ impl Response {
             404 => "Not Found",
             405 => "Method Not Allowed",
             408 => "Request Timeout",
+            409 => "Conflict",
             422 => "Unprocessable Entity",
             500 => "Internal Server Error",
             503 => "Service Unavailable",
@@ -423,6 +408,7 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use om_api::ErrorCode;
 
     fn parse_str(raw: &str) -> Result<Request, ParseError> {
         parse_request(raw.as_bytes())
@@ -618,12 +604,17 @@ mod tests {
         ));
     }
 
+    /// `response` as written on the wire.
+    fn written(response: &Response) -> String {
+        let mut out = Vec::new();
+        response.write_to(&mut out).unwrap();
+        String::from_utf8(out).unwrap()
+    }
+
     #[test]
     fn response_wire_format() {
-        let mut out = Vec::new();
-        Response::text("ok\n").write_to(&mut out).unwrap();
-        let s = String::from_utf8(out).unwrap();
-        assert!(s.starts_with("HTTP/1.1 200 OK\r\n"));
+        let s = written(&Response::text("ok\n"));
+        assert_eq!(s.lines().next(), Some("HTTP/1.1 200 OK"));
         assert!(s.contains("Content-Length: 3\r\n"));
         assert!(s.contains("Connection: close\r\n"));
         assert!(s.ends_with("\r\n\r\nok\n"));
@@ -631,21 +622,35 @@ mod tests {
 
     #[test]
     fn retry_after_header_is_emitted() {
-        let mut out = Vec::new();
-        Response::error(503, "overloaded")
-            .with_retry_after(2)
-            .write_to(&mut out)
-            .unwrap();
-        let s = String::from_utf8(out).unwrap();
-        assert!(s.starts_with("HTTP/1.1 503 Service Unavailable\r\n"));
-        assert!(s.contains("Retry-After: 2\r\n"));
-        assert!(s.contains("Connection: close\r\n"));
+        let env = ErrorEnvelope {
+            retry_after_ms: Some(1500),
+            ..ErrorEnvelope::new(ErrorCode::Overloaded, "overloaded")
+        };
+        let s = written(&Response::from(env.clone()));
+        assert_eq!(s.lines().next(), Some("HTTP/1.1 503 Service Unavailable"));
+        assert!(s.contains("Retry-After: 2\r\n"), "{s}");
+        assert!(s.ends_with(&format!("Connection: close\r\n\r\n{}", env.encode())));
     }
 
     #[test]
     fn error_body_is_json_escaped() {
-        let r = Response::error(400, "bad \"thing\"\n");
-        assert_eq!(r.body, "{\"error\":\"bad \\\"thing\\\"\\n\"}");
-        assert_eq!(r.status, 400);
+        let env = ErrorEnvelope::new(ErrorCode::BadRequest, "bad \"thing\"\n");
+        let r = Response::from(env.clone());
+        assert_eq!((r.status, r.retry_after), (400, None));
+        let want = r#"{"error":{"code":"bad_request","message":"bad \"thing\"\n"}}"#;
+        assert_eq!(r.body, want);
+        assert_eq!(ErrorEnvelope::parse(&r.body), Ok(env));
+    }
+
+    #[test]
+    fn every_code_writes_a_known_status_line() {
+        for &code in ErrorCode::ALL {
+            let s = written(&Response::from(ErrorEnvelope::new(code, "m")));
+            let (status, reason) = s.lines().next().unwrap().split_at(13);
+            assert_eq!(status, format!("HTTP/1.1 {} ", code.http_status()));
+            assert_ne!(reason, "Unknown", "{code:?}");
+        }
+        let stale = written(&ErrorEnvelope::new(ErrorCode::StaleGeneration, "m").into());
+        assert_eq!(stale.lines().next(), Some("HTTP/1.1 409 Conflict"));
     }
 }

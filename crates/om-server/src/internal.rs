@@ -9,8 +9,9 @@
 //! * `GET /internal/generation` — the published store generation.
 //! * `GET /internal/store?expect=G` — the full cube store at generation
 //!   `G`, base64 in JSON. If the published generation is no longer `G`
-//!   the shard answers `409` and the coordinator re-pins; this is what
-//!   makes mixed-generation merges impossible rather than unlikely.
+//!   the shard answers `409` (`stale_generation`) and the coordinator
+//!   re-pins; this is what makes mixed-generation merges impossible
+//!   rather than unlikely.
 //! * `POST /internal/level[?anchor=A]` — a drill-level store over the
 //!   shard's *base* partition narrowed by resolved conditions (drill
 //!   levels read the immutable base dataset on a single node too, which
@@ -24,16 +25,21 @@
 //!   barrier) and report the resulting generation, so a coordinator
 //!   can force read-your-writes before a verification pass.
 //!
+//! Every failure is an [`ErrorEnvelope`], as on `/v1`, so the
+//! coordinator reads a code rather than a status number and a string.
 //! These endpoints exist only on engine-backed servers; a coordinator
 //! (custom backend) never serves them. They carry no request budget:
 //! the coordinator owns end-to-end deadlines via socket timeouts.
 
 use parking_lot::Mutex;
+use std::fmt::Display;
 use std::sync::Arc;
 
+use om_api::ErrorCode::{Internal, Invalid, NotFound};
 use om_api::{
-    b64_encode, InternalCountRequest, InternalCountResponse, InternalGenerationResponse,
-    InternalLevelRequest, InternalLevelResponse, InternalSchemaResponse, InternalStoreResponse,
+    b64_encode, ErrorCode, ErrorEnvelope, InternalCountRequest, InternalCountResponse,
+    InternalGenerationResponse, InternalLevelRequest, InternalLevelResponse,
+    InternalSchemaResponse, InternalStoreResponse,
 };
 use om_compare::CompareError;
 use om_cube::persist::encode_store;
@@ -43,6 +49,7 @@ use om_engine::fail::{self, Seam};
 use om_engine::{IngestHandle, OpportunityMap};
 
 use crate::http::{Request, Response};
+use crate::router::{bad_request, wrong_method};
 
 /// Per-server cache of the encoded-store wire body: encoding a full
 /// store is the one expensive internal operation, and every coordinator
@@ -59,80 +66,85 @@ pub(crate) fn route_internal(
     ingest: Option<&IngestHandle>,
     wire: &StoreWireCache,
 ) -> Response {
-    match req.path.as_str() {
+    let outcome = match req.path.as_str() {
         "/internal/schema" | "/internal/generation" | "/internal/store" if req.method != "GET" => {
-            Response::error(
-                405,
-                &format!(
-                    "method {} not allowed for {} (use GET)",
-                    req.method, req.path
-                ),
-            )
+            Err(wrong_method(req, "GET"))
         }
         "/internal/level" | "/internal/count" | "/internal/flush" if req.method != "POST" => {
-            Response::error(
-                405,
-                &format!(
-                    "method {} not allowed for {} (use POST)",
-                    req.method, req.path
-                ),
-            )
+            Err(wrong_method(req, "POST"))
         }
         "/internal/schema" => schema(om),
-        "/internal/generation" => Response::json(
-            InternalGenerationResponse {
-                generation: om.store_generation(),
-            }
-            .encode(),
-        ),
+        "/internal/generation" => Ok(generation(om)),
         "/internal/store" => store(req, om, wire),
         "/internal/level" => level(req, om),
         "/internal/count" => count(req, om),
         "/internal/flush" => flush(om, ingest),
-        other => Response::error(404, &format!("no internal route for {other:?}")),
-    }
+        other => Err(ErrorEnvelope::new(
+            NotFound,
+            format!("no internal route for {other:?}"),
+        )),
+    };
+    outcome.unwrap_or_else(Response::from)
 }
 
-fn schema(om: &OpportunityMap) -> Response {
+/// `code` with `"{context}: {e}"` as its message, for `map_err`.
+fn failed<E: Display>(code: ErrorCode, context: &str) -> impl FnOnce(E) -> ErrorEnvelope + '_ {
+    move |e| ErrorEnvelope::new(code, format!("{context}: {e}"))
+}
+
+fn generation(om: &OpportunityMap) -> Response {
+    Response::json(
+        InternalGenerationResponse {
+            generation: om.store_generation(),
+        }
+        .encode(),
+    )
+}
+
+fn schema(om: &OpportunityMap) -> Result<Response, ErrorEnvelope> {
     // A zero-row projection keeps the full schema (attributes, domains,
     // class labels) while shipping no records.
-    match om.dataset().take_rows(&[]) {
-        Ok(empty) => Response::json(
-            InternalSchemaResponse {
-                dataset_b64: b64_encode(&encode_dataset(&empty)),
-            }
-            .encode(),
-        ),
-        Err(e) => Response::error(500, &format!("schema projection failed: {e}")),
-    }
+    let empty = om
+        .dataset()
+        .take_rows(&[])
+        .map_err(failed(Internal, "schema projection failed"))?;
+    Ok(Response::json(
+        InternalSchemaResponse {
+            dataset_b64: b64_encode(&encode_dataset(&empty)),
+        }
+        .encode(),
+    ))
 }
 
-fn store(req: &Request, om: &OpportunityMap, wire: &StoreWireCache) -> Response {
+fn store(
+    req: &Request,
+    om: &OpportunityMap,
+    wire: &StoreWireCache,
+) -> Result<Response, ErrorEnvelope> {
     // Chaos seam: delay or fail the shard-side store fetch — the
     // coordinator's hedged fetches and whole-request deadline are
     // exercised against exactly this handler.
-    if let Err(e) = fail::inject(Seam::ServerInternalStore) {
-        return Response::error(500, &e.to_string());
-    }
-    let Some(expect) = req.params.get("expect") else {
-        return Response::error(400, "missing required parameter \"expect\"");
-    };
-    let Ok(expect) = expect.parse::<u64>() else {
-        return Response::error(400, "parameter \"expect\" must be a non-negative integer");
-    };
+    fail::inject(Seam::ServerInternalStore)
+        .map_err(|e| ErrorEnvelope::new(Internal, e.to_string()))?;
+    let expect = req
+        .params
+        .get("expect")
+        .ok_or_else(|| bad_request("missing required parameter \"expect\""))?
+        .parse::<u64>()
+        .map_err(|_| bad_request("parameter \"expect\" must be a non-negative integer"))?;
     let snapshot = om.store();
     if snapshot.generation() != expect {
-        return Response::error(
-            409,
-            &format!(
+        return Err(ErrorEnvelope::new(
+            ErrorCode::StaleGeneration,
+            format!(
                 "store generation is {}, not the pinned {expect}; re-pin and retry",
                 snapshot.generation()
             ),
-        );
+        ));
     }
     if let Some((generation, body)) = wire.encoded.lock().clone() {
         if generation == expect {
-            return Response::json((*body).clone());
+            return Ok(Response::json((*body).clone()));
         }
     }
     // The codec writes the pair cubes a store holds and builds none;
@@ -143,15 +155,13 @@ fn store(req: &Request, om: &OpportunityMap, wire: &StoreWireCache) -> Response 
     for (i, &a) in attrs.iter().enumerate() {
         // om-lint: allow(panic-path) — i < attrs.len() by the enumerate bound
         for &b in &attrs[i + 1..] {
-            if let Err(e) = snapshot.pair(a, b) {
-                return Response::error(500, &format!("pair materialization failed: {e}"));
-            }
+            snapshot
+                .pair(a, b)
+                .map_err(failed(Internal, "pair materialization failed"))?;
         }
     }
-    let encoded = match encode_store(snapshot.store()) {
-        Ok(bytes) => bytes,
-        Err(e) => return Response::error(500, &format!("store encode failed: {e}")),
-    };
+    let encoded =
+        encode_store(snapshot.store()).map_err(failed(Internal, "store encode failed"))?;
     let body = Arc::new(
         InternalStoreResponse {
             generation: expect,
@@ -160,7 +170,7 @@ fn store(req: &Request, om: &OpportunityMap, wire: &StoreWireCache) -> Response 
         .encode(),
     );
     *wire.encoded.lock() = Some((expect, Arc::clone(&body)));
-    Response::json((*body).clone())
+    Ok(Response::json((*body).clone()))
 }
 
 /// Narrow the shard's base partition by resolved conditions, in order —
@@ -172,52 +182,45 @@ fn store(req: &Request, om: &OpportunityMap, wire: &StoreWireCache) -> Response 
 fn conditioned(
     om: &OpportunityMap,
     conditions: &[om_api::ConditionWire],
-) -> Result<PopulationSelector, Response> {
+) -> Result<PopulationSelector, ErrorEnvelope> {
     let kernel = om
         .kernel()
-        .map_err(|e| Response::error(500, &format!("kernel unavailable: {e}")))?;
+        .map_err(failed(Internal, "kernel unavailable"))?;
     let mut current = kernel.selector();
     for c in conditions {
-        let attr = usize::try_from(c.attr)
-            .map_err(|_| Response::error(400, "condition attr out of range"))?;
-        let value = u32::try_from(c.value)
-            .map_err(|_| Response::error(400, "condition value out of range"))?;
+        let attr =
+            usize::try_from(c.attr).map_err(|_| bad_request("condition attr out of range"))?;
+        let value =
+            u32::try_from(c.value).map_err(|_| bad_request("condition value out of range"))?;
         current = current
             .narrow(attr, value)
-            .map_err(|e| Response::error(422, &format!("condition failed: {e}")))?;
+            .map_err(failed(Invalid, "condition failed"))?;
     }
     Ok(current)
 }
 
-fn level(req: &Request, om: &OpportunityMap) -> Response {
-    let body = match InternalLevelRequest::parse(&req.body) {
-        Ok(body) => body,
-        Err(e) => return Response::error(400, &e),
-    };
-    let current = match conditioned(om, &body.conditions) {
-        Ok(ds) => ds,
-        Err(response) => return response,
-    };
-    let attrs = match body
+fn level(req: &Request, om: &OpportunityMap) -> Result<Response, ErrorEnvelope> {
+    let body = InternalLevelRequest::parse(&req.body).map_err(bad_request)?;
+    let current = conditioned(om, &body.conditions)?;
+    let attrs = body
         .attrs
         .iter()
         .map(|&a| usize::try_from(a))
         .collect::<Result<Vec<_>, _>>()
-    {
-        Ok(attrs) => attrs,
-        Err(_) => return Response::error(400, "level attr out of range"),
-    };
+        .map_err(|_| bad_request("level attr out of range"))?;
     let anchor = match req.params.get("anchor").map(|a| a.parse::<usize>()) {
         None => None,
         Some(Ok(anchor)) if attrs.contains(&anchor) => Some(anchor),
         Some(Ok(anchor)) => {
-            return Response::error(
-                422,
-                &format!("level anchor {anchor} is not one of the level's attrs"),
-            )
+            return Err(ErrorEnvelope::new(
+                Invalid,
+                format!("level anchor {anchor} is not one of the level's attrs"),
+            ))
         }
         Some(Err(_)) => {
-            return Response::error(400, "parameter \"anchor\" must be a non-negative integer")
+            return Err(bad_request(
+                "parameter \"anchor\" must be a non-negative integer",
+            ))
         }
     };
     // One masked scan either way. The codec ships the pairs the scan
@@ -227,49 +230,34 @@ fn level(req: &Request, om: &OpportunityMap) -> Response {
         Some(anchor) => current.build_store_anchored(Some(attrs), anchor),
         None => current.build_store_eager(Some(attrs)),
     };
-    let store = match built.map_err(CompareError::Cube) {
-        Ok(store) => store,
-        Err(e) => return Response::error(422, &format!("level store failed: {e}")),
-    };
-    match encode_store(&store) {
-        Ok(bytes) => Response::json(
-            InternalLevelResponse {
-                store_b64: b64_encode(&bytes),
-            }
-            .encode(),
-        ),
-        Err(e) => Response::error(500, &format!("level store encode failed: {e}")),
-    }
-}
-
-fn count(req: &Request, om: &OpportunityMap) -> Response {
-    let body = match InternalCountRequest::parse(&req.body) {
-        Ok(body) => body,
-        Err(e) => return Response::error(400, &e),
-    };
-    match conditioned(om, &body.conditions) {
-        Ok(current) => Response::json(
-            InternalCountResponse {
-                count: current.count(),
-            }
-            .encode(),
-        ),
-        Err(response) => response,
-    }
-}
-
-fn flush(om: &OpportunityMap, ingest: Option<&IngestHandle>) -> Response {
-    if let Some(handle) = ingest {
-        if let Err(e) = handle.flush() {
-            return Response::error(500, &format!("flush failed: {e}"));
+    let store = built
+        .map_err(CompareError::Cube)
+        .map_err(failed(Invalid, "level store failed"))?;
+    let bytes = encode_store(&store).map_err(failed(Internal, "level store encode failed"))?;
+    Ok(Response::json(
+        InternalLevelResponse {
+            store_b64: b64_encode(&bytes),
         }
+        .encode(),
+    ))
+}
+
+fn count(req: &Request, om: &OpportunityMap) -> Result<Response, ErrorEnvelope> {
+    let body = InternalCountRequest::parse(&req.body).map_err(bad_request)?;
+    let current = conditioned(om, &body.conditions)?;
+    Ok(Response::json(
+        InternalCountResponse {
+            count: current.count(),
+        }
+        .encode(),
+    ))
+}
+
+fn flush(om: &OpportunityMap, ingest: Option<&IngestHandle>) -> Result<Response, ErrorEnvelope> {
+    if let Some(handle) = ingest {
+        handle.flush().map_err(failed(Internal, "flush failed"))?;
     }
     // Without ingestion the store never moves; the initial generation is
     // trivially flushed.
-    Response::json(
-        InternalGenerationResponse {
-            generation: om.store_generation(),
-        }
-        .encode(),
-    )
+    Ok(generation(om))
 }

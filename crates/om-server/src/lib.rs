@@ -43,6 +43,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::TrySendError;
+use om_api::ErrorCode::{Internal, Overloaded, RequestTimeout};
+use om_api::ErrorEnvelope;
 use om_engine::{IngestHandle, OpportunityMap};
 use om_fault::fail::{self, Seam};
 use om_fault::{Budget, CancelToken};
@@ -51,7 +53,7 @@ use crate::http::{ParseError, Response};
 use crate::internal::StoreWireCache;
 use crate::metrics::{Endpoint, Exposition, Metrics};
 use crate::ops::{EngineBackend, EngineOps};
-use crate::router::RouteOptions;
+use crate::router::{bad_request, RouteOptions};
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -280,8 +282,10 @@ impl Server {
 fn shed(mut stream: TcpStream, retry_after_secs: u64) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(25)));
-    let response = Response::error(503, "server overloaded: admission queue full")
-        .with_retry_after(retry_after_secs);
+    let response = Response::from(ErrorEnvelope {
+        retry_after_ms: Some(retry_after_secs.saturating_mul(1000)),
+        ..ErrorEnvelope::new(Overloaded, "server overloaded: admission queue full")
+    });
     if response.write_to(&mut stream).is_err() {
         return;
     }
@@ -318,7 +322,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
             let outcome = catch_unwind(AssertUnwindSafe(|| respond(req, shared)));
             let response = outcome.unwrap_or_else(|_| {
                 shared.metrics.record_panic_caught();
-                Response::error(500, "internal error: request handler panicked")
+                ErrorEnvelope::new(Internal, "internal error: request handler panicked").into()
             });
             (endpoint, response)
         }
@@ -327,9 +331,9 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
         Err(ParseError::Empty) => return,
         Err(ParseError::TimedOut) => (
             Endpoint::Other,
-            Response::error(408, "timed out reading request"),
+            ErrorEnvelope::new(RequestTimeout, "timed out reading request").into(),
         ),
-        Err(ParseError::Malformed(why)) => (Endpoint::Other, Response::error(400, why)),
+        Err(ParseError::Malformed(why)) => (Endpoint::Other, bad_request(why.as_str()).into()),
         Err(ParseError::Io(_)) => return,
     };
 
@@ -373,7 +377,7 @@ fn respond(req: &http::Request, shared: &Shared) -> Response {
     // or a panic (caught by the worker's isolation barrier) before any
     // real work happens.
     if let Err(e) = fail::inject(Seam::ServerRespond) {
-        return Response::error(500, &e.to_string());
+        return ErrorEnvelope::new(Internal, e.to_string()).into();
     }
     let opts = RouteOptions {
         budget: Budget::with_token(shared.engine_budget, CancelToken::new()),

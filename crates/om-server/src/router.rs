@@ -4,6 +4,7 @@
 //! shared mutable state — which makes the whole path trivially testable
 //! without sockets.
 
+use om_api::{ErrorCode, ErrorEnvelope};
 use om_engine::Budget;
 
 use crate::http::{Request, Response};
@@ -49,13 +50,27 @@ pub fn route(
         return crate::v1::route_v1(req, ops, opts);
     }
     match req.path.as_str() {
-        "/healthz" | "/metrics" if req.method != "GET" => {
-            Response::error(405, &format!("method {} not allowed", req.method))
-        }
+        "/healthz" | "/metrics" if req.method != "GET" => wrong_method(req, "GET").into(),
         "/healthz" => Response::text("ok\n"),
         "/metrics" => Response::text(metrics_body()),
-        other => Response::error(404, &format!("no route for {other:?}")),
+        other => ErrorEnvelope::new(ErrorCode::NotFound, format!("no route for {other:?}")).into(),
     }
+}
+
+/// A `bad_request` envelope: a body or parameter that does not decode.
+pub(crate) fn bad_request(message: impl Into<String>) -> ErrorEnvelope {
+    ErrorEnvelope::new(ErrorCode::BadRequest, message)
+}
+
+/// The `405` envelope for `req` on a route that takes only `allowed`.
+pub(crate) fn wrong_method(req: &Request, allowed: &str) -> ErrorEnvelope {
+    ErrorEnvelope::new(
+        ErrorCode::MethodNotAllowed,
+        format!(
+            "method {} not allowed for {} (use {allowed})",
+            req.method, req.path
+        ),
+    )
 }
 
 #[cfg(test)]

@@ -27,7 +27,7 @@ use om_gi::Trend;
 use crate::http::{Request, Response};
 use crate::ops::EngineOps;
 use crate::ops::OpsError;
-use crate::router::RouteOptions;
+use crate::router::{bad_request, wrong_method, RouteOptions};
 
 // ---------------------------------------------------------------------
 // engine results -> om-api wire types
@@ -188,10 +188,6 @@ pub(crate) fn explore_wire(report: &ExploreReport) -> ExploreResponse {
 // error mapping
 // ---------------------------------------------------------------------
 
-fn bad_request(message: String) -> ErrorEnvelope {
-    ErrorEnvelope::new(ErrorCode::BadRequest, message)
-}
-
 fn overloaded(message: String, opts: &RouteOptions) -> ErrorEnvelope {
     ErrorEnvelope {
         retry_after_ms: Some(opts.retry_after_secs.saturating_mul(1000)),
@@ -223,19 +219,6 @@ fn ops_envelope(e: &OpsError, opts: &RouteOptions) -> ErrorEnvelope {
         OpsError::Engine(e) => engine_envelope(e, opts),
         OpsError::Envelope(env) => env.clone(),
     }
-}
-
-fn envelope_response(env: &ErrorEnvelope) -> Response {
-    let mut response = Response {
-        status: env.code.http_status(),
-        content_type: "application/json",
-        body: env.encode(),
-        retry_after: None,
-    };
-    if let Some(ms) = env.retry_after_ms {
-        response.retry_after = Some(ms.div_ceil(1000).max(1));
-    }
-    response
 }
 
 // ---------------------------------------------------------------------
@@ -626,13 +609,7 @@ fn batch(
 #[must_use]
 pub fn route_v1(req: &Request, ops: &dyn EngineOps, opts: &RouteOptions) -> Response {
     if req.method != "POST" {
-        return envelope_response(&ErrorEnvelope::new(
-            ErrorCode::MethodNotAllowed,
-            format!(
-                "method {} not allowed for {} (use POST)",
-                req.method, req.path
-            ),
-        ));
+        return wrong_method(req, "POST").into();
     }
     let outcome = match req.path.as_str() {
         "/v1/compare" => compare(req, ops, opts),
@@ -647,5 +624,5 @@ pub fn route_v1(req: &Request, ops: &dyn EngineOps, opts: &RouteOptions) -> Resp
             format!("no v1 route for {other:?}"),
         )),
     };
-    outcome.unwrap_or_else(|env| envelope_response(&env))
+    outcome.unwrap_or_else(Response::from)
 }

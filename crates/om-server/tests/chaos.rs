@@ -11,6 +11,7 @@ use std::net::TcpStream;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
+use om_api::{ErrorCode, ErrorEnvelope};
 use om_engine::{EngineConfig, OpportunityMap};
 use om_fault::fail::{self, Action, Seam};
 use om_server::{Server, ServerConfig};
@@ -72,6 +73,14 @@ fn post(addr: std::net::SocketAddr, path: &str, body: &str) -> (u16, String, Str
             body.len()
         ),
     )
+}
+
+/// An error body, which must be an [`ErrorEnvelope`] whose code carries
+/// `status`.
+fn envelope(status: u16, body: &str) -> ErrorEnvelope {
+    let env = ErrorEnvelope::parse(body).unwrap_or_else(|e| panic!("{e}: {body:?}"));
+    assert_eq!(env.code.http_status(), status, "{body}");
+    env
 }
 
 fn compare(addr: std::net::SocketAddr) -> (u16, String, String) {
@@ -148,7 +157,9 @@ fn injected_panic_is_500_and_the_worker_pool_survives() {
     for _ in 0..3 {
         let (status, _, body) = get(addr, "/healthz");
         assert_eq!(status, 500, "{body}");
-        assert!(body.contains("panicked"), "{body}");
+        let env = envelope(status, &body);
+        assert_eq!(env.code, ErrorCode::Internal);
+        assert!(env.message.contains("panicked"), "{body}");
     }
 
     // Disarmed, the same (sole) worker keeps serving.
@@ -171,7 +182,9 @@ fn injected_error_is_500_with_the_injected_message() {
     let server = Server::start(engine(), ServerConfig::default()).unwrap();
     let (status, _, body) = compare(server.local_addr());
     assert_eq!(status, 500, "{body}");
-    assert!(body.contains("chaos wire fault"), "{body}");
+    let env = envelope(status, &body);
+    assert_eq!(env.code, ErrorCode::Internal);
+    assert!(env.message.contains("chaos wire fault"), "{body}");
     server.shutdown();
 }
 
@@ -211,9 +224,12 @@ fn full_admission_queue_sheds_overflow_with_503() {
         shed.len(),
         results.iter().map(|(s, _, _)| s).collect::<Vec<_>>()
     );
-    for (_, head, body) in &shed {
+    for (status, head, body) in &shed {
         assert!(head.contains("Retry-After: 2\r\n"), "{head}");
-        assert!(body.contains("admission queue full"), "{body}");
+        let env = envelope(*status, body);
+        assert_eq!(env.code, ErrorCode::Overloaded);
+        assert_eq!(env.retry_after_ms, Some(2000));
+        assert!(env.message.contains("admission queue full"), "{body}");
     }
     assert_eq!(served + shed.len(), 6, "no other statuses expected");
     assert_eq!(server.metrics().shed(), shed.len() as u64);

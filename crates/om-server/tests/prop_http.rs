@@ -12,7 +12,7 @@ use std::net::TcpStream;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-use om_api::{ConditionWire, InternalCountRequest, InternalLevelRequest};
+use om_api::{ConditionWire, ErrorCode, ErrorEnvelope, InternalCountRequest, InternalLevelRequest};
 use om_engine::{EngineConfig, OpportunityMap};
 use om_server::http::{parse_request_routed, BodyRead, ParseError};
 use om_server::{Server, ServerConfig};
@@ -292,9 +292,21 @@ proptest! {
         let panics = server.metrics().panics_caught();
         server.shutdown();
         prop_assert_eq!(panics, 0, "{:?} panicked the handler", raw);
-        prop_assert!(
-            [200, 400, 404, 405, 409, 422].contains(&status),
-            "{:?} answered {}", raw, response
-        );
+        // Every failure is an envelope with the code docs/cluster.md
+        // names for its status.
+        let documented = match status {
+            200 => None,
+            400 => Some(ErrorCode::BadRequest),
+            404 => Some(ErrorCode::NotFound),
+            405 => Some(ErrorCode::MethodNotAllowed),
+            409 => Some(ErrorCode::StaleGeneration),
+            422 => Some(ErrorCode::Invalid),
+            _ => return Err(format!("{raw:?} answered {response}")),
+        };
+        if let Some(code) = documented {
+            let body = response.split_once("\r\n\r\n").map_or("", |(_, b)| b);
+            let env = ErrorEnvelope::parse(body).map_err(|e| format!("{e}: {response}"))?;
+            prop_assert_eq!(env.code, code, "{:?} answered {}", raw, response);
+        }
     }
 }

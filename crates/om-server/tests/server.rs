@@ -6,6 +6,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
+use om_api::{ErrorCode, ErrorEnvelope};
 use om_engine::{EngineConfig, OpportunityMap};
 use om_server::metrics::Endpoint;
 use om_server::{Server, ServerConfig};
@@ -74,6 +75,14 @@ fn post(addr: std::net::SocketAddr, path: &str, body: &str) -> (u16, String) {
     raw_request(addr, &post_request(path, body))
 }
 
+/// The code of an error body, which must be an [`ErrorEnvelope`] whose
+/// code carries `status`.
+fn error_code((status, body): (u16, String)) -> ErrorCode {
+    let env = ErrorEnvelope::parse(&body).unwrap_or_else(|e| panic!("{e}: {body:?}"));
+    assert_eq!(env.code.http_status(), status, "{body}");
+    env.code
+}
+
 const COMPARE: &str = r#"{"attr":"PhoneModel","v1":"ph1","v2":"ph2","class":"dropped"}"#;
 
 /// The `/v1/compare` body the engine itself would produce for [`COMPARE`].
@@ -107,7 +116,7 @@ fn unknown_path_upload_gets_404_without_draining_the_body() {
     .unwrap();
     // A path that never existed and the retired bare `/ingest` are
     // equally unrouted.
-    for (path, why) in [("/v1/nope", "not_found"), ("/ingest", "no route for")] {
+    for (path, why) in [("/v1/nope", "no v1 route"), ("/ingest", "no route for")] {
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         stream
             .write_all(
@@ -134,11 +143,14 @@ fn unknown_path_upload_gets_404_without_draining_the_body() {
                 Ok(n) => response.push_str(std::str::from_utf8(&buf[..n]).unwrap()),
             }
         }
-        assert!(
-            response.starts_with("HTTP/1.1 404"),
+        let (head, body) = response.split_once("\r\n\r\n").unwrap();
+        assert_eq!(
+            head.lines().next(),
+            Some("HTTP/1.1 404 Not Found"),
             "{path}: expected a head-only 404: {response:?}"
         );
-        assert!(response.contains(why), "{path}: {response:?}");
+        assert_eq!(error_code((404, body.to_owned())), ErrorCode::NotFound);
+        assert!(body.contains(why), "{path}: {response:?}");
     }
     // Small uploads to the retired path are read and still 404.
     assert_eq!(post(server.local_addr(), "/ingest", "a,b\n").0, 404);
@@ -230,25 +242,22 @@ fn malformed_requests_get_400_and_server_survives() {
     let server = start_server();
     let addr = server.local_addr();
 
-    let (status, body) = raw_request(addr, "BLARGH\r\n\r\n");
-    assert_eq!(status, 400, "{body}");
-
-    let (status, _) = raw_request(addr, "GET /x HTTP/9.9\r\n\r\n");
-    assert_eq!(status, 400);
-
-    let (status, _) = raw_request(addr, "GET /healthz?a=%zz HTTP/1.1\r\n\r\n");
-    assert_eq!(status, 400);
-
     let long = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(10_000));
-    let (status, _) = raw_request(addr, &long);
-    assert_eq!(status, 400);
+    for raw in [
+        "BLARGH\r\n\r\n",
+        "GET /x HTTP/9.9\r\n\r\n",
+        "GET /healthz?a=%zz HTTP/1.1\r\n\r\n",
+        &long,
+    ] {
+        assert_eq!(error_code(raw_request(addr, raw)), ErrorCode::BadRequest);
+    }
+    let reply = post(addr, "/v1/compare", "not json");
+    assert_eq!(error_code(reply), ErrorCode::BadRequest);
 
-    assert_eq!(post(addr, "/v1/compare", "not json").0, 400);
-
-    assert_eq!(post(addr, "/healthz", "").0, 405);
-    let (status, body) = get(addr, "/v1/compare");
-    assert_eq!(status, 405);
-    assert!(body.contains("method_not_allowed"), "{body}");
+    let reply = post(addr, "/healthz", "");
+    assert_eq!(error_code(reply), ErrorCode::MethodNotAllowed);
+    let reply = get(addr, "/v1/compare");
+    assert_eq!(error_code(reply), ErrorCode::MethodNotAllowed);
 
     // The process is still alive and serving.
     let (status, body) = get(addr, "/healthz");
@@ -261,16 +270,13 @@ fn malformed_requests_get_400_and_server_survives() {
 fn unknown_names_and_unknown_routes_are_404() {
     let server = start_server();
     let addr = server.local_addr();
-    assert_eq!(
-        post(
-            addr,
-            "/v1/compare",
-            r#"{"attr":"Nope","v1":"a","v2":"b","class":"dropped"}"#
-        )
-        .0,
-        404
+    let reply = post(
+        addr,
+        "/v1/compare",
+        r#"{"attr":"Nope","v1":"a","v2":"b","class":"dropped"}"#,
     );
-    assert_eq!(get(addr, "/no/such/route").0, 404);
+    assert_eq!(error_code(reply), ErrorCode::UnknownName);
+    assert_eq!(error_code(get(addr, "/no/such/route")), ErrorCode::NotFound);
     // The retired pre-/v1 GET surface is as unknown as any other path.
     for target in [
         "/compare?attr=PhoneModel&v1=ph1&v2=ph2&class=dropped",
@@ -278,7 +284,11 @@ fn unknown_names_and_unknown_routes_are_404() {
         "/gi",
         "/cube/slice?attr=PhoneModel",
     ] {
-        assert_eq!(get(addr, target).0, 404, "{target}");
+        assert_eq!(
+            error_code(get(addr, target)),
+            ErrorCode::NotFound,
+            "{target}"
+        );
     }
     assert_eq!(server.metrics().requests(Endpoint::Other), 5);
     server.shutdown();
@@ -325,9 +335,15 @@ fn stalled_request_times_out_with_408() {
     stream.write_all(b"GET /healthz HT").unwrap();
     let mut response = String::new();
     stream.read_to_string(&mut response).unwrap();
-    assert!(
-        response.starts_with("HTTP/1.1 408 "),
-        "expected 408, got {response:?}"
+    let (head, body) = response.split_once("\r\n\r\n").unwrap();
+    assert_eq!(
+        head.lines().next(),
+        Some("HTTP/1.1 408 Request Timeout"),
+        "{response:?}"
+    );
+    assert_eq!(
+        error_code((408, body.to_owned())),
+        ErrorCode::RequestTimeout
     );
     server.shutdown();
 }
@@ -602,8 +618,9 @@ fn graceful_shutdown_drains_in_flight_request() {
     stream.write_all(b"st: x\r\n\r\n").unwrap();
     let mut response = String::new();
     stream.read_to_string(&mut response).unwrap();
-    assert!(
-        response.starts_with("HTTP/1.1 200 OK"),
+    assert_eq!(
+        response.lines().next(),
+        Some("HTTP/1.1 200 OK"),
         "in-flight request was dropped: {response:?}"
     );
     assert!(response.ends_with("ok\n"));

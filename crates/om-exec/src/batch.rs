@@ -67,9 +67,13 @@ pub enum BatchOutcome {
     Drill(Vec<DrillLevel>),
     /// The item's (or the batch's) budget ran out before this item
     /// completed; retry later.
-    Overloaded { message: String },
+    Overloaded {
+        message: String,
+    },
     /// The item itself is invalid or unanswerable; retrying won't help.
-    Failed { message: String },
+    Failed {
+        message: String,
+    },
 }
 
 impl BatchOutcome {
@@ -277,7 +281,7 @@ fn run_compare_group(
         // The shared fetch: one pair-cube access and two slices serve
         // every live member of the group.
         let fetched = subpop_slices(store, sel, other, pair_lo, pair_hi)
-        .and_then(|slices| Ok((attr_name(store, other)?, slices)));
+            .and_then(|slices| Ok((attr_name(store, other)?, slices)));
         let (name, (labels, s_lo, s_hi)) = match fetched {
             Ok(v) => v,
             Err(e) => {
@@ -292,7 +296,11 @@ fn run_compare_group(
                 item_budget.check()?;
                 fail::inject(Seam::CompareAttr)?;
                 let oriented_lo = norm.spec.value_1 <= norm.spec.value_2;
-                let (d1, d2) = if oriented_lo { (&s_lo, &s_hi) } else { (&s_hi, &s_lo) };
+                let (d1, d2) = if oriented_lo {
+                    (&s_lo, &s_hi)
+                } else {
+                    (&s_hi, &s_lo)
+                };
                 Ok(score_attribute(
                     other,
                     &name,
@@ -316,10 +324,7 @@ fn run_compare_group(
     }
 
     for (i, norm, _, scores) in live {
-        out.push((
-            i,
-            BatchOutcome::Compare(assemble(norm, scores, config)),
-        ));
+        out.push((i, BatchOutcome::Compare(assemble(norm, scores, config))));
     }
     out
 }

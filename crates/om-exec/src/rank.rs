@@ -108,9 +108,7 @@ pub fn rank_parallel<S: StoreRef>(
 ///
 /// # Errors
 /// The first (lowest-index) shard error, verbatim.
-pub fn gather_in_order<T, E>(
-    shards: impl IntoIterator<Item = Result<T, E>>,
-) -> Result<Vec<T>, E> {
+pub fn gather_in_order<T, E>(shards: impl IntoIterator<Item = Result<T, E>>) -> Result<Vec<T>, E> {
     let mut out = Vec::new();
     for shard in shards {
         out.push(shard?);
@@ -143,13 +141,16 @@ mod tests {
 
     fn fixture() -> (Arc<CubeStore>, ComparisonSpec) {
         let (ds, truth) = paper_scenario(20_000, 11);
-        let store =
-            Arc::new(CubeStore::build(&ds, &StoreBuildOptions::default()).unwrap());
+        let store = Arc::new(CubeStore::build(&ds, &StoreBuildOptions::default()).unwrap());
         let s = ds.schema();
         let attr = s.attr_index(&truth.compare_attr).unwrap();
         let spec = ComparisonSpec {
             attr,
-            value_1: s.attribute(attr).domain().get(&truth.baseline_value).unwrap(),
+            value_1: s
+                .attribute(attr)
+                .domain()
+                .get(&truth.baseline_value)
+                .unwrap(),
             value_2: s.attribute(attr).domain().get(&truth.target_value).unwrap(),
             class: s.class().domain().get(&truth.target_class).unwrap(),
         };

@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use om_compare::{CompareConfig, Comparator, ComparisonSpec};
+use om_compare::{Comparator, CompareConfig, ComparisonSpec};
 use om_cube::{CubeStore, StoreBuildOptions};
 use om_exec::{rank_parallel, ExecConfig, Executor};
 use om_fault::Budget;
@@ -47,11 +47,7 @@ fn assert_widths_agree(n_attrs: usize, n_records: usize, seed: u64, attr: usize)
                 let exec = Executor::new(&ExecConfig { workers });
                 let err = rank_parallel(&exec, &store, &config, &spec, &Budget::unlimited())
                     .expect_err("serial failed, parallel must too");
-                assert_eq!(
-                    err.to_string(),
-                    serial_err.to_string(),
-                    "workers={workers}"
-                );
+                assert_eq!(err.to_string(), serial_err.to_string(), "workers={workers}");
             }
             return;
         }
@@ -59,8 +55,7 @@ fn assert_widths_agree(n_attrs: usize, n_records: usize, seed: u64, attr: usize)
     let serial_bytes = format!("{serial:?}");
     for workers in WIDTHS {
         let exec = Executor::new(&ExecConfig { workers });
-        let parallel =
-            rank_parallel(&exec, &store, &config, &spec, &Budget::unlimited()).unwrap();
+        let parallel = rank_parallel(&exec, &store, &config, &spec, &Budget::unlimited()).unwrap();
         assert_eq!(
             format!("{parallel:?}"),
             serial_bytes,
@@ -90,8 +85,16 @@ fn paper_scenario_is_byte_identical_across_widths() {
     let attr = schema.attr_index(&truth.compare_attr).unwrap();
     let spec = ComparisonSpec {
         attr,
-        value_1: schema.attribute(attr).domain().get(&truth.baseline_value).unwrap(),
-        value_2: schema.attribute(attr).domain().get(&truth.target_value).unwrap(),
+        value_1: schema
+            .attribute(attr)
+            .domain()
+            .get(&truth.baseline_value)
+            .unwrap(),
+        value_2: schema
+            .attribute(attr)
+            .domain()
+            .get(&truth.target_value)
+            .unwrap(),
         class: schema.class().domain().get(&truth.target_class).unwrap(),
     };
     let store = Arc::new(CubeStore::build(&ds, &StoreBuildOptions::default()).unwrap());

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use om_car::Condition;
 use om_compare::{
-    drill_down_via, drill_path_via, CompareConfig, CompareError, Comparator, ComparisonSpec,
+    drill_down_via, drill_path_via, Comparator, CompareConfig, CompareError, ComparisonSpec,
     Descent, DrillConfig, DrillLevel, DrillMemo, DrillPopulation, SelectorPopulation,
 };
 use om_cube::{ColumnIndex, CubeStore, StoreBuildOptions};
@@ -100,14 +100,16 @@ impl DrillPopulation for RecordWalkPopulation {
     }
 
     fn descend(&mut self, condition: Condition) -> Result<Descent, CompareError> {
-        Ok(match self.current.sub_population(condition.attr, condition.value) {
-            Err(e) => Descent::Invalid(e),
-            Ok(sub) if sub.is_empty() => Descent::Empty,
-            Ok(sub) => {
-                self.current = sub;
-                Descent::Narrowed
-            }
-        })
+        Ok(
+            match self.current.sub_population(condition.attr, condition.value) {
+                Err(e) => Descent::Invalid(e),
+                Ok(sub) if sub.is_empty() => Descent::Empty,
+                Ok(sub) => {
+                    self.current = sub;
+                    Descent::Narrowed
+                }
+            },
+        )
     }
 }
 
@@ -193,9 +195,13 @@ fn assert_drill_parity(n_attrs: usize, n_records: usize, seed: u64, attr: usize)
     for workers in WIDTHS {
         let exec = Executor::new(&ExecConfig { workers });
         let mut pop = SelectorPopulation::new(index.selector(), spec.attr);
-        let wide = drill_down_via(&mut pop, &spec, &config, &unlimited, |store, spec, budget| {
-            rank_parallel(&exec, &store, &config.compare, spec, budget)
-        });
+        let wide = drill_down_via(
+            &mut pop,
+            &spec,
+            &config,
+            &unlimited,
+            |store, spec, budget| rank_parallel(&exec, &store, &config.compare, spec, budget),
+        );
         assert_same_levels(&format!("kernel drill workers={workers}"), &record, wide);
     }
 
@@ -285,7 +291,10 @@ fn assert_explore_parity(n_attrs: usize, n_records: usize, seed: u64) {
     // cubes sliced at the condition) must agree cell for cell.
     let record = record_walk_store(&ds);
     let indexed = Arc::new(CubeStore::build(&ds, &StoreBuildOptions::default()).unwrap());
-    assert!(indexed.index().is_some(), "default build must carry an index");
+    assert!(
+        indexed.index().is_some(),
+        "default build must carry an index"
+    );
     let slice_attr = schema.attribute(0);
     let mut queries = vec![ExploreQuery::top_k(3)];
     if !slice_attr.domain().labels().is_empty() {
@@ -308,7 +317,11 @@ fn assert_explore_parity(n_attrs: usize, n_records: usize, seed: u64) {
             match (a, b) {
                 (Ok(x), Ok(y)) => assert_eq!(x, y, "workers={workers}, query={qi}"),
                 (Err(x), Err(y)) => {
-                    assert_eq!(x.to_string(), y.to_string(), "workers={workers}, query={qi}");
+                    assert_eq!(
+                        x.to_string(),
+                        y.to_string(),
+                        "workers={workers}, query={qi}"
+                    );
                 }
                 (a, b) => panic!("workers={workers}, query={qi}: pair path {a:?}, kernel {b:?}"),
             }
@@ -400,9 +413,13 @@ fn paper_scenario_drill_parity() {
     for workers in WIDTHS {
         let exec = Executor::new(&ExecConfig { workers });
         let mut pop = SelectorPopulation::new(index.selector(), spec.attr);
-        let kernel = drill_down_via(&mut pop, &spec, &config, &unlimited, |store, spec, budget| {
-            rank_parallel(&exec, &store, &config.compare, spec, budget)
-        })
+        let kernel = drill_down_via(
+            &mut pop,
+            &spec,
+            &config,
+            &unlimited,
+            |store, spec, budget| rank_parallel(&exec, &store, &config.compare, spec, budget),
+        )
         .unwrap();
         assert_eq!(record, kernel, "workers={workers}");
     }

@@ -87,7 +87,10 @@ pub(crate) fn row_for(
     for c in &picked.cand.conds {
         let one = cs.one_dim(c.attr)?;
         let dim = one.dims().first().ok_or_else(|| {
-            ExploreError::Invalid(format!("one-dim cube for attribute {} has no dimension", c.attr))
+            ExploreError::Invalid(format!(
+                "one-dim cube for attribute {} has no dimension",
+                c.attr
+            ))
         })?;
         let value = dim.labels.get(c.value as usize).cloned().ok_or_else(|| {
             ExploreError::Invalid(format!(
@@ -106,7 +109,13 @@ pub(crate) fn row_for(
         .cand
         .class_counts
         .iter()
-        .map(|&n| if support == 0 { 0.0 } else { n as f64 / support as f64 })
+        .map(|&n| {
+            if support == 0 {
+                0.0
+            } else {
+                n as f64 / support as f64
+            }
+        })
         .collect();
     Ok(SummaryRow {
         conds,

@@ -57,21 +57,30 @@ fn top_k_whole_population() {
     assert!(report.steps >= report.summaries.len() as u64);
     // Weighted coverage: bounded by max_conditions x universe.
     assert!(report.covered <= 2 * report.universe);
-    assert_eq!(report.covered, report.summaries.iter().map(|s| s.coverage).sum::<u64>());
+    assert_eq!(
+        report.covered,
+        report.summaries.iter().map(|s| s.coverage).sum::<u64>()
+    );
     for s in &report.summaries {
         assert!(s.support > 0);
         assert!(s.coverage > 0, "greedy never selects a zero-gain summary");
         assert!(s.coverage <= 2 * s.support);
         assert_eq!(s.confidences.len(), report.classes.len());
         let total: f64 = s.confidences.iter().sum();
-        assert!((total - 1.0).abs() < 1e-9, "confidences sum to 1, got {total}");
+        assert!(
+            (total - 1.0).abs() < 1e-9,
+            "confidences sum to 1, got {total}"
+        );
         assert!(s.side.is_none() && s.mass.is_none());
     }
     // Greedy marginals are non-increasing in selection order only for
     // equal-width summaries; across the report they are positive and
     // the first summary dominates.
     let first = &report.summaries[0];
-    assert!(report.summaries.iter().all(|s| s.coverage <= first.coverage));
+    assert!(report
+        .summaries
+        .iter()
+        .all(|s| s.coverage <= first.coverage));
 }
 
 #[test]
@@ -87,7 +96,11 @@ fn sliced_exploration_excludes_the_sliced_attribute() {
     assert!(report.universe < store.total_records());
     assert!(!report.summaries.is_empty());
     for s in &report.summaries {
-        assert_eq!(s.conds.len(), 1, "sliced summaries drill exactly one new condition");
+        assert_eq!(
+            s.conds.len(),
+            1,
+            "sliced summaries drill exactly one new condition"
+        );
         assert_ne!(s.conds[0].attr, truth.compare_attr);
         assert!(s.support <= report.universe);
     }
@@ -125,7 +138,10 @@ fn compare_mode_interleaves_both_sides() {
     assert!(!report.summaries.is_empty());
     let sides: Vec<u8> = report.summaries.iter().map(|s| s.side.unwrap()).collect();
     assert!(sides.iter().all(|&s| s == 1 || s == 2));
-    assert!(sides.contains(&1) && sides.contains(&2), "both sides represented: {sides:?}");
+    assert!(
+        sides.contains(&1) && sides.contains(&2),
+        "both sides represented: {sides:?}"
+    );
     let masses: Vec<f64> = report.summaries.iter().map(|s| s.mass.unwrap()).collect();
     assert!(
         masses.windows(2).all(|w| w[0] >= w[1]),
@@ -144,8 +160,14 @@ fn unknown_names_are_typed_errors() {
         slice: vec![("no-such-attribute".into(), "x".into())],
         ..ExploreQuery::top_k(3)
     };
-    let err = explore(&exec, &store, &CompareConfig::default(), &q, &Budget::unlimited())
-        .unwrap_err();
+    let err = explore(
+        &exec,
+        &store,
+        &CompareConfig::default(),
+        &q,
+        &Budget::unlimited(),
+    )
+    .unwrap_err();
     assert!(matches!(err, ExploreError::Unknown(_)), "{err:?}");
 }
 

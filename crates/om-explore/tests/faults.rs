@@ -18,7 +18,8 @@ use om_synth::paper_scenario;
 
 fn guard() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 fn explore_top5(store: &Arc<CubeStore>) -> Result<ExploreReport, ExploreError> {
@@ -46,8 +47,15 @@ fn step_fault_truncates_with_a_partial_prefix() {
     fail::remove(Seam::ExploreStep);
     let partial = partial.unwrap();
     assert!(partial.truncated);
-    assert_eq!(partial.summaries.len(), 1, "one step completed before the fault");
-    assert_eq!(partial.summaries[0], full.summaries[0], "partial is a prefix");
+    assert_eq!(
+        partial.summaries.len(),
+        1,
+        "one step completed before the fault"
+    );
+    assert_eq!(
+        partial.summaries[0], full.summaries[0],
+        "partial is a prefix"
+    );
 }
 
 #[test]

@@ -18,12 +18,18 @@ const B64_ALPHABET: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrst
 pub fn b64_encode(bytes: &[u8]) -> String {
     let mut out = String::with_capacity(bytes.len().div_ceil(3) * 4);
     for chunk in bytes.chunks(3) {
-        // om-lint: allow(panic-path) — chunks(3) never yields an empty slice
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "chunks(3) never yields an empty slice"
+        )]
         let b0 = u32::from(chunk[0]);
         let b1 = chunk.get(1).copied().map(u32::from);
         let b2 = chunk.get(2).copied().map(u32::from);
         let word = (b0 << 16) | (b1.unwrap_or(0) << 8) | b2.unwrap_or(0);
-        // om-lint: allow(panic-path) — & 0x3f keeps the index < 64 == alphabet length
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "& 0x3f keeps the index < 64 == alphabet length"
+        )]
         let sextet = |shift: u32| B64_ALPHABET[((word >> shift) & 0x3f) as usize] as char;
         out.push(sextet(18));
         out.push(sextet(12));

@@ -33,7 +33,23 @@
 //! at which point an `allow_partial` request still gets a typed partial
 //! answer carrying a coverage envelope.
 
-#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+// Request-path crate: a panic here is a 500 or a dead worker, so every
+// panicking construct is denied outside unit tests. A site that cannot
+// fire says why in `#[expect(clippy::indexing_slicing, reason = ...)]`;
+// om-lint's tier-1 clippy test enforces both (docs/lint.md).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::string_slice
+    )
+)]
 
 pub mod client;
 pub mod coordinator;

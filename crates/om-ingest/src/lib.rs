@@ -21,10 +21,23 @@
 //!   immutable generations through
 //!   [`om_cube::SharedStore`], so queries never see a torn store.
 
-// Request-path crate: panics here become 500s or worker deaths, so
-// unwrap/expect are lint-visible outside unit tests (om-lint's
-// panic-path check enforces the same rule with suppression reasons).
-#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+// Request-path crate: a panic here is a 500 or a dead worker, so every
+// panicking construct is denied outside unit tests. A site that cannot
+// fire says why in `#[expect(clippy::indexing_slicing, reason = ...)]`;
+// om-lint's tier-1 clippy test enforces both (docs/lint.md).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing,
+        clippy::string_slice
+    )
+)]
 
 pub mod error;
 mod ingest;

@@ -1,14 +1,13 @@
-//! The check framework and the four repo-specific checks.
+//! The check framework and the three interprocedural checks.
 //!
-//! A check is a pure function of the loaded [`Workspace`]; per-file
-//! checks iterate `ws.sources`, workspace-wide checks correlate across
-//! files and manifests. Findings carry the check's kebab-case name,
-//! which is also the suppression key.
+//! A check is a pure function of the loaded [`Workspace`]; all three
+//! read the call graph and effect summaries it builds once
+//! ([`Workspace::analysis`]). Findings carry the check's kebab-case
+//! name, which is also the suppression key.
 
 mod budget_coverage;
 mod lock_across_io;
 mod lock_order_interproc;
-mod panic_path;
 pub(crate) mod unused_suppression;
 
 use crate::{Finding, Workspace};
@@ -27,7 +26,6 @@ pub trait Check {
 #[must_use]
 pub fn all() -> Vec<Box<dyn Check>> {
     vec![
-        Box::new(panic_path::PanicPath),
         Box::new(lock_across_io::LockAcrossIo),
         Box::new(lock_order_interproc::LockOrderInterproc),
         Box::new(budget_coverage::BudgetCoverage),
@@ -62,6 +60,6 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), before);
-        assert_eq!(before, 6, "4 catalog checks + 2 driver passes");
+        assert_eq!(before, 5, "3 catalog checks + 2 driver passes");
     }
 }

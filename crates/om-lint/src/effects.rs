@@ -18,17 +18,14 @@
 //!   `.join()` on thread handles.
 //! - **budget/failpoint polls** — `budget.check()` (any receiver whose
 //!   name contains `budget`) and `inject(Seam::…)`.
-//! - **panic potential** — `unwrap`/`expect`/`panic!` (informational;
-//!   the `panic-path` check owns the precise rule).
 //!
-//! The fixpoint then propagates *blocks*, *polls*, *acquires* and
-//! *may_panic* over call edges until stable. Over-approximations: a
-//! guard bound by a pattern we don't model lives to its construct end;
-//! ambiguous calls taint every candidate. Under-approximations: guards
-//! returned from helper functions (e.g. a `fn lock() -> MutexGuard`
-//! wrapper) are only tracked inside the helper; iterating a channel
-//! receiver with `for` blocks without any visible call. Both are
-//! documented in docs/lint.md.
+//! The fixpoint then propagates *blocks*, *polls* and *acquires* over
+//! call edges until stable. Over-approximations: a guard bound by a
+//! pattern we don't model lives to its construct end; ambiguous calls
+//! taint every candidate. Under-approximations: guards returned from
+//! helper functions (e.g. a `fn lock() -> MutexGuard` wrapper) are only
+//! tracked inside the helper; iterating a channel receiver with `for`
+//! blocks without any visible call. Both are documented in docs/lint.md.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -59,7 +56,6 @@ pub struct LocalEffects {
     pub blocking: Vec<(usize, u32, String)>,
     /// Token indices of budget/failpoint polls.
     pub polls: Vec<usize>,
-    pub may_panic: bool,
 }
 
 /// The propagated summary of one function.
@@ -74,7 +70,6 @@ pub struct FnSummary {
     /// Declared locks this function may acquire, directly or through
     /// callees, with a witness each.
     pub acquires: BTreeMap<String, String>,
-    pub may_panic: bool,
 }
 
 /// Everything the interprocedural checks consume, built once per run.
@@ -439,10 +434,6 @@ fn local_effects(
                     && code[k - 2].text.to_ascii_lowercase().contains("budget"));
         if is_poll {
             fx.polls.push(k);
-        } else if (matches!(name, "unwrap" | "expect") && prev_dot && next_open)
-            || (name == "panic" && code.get(k + 1).is_some_and(|u| u.is_punct('!')))
-        {
-            fx.may_panic = true;
         }
         k += 1;
     }
@@ -476,7 +467,6 @@ pub fn analyze(ws: &Workspace) -> Analysis {
                     .iter()
                     .filter_map(|a| a.lock.clone().map(|l| (l, format!("{short}:{}", a.line))))
                     .collect(),
-                may_panic: fx.may_panic,
             }
         })
         .collect();
@@ -500,10 +490,6 @@ pub fn analyze(ws: &Workspace) -> Analysis {
                     }
                     if summaries[t].polls && !summaries[n].polls {
                         summaries[n].polls = true;
-                        changed = true;
-                    }
-                    if summaries[t].may_panic && !summaries[n].may_panic {
-                        summaries[n].may_panic = true;
                         changed = true;
                     }
                     let add: Vec<(String, String)> = summaries[t]

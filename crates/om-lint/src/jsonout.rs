@@ -78,12 +78,12 @@ mod tests {
     #[test]
     fn findings_and_counts() {
         let fs = vec![
-            Finding::new("panic-path", "a.rs", 3, "x"),
-            Finding::new("panic-path", "b.rs", 7, "y"),
+            Finding::new("lock-across-io", "a.rs", 3, "x"),
+            Finding::new("lock-across-io", "b.rs", 7, "y"),
             Finding::new("unused-suppression", "c.rs", 1, "z"),
         ];
         let json = render(&fs);
-        assert!(json.contains("\"counts\":{\"panic-path\":2,\"unused-suppression\":1}"));
+        assert!(json.contains("\"counts\":{\"lock-across-io\":2,\"unused-suppression\":1}"));
         assert!(json.contains("\"file\":\"a.rs\",\"line\":3"));
     }
 

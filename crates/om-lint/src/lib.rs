@@ -1,17 +1,17 @@
 //! om-lint: a zero-dependency workspace invariant checker.
 //!
-//! The workspace's production guarantees — panic-isolated request
-//! paths, lock discipline, budgeted request loops — are not all
-//! expressible to the compiler. This crate mines those rules out of the
-//! source tree and enforces them: a hand-rolled Rust lexer
-//! ([`lexer`]), a lightweight item scanner ([`scan`]), a workspace
-//! call graph with per-function effect summaries ([`callgraph`],
-//! [`effects`]), and four repo-specific checks ([`checks`]) that run
-//! per-file, workspace-wide and interprocedurally, report `file:line`
-//! findings (optionally as JSON), and honor inline suppressions:
+//! Two of the workspace's production guarantees — lock discipline and
+//! budgeted request loops — are not expressible to the compiler (the
+//! third, panic-free request paths, is clippy's: see docs/lint.md).
+//! This crate mines those rules out of the source tree and enforces
+//! them: a hand-rolled Rust lexer ([`lexer`]), a lightweight item
+//! scanner ([`scan`]), a workspace call graph with per-function effect
+//! summaries ([`callgraph`], [`effects`]), and three interprocedural
+//! checks ([`checks`]) that report `file:line` findings (optionally as
+//! JSON) and honor inline suppressions:
 //!
 //! ```text
-//! // om-lint: allow(panic-path) — pool invariant: workers outlive jobs
+//! // om-lint: allow(lock-across-io) — startup only: no request holds this lock
 //! ```
 //!
 //! Run as `cargo run -p om-lint -- check [--json] [paths…]`, or
@@ -60,7 +60,7 @@ impl Finding {
 pub enum Role {
     /// Library / binary source: production invariants apply in full.
     Src,
-    /// Tests, benches, examples: exempt from the panic-path rules.
+    /// Tests, benches, examples: outside the call graph.
     Test,
 }
 
@@ -84,8 +84,6 @@ pub struct TextFile {
 /// unmodified against them.
 #[derive(Debug, Clone)]
 pub struct CheckConfig {
-    /// Path prefixes where `panic-path` forbids panicking constructs.
-    pub panic_scopes: Vec<String>,
     /// Path prefixes where `budget-coverage` requires request-path
     /// loops to poll a Budget/failpoint seam.
     pub budget_scopes: Vec<String>,
@@ -96,18 +94,6 @@ pub struct CheckConfig {
 impl Default for CheckConfig {
     fn default() -> Self {
         Self {
-            panic_scopes: vec![
-                "crates/om-server/src/".into(),
-                "crates/om-api/src/".into(),
-                "crates/om-ingest/src/".into(),
-                "crates/om-exec/src/".into(),
-                "crates/om-cluster/src/".into(),
-                "crates/om-explore/src/".into(),
-                // The counting kernel sits on every conditioned request
-                // path (drill levels, batch prefixes, /internal/*).
-                "crates/om-cube/src/bitmap.rs".into(),
-                "crates/om-cube/src/kernel.rs".into(),
-            ],
             budget_scopes: vec![
                 "crates/om-server/src/".into(),
                 "crates/om-cluster/src/".into(),

@@ -482,13 +482,14 @@ mod tests {
 
     #[test]
     fn suppression_maps_to_next_code_line() {
-        let src = "// om-lint: allow(panic-path) — startup only\nlet x = v.unwrap();\n\
-                   let y = w.unwrap(); // om-lint: allow(panic-path) — trailing\n";
+        let src = "// om-lint: allow(lock-across-io) — startup only\nlet x = v.unwrap();\n\
+                   let y = w.unwrap(); // om-lint: allow(lock-across-io) — trailing\n";
         let info = scan(&lex(src));
-        assert!(info.is_suppressed("panic-path", 2));
-        assert!(info.is_suppressed("panic-path", 3));
+        assert!(info.is_suppressed("lock-across-io", 2));
+        assert!(info.is_suppressed("lock-across-io", 3));
         assert!(
-            !info.is_suppressed("panic-path", 1) || info.code.first().map(|t| t.line) == Some(1)
+            !info.is_suppressed("lock-across-io", 1)
+                || info.code.first().map(|t| t.line) == Some(1)
         );
         assert_eq!(info.suppressions.len(), 2);
         assert_eq!(info.suppressions[0].reason, "startup only");
@@ -496,7 +497,7 @@ mod tests {
 
     #[test]
     fn bare_suppression_has_empty_reason() {
-        let src = "// om-lint: allow(panic-path)\nlet x = v.unwrap();\n";
+        let src = "// om-lint: allow(lock-across-io)\nlet x = v.unwrap();\n";
         let info = scan(&lex(src));
         assert_eq!(info.suppressions.len(), 1);
         assert!(info.suppressions[0].reason.is_empty());

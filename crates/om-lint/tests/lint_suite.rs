@@ -1,8 +1,10 @@
 //! Integration suite for the lint driver itself: the fixture corpus
 //! must self-test green, the real workspace must be clean at HEAD, and
-//! the JSON output must match its golden byte-for-byte.
+//! the JSON output must match its golden byte-for-byte. It also holds
+//! the request-path panic policy, which clippy enforces.
 
 use std::path::PathBuf;
+use std::process::Command;
 
 use om_lint::fixtures::{fixtures_dir, run_all};
 use om_lint::{checks, find_workspace_root, jsonout, CheckConfig, Workspace};
@@ -39,16 +41,41 @@ fn workspace_head_is_clean() {
     );
 }
 
-/// The JSON report for the panic-path violation fixture, pinned to a
+/// No panic reachable from input on a request path. Each request-path
+/// crate root (and om-cube's `bitmap.rs` and `kernel.rs`) denies
+/// clippy's panicking-construct lints outside unit tests, and a site
+/// that cannot fire carries `#[expect(clippy::indexing_slicing, reason
+/// = "…")]`. An expectation whose site is gone is denied here as
+/// `unfulfilled_lint_expectations`, so a stale waiver fails like a new
+/// panic site does. Its own target dir keeps this clippy run off the
+/// lock of the build that runs the test.
+#[test]
+fn request_paths_pass_clippys_panic_lints() {
+    let root = workspace_root();
+    let out = Command::new(env!("CARGO"))
+        .args(["clippy", "--offline", "-q", "--workspace", "--lib"])
+        .args(["--", "-D", "unfulfilled_lint_expectations"])
+        .current_dir(&root)
+        .env("CARGO_TARGET_DIR", root.join("target/clippy-tier1"))
+        .output()
+        .expect("cargo clippy starts");
+    assert!(
+        out.status.success(),
+        "clippy rejects the request-path panic policy (docs/lint.md):\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+/// The JSON report for the lock-across-io violation fixture, pinned to a
 /// golden file. Regenerate with `OM_UPDATE_GOLDEN=1 cargo test -p om-lint`.
 #[test]
 fn json_output_matches_golden() {
     let root = workspace_root();
-    let fixture = fixtures_dir(&root).join("panic-path/violation");
+    let fixture = fixtures_dir(&root).join("lock-across-io/violation");
     let ws = Workspace::load(&fixture, CheckConfig::default()).expect("fixture loads");
     let rendered = jsonout::render(&ws.run_checks());
 
-    let golden_path = root.join("crates/om-lint/tests/golden/panic_path_violation.json");
+    let golden_path = root.join("crates/om-lint/tests/golden/lock_across_io_violation.json");
     if std::env::var_os("OM_UPDATE_GOLDEN").is_some() {
         std::fs::create_dir_all(golden_path.parent().expect("golden dir"))
             .expect("create golden dir");

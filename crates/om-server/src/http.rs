@@ -293,7 +293,10 @@ pub fn parse_request_routed<S: Read>(
     let mut body_bytes = vec![0u8; content_length];
     let mut read = 0;
     while read < content_length {
-        // om-lint: allow(panic-path) — read < content_length == body_bytes.len() by the loop guard
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "read < content_length == body_bytes.len() by the loop guard"
+        )]
         match reader.read(&mut body_bytes[read..]) {
             Ok(0) => return Err(ParseError::Malformed("truncated body".into())),
             Ok(n) => read += n,

@@ -153,8 +153,7 @@ fn store(
     // would otherwise ship holes).
     let attrs = snapshot.attrs().to_vec();
     for (i, &a) in attrs.iter().enumerate() {
-        // om-lint: allow(panic-path) — i < attrs.len() by the enumerate bound
-        for &b in &attrs[i + 1..] {
+        for &b in attrs.iter().skip(i + 1) {
             snapshot
                 .pair(a, b)
                 .map_err(failed(Internal, "pair materialization failed"))?;

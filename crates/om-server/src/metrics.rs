@@ -102,7 +102,10 @@ impl Histogram {
             .iter()
             .position(|&bound| us <= bound)
             .unwrap_or(BUCKET_BOUNDS_US.len());
-        // om-lint: allow(panic-path) — idx ≤ BOUNDS.len(); buckets has len+1 slots
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "idx ≤ BOUNDS.len(); buckets has len+1 slots"
+        )]
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum_us.fetch_add(us, Ordering::Relaxed);
@@ -192,7 +195,10 @@ impl Metrics {
 
     /// Count one request against its endpoint.
     pub fn record_request(&self, endpoint: Endpoint) {
-        // om-lint: allow(panic-path) — slot() < ALL.len() by exhaustive match
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "slot() < ALL.len() by exhaustive match"
+        )]
         self.requests[Self::slot(endpoint)].fetch_add(1, Ordering::Relaxed);
     }
 
@@ -259,7 +265,10 @@ impl Metrics {
     /// Requests seen for `endpoint`.
     #[must_use]
     pub fn requests(&self, endpoint: Endpoint) -> u64 {
-        // om-lint: allow(panic-path) — slot() < ALL.len() by exhaustive match
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "slot() < ALL.len() by exhaustive match"
+        )]
         self.requests[Self::slot(endpoint)].load(Ordering::Relaxed)
     }
 

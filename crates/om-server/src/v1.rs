@@ -361,10 +361,10 @@ fn cube_slice(
             })?;
             let view = CubeView::from_cube(&cube)
                 .map_err(|e| ErrorEnvelope::new(ErrorCode::Invalid, format!("cube error: {e}")))?;
-            let values = (0..view.n_values() as u32)
-                .map(|v| SliceValueWire {
-                    // om-lint: allow(panic-path) — v < n_values() == value_labels().len() by the range bound
-                    label: view.value_labels()[v as usize].clone(),
+            let values = (0u32..)
+                .zip(view.value_labels())
+                .map(|(v, label)| SliceValueWire {
+                    label: label.clone(),
                     total: view.value_total(v),
                     counts: (0..view.n_classes() as u32)
                         .map(|c| view.count(v, c))
@@ -394,7 +394,10 @@ fn cube_slice(
                 .iter_cells()
                 .filter(|(_, _, count)| *count > 0)
                 .map(|(coords, class, count)| PairCellWire {
-                    // om-lint: allow(panic-path) — pair-cube cells are 2-D by construction
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "pair-cube cells are 2-D by construction"
+                    )]
                     coords: [u64::from(coords[0]), u64::from(coords[1])],
                     class: u64::from(class),
                     count,

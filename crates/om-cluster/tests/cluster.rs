@@ -1568,6 +1568,37 @@ mod failpoints {
             s.shutdown();
         }
     }
+
+    #[test]
+    fn a_panicked_fan_out_worker_names_its_partition_and_no_replica() {
+        let _armed = FAILPOINTS.write();
+        // Every read's generation poll walks a partition's replicas
+        // through the retry seam on that partition's fan-out worker, so
+        // a panicking seam takes the worker down with no replica tried.
+        // Partition 1's replicas are shards 2 and 3: naming "replica 1"
+        // for it would point at partition 0.
+        let (_, coord, shard_servers, _, single) = replicated_fixture(2, 2);
+        let cc = client(&coord);
+        fail::configure(
+            Seam::ClusterReplicaRetry,
+            Action::Panic("injected fan-out panic".into()),
+        );
+        let (status, body) = cc.post("/v1/compare", &compare_body()).unwrap();
+        fail::remove(Seam::ClusterReplicaRetry);
+        assert_eq!(status, 503, "{body}");
+        let env = om_api::ErrorEnvelope::parse(&body).unwrap();
+        assert_eq!(env.code, om_api::ErrorCode::Overloaded);
+        assert_eq!(
+            env.message,
+            "partition 0 is unavailable for generation poll: its fan-out worker panicked"
+        );
+        assert!(env.retry_after_ms.is_some(), "{body}");
+        coord.shutdown();
+        single.shutdown();
+        for s in shard_servers.into_iter().flatten() {
+            s.shutdown();
+        }
+    }
 }
 
 /// A stand-in replica at its own address: it forwards every call to

@@ -108,12 +108,10 @@ impl DatasetBuilder {
 
     /// Number of rows pushed so far.
     pub fn n_rows(&self) -> usize {
-        self.cols
-            .first()
-            .map_or(0, |c| match c {
-                ColBuf::Cat(v) => v.len(),
-                ColBuf::Cont(v) => v.len(),
-            })
+        self.cols.first().map_or(0, |c| match c {
+            ColBuf::Cat(v) => v.len(),
+            ColBuf::Cont(v) => v.len(),
+        })
     }
 
     /// Finish building.
@@ -180,9 +178,7 @@ mod tests {
     #[test]
     fn rejects_kind_mismatch() {
         let mut b = DatasetBuilder::new().continuous("X").class("C");
-        assert!(b
-            .push_row(&[Cell::Str("oops"), Cell::Str("c")])
-            .is_err());
+        assert!(b.push_row(&[Cell::Str("oops"), Cell::Str("c")]).is_err());
     }
 
     #[test]

@@ -33,11 +33,7 @@ pub struct CollapseInfo {
 /// Fails if the attribute is the class, is continuous, or a label clash
 /// with [`OTHER_LABEL`] would be ambiguous (an existing `other` value that
 /// itself survives).
-pub fn collapse_rare_values(
-    ds: &mut Dataset,
-    idx: usize,
-    min_count: u64,
-) -> Result<CollapseInfo> {
+pub fn collapse_rare_values(ds: &mut Dataset, idx: usize, min_count: u64) -> Result<CollapseInfo> {
     if idx == ds.schema().class_index() {
         return Err(DataError::Invalid(
             "cannot collapse values of the class attribute".into(),
@@ -88,7 +84,12 @@ pub fn collapse_rare_values(
     let old_ids = ds.categorical(idx)?;
     let new_ids: Vec<ValueId> = old_ids.iter().map(|&v| mapping[v as usize]).collect();
     let new_attr = Attribute::categorical(name, Domain::from_labels(new_labels));
-    replace_attribute(ds, idx, new_attr, crate::column::Column::Categorical(new_ids))?;
+    replace_attribute(
+        ds,
+        idx,
+        new_attr,
+        crate::column::Column::Categorical(new_ids),
+    )?;
     Ok(CollapseInfo {
         mapping,
         other_id: Some(other_id),
@@ -102,9 +103,7 @@ pub fn collapse_rare_values(
 /// Propagates per-attribute failures.
 pub fn collapse_all(ds: &mut Dataset, min_count: u64) -> Result<Vec<(usize, CollapseInfo)>> {
     let attrs: Vec<usize> = (0..ds.schema().n_attributes())
-        .filter(|&i| {
-            i != ds.schema().class_index() && ds.schema().attribute(i).is_categorical()
-        })
+        .filter(|&i| i != ds.schema().class_index() && ds.schema().attribute(i).is_categorical())
         .collect();
     let mut out = Vec::with_capacity(attrs.len());
     for idx in attrs {
@@ -187,7 +186,8 @@ mod tests {
         for i in 0..60 {
             let a = if i < 55 { "a_common" } else { "a_rare" };
             let bb = if i % 2 == 0 { "b0" } else { "b1" };
-            b.push_row(&[Cell::Str(a), Cell::Str(bb), Cell::Str("y")]).unwrap();
+            b.push_row(&[Cell::Str(a), Cell::Str(bb), Cell::Str("y")])
+                .unwrap();
         }
         let mut ds = b.finish().unwrap();
         let infos = collapse_all(&mut ds, 10).unwrap();

@@ -45,12 +45,8 @@ impl Column {
     /// Panics if any index is out of range.
     pub fn take_rows(&self, rows: &[usize]) -> Column {
         match self {
-            Column::Categorical(v) => {
-                Column::Categorical(rows.iter().map(|&r| v[r]).collect())
-            }
-            Column::Continuous(v) => {
-                Column::Continuous(rows.iter().map(|&r| v[r]).collect())
-            }
+            Column::Categorical(v) => Column::Categorical(rows.iter().map(|&r| v[r]).collect()),
+            Column::Continuous(v) => Column::Continuous(rows.iter().map(|&r| v[r]).collect()),
         }
     }
 

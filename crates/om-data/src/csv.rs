@@ -104,11 +104,7 @@ pub fn read_csv<R: BufRead>(reader: R, options: &CsvOptions) -> Result<Dataset> 
         if fields.len() != names.len() {
             return Err(DataError::Csv {
                 line: i + 2,
-                message: format!(
-                    "expected {} fields, found {}",
-                    names.len(),
-                    fields.len()
-                ),
+                message: format!("expected {} fields, found {}", names.len(), fields.len()),
             });
         }
         rows.push(fields);
@@ -256,11 +252,7 @@ ph1,-60,morning,ok
 
         let mut out = Vec::new();
         write_csv(&ds, &mut out, ',').unwrap();
-        let ds2 = read_csv(
-            BufReader::new(out.as_slice()),
-            &CsvOptions::new("C"),
-        )
-        .unwrap();
+        let ds2 = read_csv(BufReader::new(out.as_slice()), &CsvOptions::new("C")).unwrap();
         assert_eq!(ds2.n_rows(), ds.n_rows());
         assert_eq!(
             ds2.schema().attribute(0).domain().label(0),
@@ -277,11 +269,7 @@ ph1,-60,morning,ok
         .unwrap();
         let mut out = Vec::new();
         write_csv(&ds, &mut out, ',').unwrap();
-        let ds2 = read_csv(
-            BufReader::new(out.as_slice()),
-            &CsvOptions::new("Outcome"),
-        )
-        .unwrap();
+        let ds2 = read_csv(BufReader::new(out.as_slice()), &CsvOptions::new("Outcome")).unwrap();
         assert_eq!(ds2.n_rows(), 3);
         assert_eq!(ds2.class_counts(), ds.class_counts());
         assert_eq!(
@@ -292,18 +280,14 @@ ph1,-60,morning,ok
 
     #[test]
     fn missing_class_column_fails() {
-        let r = read_csv(
-            BufReader::new(SAMPLE.as_bytes()),
-            &CsvOptions::new("Nope"),
-        );
+        let r = read_csv(BufReader::new(SAMPLE.as_bytes()), &CsvOptions::new("Nope"));
         assert!(r.is_err());
     }
 
     #[test]
     fn ragged_row_fails_with_line_number() {
         let src = "A,C\nx,y\nonly-one\n";
-        let err = read_csv(BufReader::new(src.as_bytes()), &CsvOptions::new("C"))
-            .unwrap_err();
+        let err = read_csv(BufReader::new(src.as_bytes()), &CsvOptions::new("C")).unwrap_err();
         assert!(err.to_string().contains("line 3"), "{err}");
     }
 

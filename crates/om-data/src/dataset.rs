@@ -114,10 +114,7 @@ impl Dataset {
 
     /// Whether every attribute is categorical (required for rule cubes).
     pub fn all_categorical(&self) -> bool {
-        self.schema
-            .attributes()
-            .iter()
-            .all(|a| a.is_categorical())
+        self.schema.attributes().iter().all(|a| a.is_categorical())
     }
 
     /// Count of records per class, indexed by class id.
@@ -408,8 +405,7 @@ mod tests {
             0,
         )
         .unwrap();
-        let ds =
-            Dataset::from_columns(schema, vec![Column::Categorical(vec![])]).unwrap();
+        let ds = Dataset::from_columns(schema, vec![Column::Categorical(vec![])]).unwrap();
         assert!(ds.is_empty());
         assert_eq!(ds.class_counts(), vec![0, 0]);
     }
@@ -426,10 +422,7 @@ mod tests {
         .unwrap();
         let ds = Dataset::from_columns(
             schema,
-            vec![
-                Column::Continuous(vec![1.0]),
-                Column::Categorical(vec![0]),
-            ],
+            vec![Column::Continuous(vec![1.0]), Column::Categorical(vec![0])],
         )
         .unwrap();
         assert!(ds.categorical(0).is_err());

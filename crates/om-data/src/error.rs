@@ -75,9 +75,15 @@ mod tests {
     fn display_formats() {
         let e = DataError::UnknownAttribute("Foo".into());
         assert_eq!(e.to_string(), "unknown attribute: Foo");
-        let e = DataError::Csv { line: 3, message: "bad".into() };
+        let e = DataError::Csv {
+            line: 3,
+            message: "bad".into(),
+        };
         assert!(e.to_string().contains("line 3"));
-        let e = DataError::UnknownValue { attribute: "A".into(), value: "x".into() };
+        let e = DataError::UnknownValue {
+            attribute: "A".into(),
+            value: "x".into(),
+        };
         assert!(e.to_string().contains("\"x\""));
     }
 

@@ -31,8 +31,7 @@ pub(crate) fn get_str(buf: &mut Bytes) -> Result<String> {
         return Err(DataError::Decode("truncated string payload".into()));
     }
     let raw = buf.copy_to_bytes(len);
-    String::from_utf8(raw.to_vec())
-        .map_err(|e| DataError::Decode(format!("invalid UTF-8: {e}")))
+    String::from_utf8(raw.to_vec()).map_err(|e| DataError::Decode(format!("invalid UTF-8: {e}")))
 }
 
 fn put_schema(buf: &mut BytesMut, schema: &Schema) {
@@ -82,8 +81,7 @@ fn get_schema(buf: &mut Bytes) -> Result<Schema> {
         };
         attrs.push(attr);
     }
-    Schema::new(attrs, class_idx)
-        .map_err(|e| DataError::Decode(format!("invalid schema: {e}")))
+    Schema::new(attrs, class_idx).map_err(|e| DataError::Decode(format!("invalid schema: {e}")))
 }
 
 /// Serialize a dataset to bytes.
@@ -185,7 +183,8 @@ mod tests {
             ("ph2", -90.5, "drop"),
             ("ph1", -60.0, "ok"),
         ] {
-            b.push_row(&[Cell::Str(p), Cell::Num(s), Cell::Str(o)]).unwrap();
+            b.push_row(&[Cell::Str(p), Cell::Num(s), Cell::Str(o)])
+                .unwrap();
         }
         b.finish().unwrap()
     }
@@ -200,7 +199,11 @@ mod tests {
 
     #[test]
     fn empty_dataset_round_trips() {
-        let ds = DatasetBuilder::new().categorical("A").class("C").finish().unwrap();
+        let ds = DatasetBuilder::new()
+            .categorical("A")
+            .class("C")
+            .finish()
+            .unwrap();
         let back = decode_dataset(encode_dataset(&ds)).unwrap();
         assert_eq!(back.n_rows(), 0);
     }
@@ -257,7 +260,8 @@ mod tests {
     #[test]
     fn special_floats_survive() {
         let mut b = DatasetBuilder::new().continuous("X").class("C");
-        b.push_row(&[Cell::Num(f64::INFINITY), Cell::Str("a")]).unwrap();
+        b.push_row(&[Cell::Num(f64::INFINITY), Cell::Str("a")])
+            .unwrap();
         b.push_row(&[Cell::Num(-0.0), Cell::Str("b")]).unwrap();
         let ds = b.finish().unwrap();
         let back = decode_dataset(encode_dataset(&ds)).unwrap();

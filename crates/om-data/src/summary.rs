@@ -44,7 +44,13 @@ pub fn summarize(ds: &Dataset) -> DatasetSummary {
         .labels()
         .iter()
         .zip(&class_counts)
-        .map(|(l, &c)| (l.clone(), c, if total > 0.0 { c as f64 / total } else { 0.0 }))
+        .map(|(l, &c)| {
+            (
+                l.clone(),
+                c,
+                if total > 0.0 { c as f64 / total } else { 0.0 },
+            )
+        })
         .collect();
 
     let attributes = (0..schema.n_attributes())
@@ -54,13 +60,8 @@ pub fn summarize(ds: &Dataset) -> DatasetSummary {
             match attr.kind() {
                 AttrKind::Categorical => {
                     let counts = ds.value_counts(i).expect("categorical attribute");
-                    let mut pairs: Vec<(String, u64)> = attr
-                        .domain()
-                        .labels()
-                        .iter()
-                        .cloned()
-                        .zip(counts)
-                        .collect();
+                    let mut pairs: Vec<(String, u64)> =
+                        attr.domain().labels().iter().cloned().zip(counts).collect();
                     pairs.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
                     AttributeSummary {
                         name: attr.name().to_owned(),
@@ -176,7 +177,8 @@ mod tests {
             ("ph2", f64::NAN, "drop"),
             ("ph2", -90.0, "ok"),
         ] {
-            b.push_row(&[Cell::Str(p), Cell::Num(s), Cell::Str(o)]).unwrap();
+            b.push_row(&[Cell::Str(p), Cell::Num(s), Cell::Str(o)])
+                .unwrap();
         }
         b.finish().unwrap()
     }
@@ -211,7 +213,11 @@ mod tests {
 
     #[test]
     fn empty_dataset_summary() {
-        let ds = DatasetBuilder::new().continuous("X").class("C").finish().unwrap();
+        let ds = DatasetBuilder::new()
+            .continuous("X")
+            .class("C")
+            .finish()
+            .unwrap();
         let s = summarize(&ds);
         assert_eq!(s.n_rows, 0);
         assert!(s.attributes[0].min.is_none());

@@ -39,10 +39,7 @@ pub use cube::{CubeDim, CubeError, RuleCube};
 pub use kernel::{ColumnIndex, PopulationSelector};
 pub use merge::merge_cubes;
 pub use query::conditioned_one_dim;
-pub use query::{
-    filter_rules, filter_rules_budgeted, top_k_by_confidence, top_k_by_confidence_budgeted,
-    CubeRule,
-};
+pub use query::{top_k_by_confidence, top_k_by_confidence_budgeted, CubeRule};
 pub use snapshot::{SharedStore, StoreSnapshot};
 pub use store::{CubeStore, StoreBuildOptions};
 pub use view::CubeView;

@@ -153,67 +153,6 @@ pub fn top_k_by_confidence_budgeted(
     Ok(rules)
 }
 
-/// All rules of the cube whose confidence for their class is at least
-/// `min_confidence` and whose condition set covers at least `min_count`
-/// records — the min-sup/min-conf filter of classic CAR mining, applied
-/// *after* the fact ("setting the two thresholds to 0 … removes holes",
-/// then filter on read).
-///
-/// Results are in descending confidence order.
-pub fn filter_rules(cube: &RuleCube, min_confidence: f64, min_count: u64) -> Vec<CubeRule> {
-    filter_rules_budgeted(cube, min_confidence, min_count, &Budget::unlimited())
-        .expect("unlimited budget never trips")
-}
-
-/// [`filter_rules`] under a cooperative [`Budget`]: the cell walk checks
-/// the deadline every [`CELL_STRIDE`] cells.
-///
-/// # Errors
-/// [`CubeError::Fault`] when the budget expires or the request is
-/// cancelled.
-pub fn filter_rules_budgeted(
-    cube: &RuleCube,
-    min_confidence: f64,
-    min_count: u64,
-    budget: &Budget,
-) -> Result<Vec<CubeRule>, CubeError> {
-    budget.check()?;
-    let total = cube.total();
-    let mut pacer = Pacer::new(budget, CELL_STRIDE);
-    let mut rules: Vec<CubeRule> = Vec::new();
-    for (coords, class, count) in cube.iter_cells() {
-        pacer.tick()?;
-        let cell_total = cube.cell_total(&coords)?;
-        if cell_total < min_count.max(1) {
-            continue;
-        }
-        let confidence = count as f64 / cell_total as f64;
-        if confidence < min_confidence {
-            continue;
-        }
-        rules.push(CubeRule {
-            coords,
-            class,
-            count,
-            cell_total,
-            support: if total > 0 {
-                count as f64 / total as f64
-            } else {
-                0.0
-            },
-            confidence,
-        });
-    }
-    rules.sort_by(|a, b| {
-        b.confidence
-            .partial_cmp(&a.confidence)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.coords.cmp(&b.coords))
-            .then(a.class.cmp(&b.class))
-    });
-    Ok(rules)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,19 +193,6 @@ mod tests {
     }
 
     #[test]
-    fn filter_rules_threshold_semantics() {
-        let c = cube();
-        let rules = filter_rules(&c, 0.5, 1);
-        // ok@am (0.8), ok@pm (0.975), drop@eve (1.0) clear 0.5.
-        assert_eq!(rules.len(), 3);
-        assert!(rules.windows(2).all(|w| w[0].confidence >= w[1].confidence));
-        for r in &rules {
-            assert!(r.confidence >= 0.5);
-            assert!(r.support <= 1.0);
-        }
-    }
-
-    #[test]
     fn display_renders_labels() {
         let c = cube();
         let top = top_k_by_confidence(&c, 1, 1, 1).unwrap();
@@ -286,8 +212,6 @@ mod tests {
         use std::time::Duration;
         let c = cube();
         let spent = Budget::with_timeout(Duration::ZERO);
-        let e = filter_rules_budgeted(&c, 0.0, 1, &spent).unwrap_err();
-        assert!(matches!(e, CubeError::Fault(_)), "{e}");
         let e = top_k_by_confidence_budgeted(&c, 1, 5, 1, &spent).unwrap_err();
         assert!(matches!(e, CubeError::Fault(_)), "{e}");
     }
@@ -301,6 +225,5 @@ mod tests {
         }];
         let c = RuleCube::new(dims, vec!["y".into()]);
         assert!(top_k_by_confidence(&c, 0, 5, 1).unwrap().is_empty());
-        assert!(filter_rules(&c, 0.0, 1).is_empty());
     }
 }

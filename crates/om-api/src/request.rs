@@ -5,6 +5,7 @@
 //! keys are rejected.
 
 use crate::json::{write_str, Json};
+use crate::rows::{encode_rows, LabelRows};
 use crate::wire::{field, wire, Fields, Obj, Wire};
 
 wire! {
@@ -69,9 +70,10 @@ wire! {
     }
 
     /// `POST /v1/ingest` — typed live rows: each row is every attribute's
-    /// value label (class included) in schema order.
+    /// value label (class included) in schema order. The server reads
+    /// the body as a [`LabelRows`] table; this is its owned form.
     #[derive(Debug, Clone, Eq)]
-    pub struct IngestRequest: strict, encode, parse, from_json {
+    pub struct IngestRequest: strict, from_json {
         pub rows: Vec<Vec<String>>,
     }
 
@@ -112,6 +114,24 @@ wire! {
         pub budget_ms: Option<u64>,
         /// Switch to `explore_compare` mode.
         pub compare: Option<ExploreCompareBlock>,
+    }
+}
+
+impl IngestRequest {
+    /// The wire body, written by [`encode_rows`].
+    #[must_use]
+    pub fn encode(&self) -> String {
+        encode_rows(self.rows.iter().map(Vec::as_slice))
+    }
+
+    /// Parse a wire body: [`LabelRows::decode`], then an owned copy.
+    ///
+    /// # Errors
+    /// A message describing the parse or shape failure.
+    pub fn parse(text: &str) -> Result<Self, String> {
+        LabelRows::decode(text).map(|rows| Self {
+            rows: rows.to_rows(),
+        })
     }
 }
 

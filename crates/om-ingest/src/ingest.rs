@@ -300,8 +300,21 @@ impl IngestHandle {
     /// [`IngestError::BadRow`] on validation failures; WAL/fault errors
     /// on the durability path.
     pub fn append_labeled(&self, rows: &[Vec<String>]) -> Result<usize, IngestError> {
+        self.append_label_rows(rows.iter().map(Vec::as_slice))
+    }
+
+    /// [`Self::append_labeled`] over rows of any string form, such as
+    /// labels still borrowed from the request body that carried them:
+    /// each label is read once, into its value id.
+    ///
+    /// # Errors
+    /// As [`Self::append_labeled`].
+    pub fn append_label_rows<'r, S: AsRef<str> + 'r>(
+        &self,
+        rows: impl IntoIterator<Item = &'r [S]>,
+    ) -> Result<usize, IngestError> {
         let parsed = rows
-            .iter()
+            .into_iter()
             .enumerate()
             .map(|(i, fields)| self.inner.parser.parse_fields(fields, i + 1))
             .collect::<Result<Vec<_>, _>>()?;

@@ -73,12 +73,18 @@ impl RowParser {
     /// Validate one already-split row: every schema attribute's value
     /// (class included) in schema order, as the JSON ingest path sends
     /// it. Fields are taken verbatim — no trimming or quote handling.
-    /// `row` is the 1-based position used in error messages.
+    /// `row` is the 1-based position used in error messages. A field is
+    /// any string form (`String`, `&str`, a label borrowed from a
+    /// request body).
     ///
     /// # Errors
     /// [`IngestError::BadRow`] on wrong arity, unknown labels, or
     /// unbinnable numerics.
-    pub fn parse_fields(&self, fields: &[String], row: usize) -> Result<Vec<ValueId>, IngestError> {
+    pub fn parse_fields<S: AsRef<str>>(
+        &self,
+        fields: &[S],
+        row: usize,
+    ) -> Result<Vec<ValueId>, IngestError> {
         if fields.len() != self.schema.n_attributes() {
             return Err(IngestError::BadRow {
                 row,
@@ -91,7 +97,7 @@ impl RowParser {
         }
         let mut ids = Vec::with_capacity(fields.len());
         for (attr, field) in fields.iter().enumerate() {
-            ids.push(self.resolve(attr, field, row)?);
+            ids.push(self.resolve(attr, field.as_ref(), row)?);
         }
         Ok(ids)
     }

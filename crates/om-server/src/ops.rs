@@ -25,7 +25,7 @@
 
 use std::sync::Arc;
 
-use om_api::{CoverageWire, ErrorCode, ErrorEnvelope};
+use om_api::{CoverageWire, ErrorCode, ErrorEnvelope, LabelRows};
 use om_compare::{
     CompareConfig, ComparisonResult, ComparisonSpec, DrillConfig, DrillLevel, DrillPopulation,
     SelectorPopulation,
@@ -144,13 +144,23 @@ pub trait EngineOps: Send + Sync {
     /// Whether `POST /v1/ingest` is live on this backend.
     fn ingest_enabled(&self) -> bool;
 
-    /// Append pre-split labeled rows; all-or-nothing per batch.
+    /// Append a decoded `/v1/ingest` batch; all-or-nothing per batch.
+    /// The labels stay borrowed from the request body: a backend reads
+    /// each one where it is, never copying the batch whole.
     ///
     /// # Errors
     /// An envelope: `bad_row` naming the 1-based offending row,
     /// `bad_request` for malformed batches, `not_found` when ingestion
     /// is disabled.
-    fn ingest_rows(&self, rows: &[Vec<String>]) -> Result<IngestAck, OpsError>;
+    fn ingest_table(&self, rows: &LabelRows<'_>) -> Result<IngestAck, OpsError>;
+
+    /// [`EngineOps::ingest_table`] over rows already held as strings.
+    ///
+    /// # Errors
+    /// As [`EngineOps::ingest_table`].
+    fn ingest_rows(&self, rows: &[Vec<String>]) -> Result<IngestAck, OpsError> {
+        self.ingest_table(&LabelRows::borrowing(rows))
+    }
 
     /// Write this backend's families into `/metrics`, after the
     /// server's own (the resident backend's ingest counters, a
@@ -401,7 +411,7 @@ impl EngineOps for EngineBackend<'_> {
         self.ingest.is_some()
     }
 
-    fn ingest_rows(&self, rows: &[Vec<String>]) -> Result<IngestAck, OpsError> {
+    fn ingest_table(&self, rows: &LabelRows<'_>) -> Result<IngestAck, OpsError> {
         let Some(handle) = self.ingest else {
             return Err(ErrorEnvelope::new(
                 ErrorCode::NotFound,
@@ -409,7 +419,7 @@ impl EngineOps for EngineBackend<'_> {
             )
             .into());
         };
-        match handle.append_labeled(rows) {
+        match handle.append_label_rows(rows.iter()) {
             Ok(accepted) => {
                 let stats = handle.stats();
                 Ok(IngestAck {

@@ -13,7 +13,7 @@ use om_api::{
     AttrScoreWire, BatchItemRequest, BatchItemResult, BatchRequest, BatchResponse, CompareRequest,
     CompareResponse, DrillLevelWire, DrillRequest, DrillResponse, ErrorCode, ErrorEnvelope,
     ExceptionWire, ExploreCompareWire, ExploreCondWire, ExploreRequest, ExploreResponse,
-    ExploreSummaryWire, GiRequest, GiResponse, InfluenceWire, IngestRequest, IngestResponse,
+    ExploreSummaryWire, GiRequest, GiResponse, InfluenceWire, IngestResponse, LabelRows,
     PairCellWire, PairDimWire, SliceRequest, SliceResponse, SliceValueWire, TrendWire,
     ValueContributionWire,
 };
@@ -493,9 +493,9 @@ fn ingest(
     opts.budget
         .check()
         .map_err(|e| overloaded(e.to_string(), opts))?;
-    let body = IngestRequest::parse(&req.body).map_err(bad_request)?;
+    let rows = LabelRows::decode(&req.body).map_err(bad_request)?;
     let ack = ops
-        .ingest_rows(&body.rows)
+        .ingest_table(&rows)
         .map_err(|e| ops_envelope(&e, opts))?;
     Ok(Response::json(
         IngestResponse {

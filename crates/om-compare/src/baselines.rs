@@ -13,7 +13,9 @@ use om_cube::CubeStore;
 use om_stats::{chi2_independence, info_gain};
 
 use crate::measure::SubPopCounts;
-use crate::rank::{attr_name, subpop_counts, CompareConfig, CompareError, Comparator, ComparisonSpec};
+use crate::rank::{
+    attr_name, subpop_counts, Comparator, CompareConfig, CompareError, ComparisonSpec,
+};
 
 /// A ranked attribute: schema index, display name, score.
 #[derive(Debug, Clone, PartialEq)]
@@ -142,12 +144,11 @@ impl AttributeRanker for InfoGainRanker {
         spec: &ComparisonSpec,
     ) -> Result<Vec<RankedAttr>, CompareError> {
         rank_by(store, spec, |_d1, d2| {
-            let parts: Vec<Vec<u64>> = d2
-                .n
-                .iter()
-                .zip(&d2.x)
-                .map(|(&n, &x)| vec![x, n - x])
-                .collect();
+            let parts: Vec<Vec<u64>> =
+                d2.n.iter()
+                    .zip(&d2.x)
+                    .map(|(&n, &x)| vec![x, n - x])
+                    .collect();
             info_gain(&parts)
         })
     }

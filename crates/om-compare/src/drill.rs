@@ -26,7 +26,7 @@ use om_data::{DataError, Dataset, Schema};
 use om_fault::fail::{self, Seam};
 use om_fault::Budget;
 
-use crate::rank::{CompareConfig, CompareError, Comparator, ComparisonResult, ComparisonSpec};
+use crate::rank::{Comparator, CompareConfig, CompareError, ComparisonResult, ComparisonSpec};
 
 /// One level of a drill-down: the condition added and the comparison run
 /// under it.
@@ -233,7 +233,15 @@ where
     P: DrillPopulation + ?Sized,
     F: FnMut(Arc<CubeStore>, &ComparisonSpec, &Budget) -> Result<ComparisonResult, CompareError>,
 {
-    drill_path_via(pop, spec, &[], config, budget, &mut DrillMemo::new(), run_compare)
+    drill_path_via(
+        pop,
+        spec,
+        &[],
+        config,
+        budget,
+        &mut DrillMemo::new(),
+        run_compare,
+    )
 }
 
 /// The drill walk — the one copy of the level loop, whoever picks the
@@ -310,10 +318,7 @@ where
         };
         levels.push(DrillLevel {
             conditions: conditions.clone(),
-            condition_labels: conditions
-                .iter()
-                .map(|c| c.display(pop.schema()))
-                .collect(),
+            condition_labels: conditions.iter().map(|c| c.display(pop.schema())).collect(),
             result,
         });
 
@@ -354,9 +359,7 @@ mod tests {
             n_records: 120_000,
             seed: 77,
             effects: vec![
-                Effect::interaction(
-                    "PhoneModel", "ph2", "TimeOfCall", "morning", "dropped", 1.2,
-                ),
+                Effect::interaction("PhoneModel", "ph2", "TimeOfCall", "morning", "dropped", 1.2),
                 Effect::conjunction(
                     [
                         ("PhoneModel", "ph2"),
@@ -384,7 +387,11 @@ mod tests {
     fn drill_finds_the_nested_cause() {
         let (ds, spec) = nested_scenario();
         let levels = drill_down(&ds, &spec, &DrillConfig::default()).unwrap();
-        assert!(levels.len() >= 2, "expected a drill step, got {}", levels.len());
+        assert!(
+            levels.len() >= 2,
+            "expected a drill step, got {}",
+            levels.len()
+        );
         // Root: TimeOfCall / morning.
         let root_top = levels[0].result.top().unwrap();
         assert_eq!(root_top.attr_name, "TimeOfCall");
@@ -393,8 +400,17 @@ mod tests {
         // Level 1 is conditioned on morning and surfaces LocationType.
         assert_eq!(levels[1].condition_labels, vec!["TimeOfCall=morning"]);
         let l1_top = levels[1].result.top().unwrap();
-        assert_eq!(l1_top.attr_name, "LocationType", "{:?}",
-            levels[1].result.ranked.iter().map(|s| (&s.attr_name, s.normalized)).collect::<Vec<_>>());
+        assert_eq!(
+            l1_top.attr_name,
+            "LocationType",
+            "{:?}",
+            levels[1]
+                .result
+                .ranked
+                .iter()
+                .map(|s| (&s.attr_name, s.normalized))
+                .collect::<Vec<_>>()
+        );
         assert_eq!(l1_top.top_values()[0].label, "highway");
     }
 
@@ -406,7 +422,12 @@ mod tests {
             n_records: 60_000,
             seed: 78,
             effects: vec![Effect::interaction(
-                "PhoneModel", "ph2", "TimeOfCall", "morning", "dropped", 2.0,
+                "PhoneModel",
+                "ph2",
+                "TimeOfCall",
+                "morning",
+                "dropped",
+                2.0,
             )],
             ..CallLogConfig::default()
         });
@@ -438,7 +459,10 @@ mod tests {
     #[test]
     fn root_failure_propagates() {
         let (ds, spec) = nested_scenario();
-        let bad = ComparisonSpec { value_2: 99, ..spec };
+        let bad = ComparisonSpec {
+            value_2: 99,
+            ..spec
+        };
         assert!(drill_down(&ds, &bad, &DrillConfig::default()).is_err());
     }
 
@@ -450,7 +474,10 @@ mod tests {
         let spent = Budget::with_timeout(Duration::ZERO);
         let r = drill_down_budgeted(&ds, &spec, &DrillConfig::default(), &spent);
         assert!(
-            matches!(r, Err(CompareError::Fault(FaultError::DeadlineExceeded { .. }))),
+            matches!(
+                r,
+                Err(CompareError::Fault(FaultError::DeadlineExceeded { .. }))
+            ),
             "{r:?}"
         );
     }

@@ -38,12 +38,7 @@ impl GroupSpec {
                 "both value groups must be non-empty".into(),
             ));
         }
-        let mut all: Vec<ValueId> = self
-            .group_1
-            .iter()
-            .chain(&self.group_2)
-            .copied()
-            .collect();
+        let mut all: Vec<ValueId> = self.group_1.iter().chain(&self.group_2).copied().collect();
         all.sort_unstable();
         if all.windows(2).any(|w| w[0] == w[1]) {
             return Err(CompareError::InvalidSpec(
@@ -158,8 +153,7 @@ pub fn compare_groups(
         let (labels, d1) = group_counts(store, spec.attr, other, &g1, spec.class)?;
         let (_, d2) = group_counts(store, spec.attr, other, &g2, spec.class)?;
         let name = attr_name(store, other)?;
-        let score =
-            score_attribute(other, &name, &labels, &d1, &d2, cf1, cf2, config.interval);
+        let score = score_attribute(other, &name, &labels, &d1, &d2, cf1, cf2, config.interval);
         if score.property.is_property(config.property_tau) {
             property_attrs.push(score);
         } else {
@@ -272,8 +266,16 @@ mod tests {
         assert_eq!(single.cf1, grouped.cf1);
         assert_eq!(single.cf2, grouped.cf2);
         assert_eq!(
-            single.ranked.iter().map(|s| (s.attr, s.score)).collect::<Vec<_>>(),
-            grouped.ranked.iter().map(|s| (s.attr, s.score)).collect::<Vec<_>>(),
+            single
+                .ranked
+                .iter()
+                .map(|s| (s.attr, s.score))
+                .collect::<Vec<_>>(),
+            grouped
+                .ranked
+                .iter()
+                .map(|s| (s.attr, s.score))
+                .collect::<Vec<_>>(),
             "singleton group comparison must equal the single-value comparator"
         );
     }
@@ -286,7 +288,10 @@ mod tests {
         // Empty group.
         let r = compare_groups(
             &store,
-            &GroupSpec { group_1: vec![], ..spec.clone() },
+            &GroupSpec {
+                group_1: vec![],
+                ..spec.clone()
+            },
             &cfg,
         );
         assert!(matches!(r, Err(CompareError::InvalidSpec(_))));
@@ -303,7 +308,10 @@ mod tests {
         // Out-of-range id.
         let r = compare_groups(
             &store,
-            &GroupSpec { group_2: vec![99], ..spec },
+            &GroupSpec {
+                group_2: vec![99],
+                ..spec
+            },
             &cfg,
         );
         assert!(matches!(r, Err(CompareError::InvalidSpec(_))));

@@ -44,6 +44,6 @@ pub use measure::{score_attribute, AttrScore, SubPopCounts, ValueContribution};
 pub use property::PropertyInfo;
 pub use rank::{
     assemble, attr_name, counts_for_class, normalize, score_candidate, subpop_counts,
-    subpop_slices, BaseStats, CompareConfig, CompareError, Comparator, ComparisonResult,
+    subpop_slices, BaseStats, Comparator, CompareConfig, CompareError, ComparisonResult,
     ComparisonSpec, NormalizedSpec,
 };

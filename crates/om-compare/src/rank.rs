@@ -378,8 +378,14 @@ pub fn score_candidate(
 ) -> Result<AttrScore, CompareError> {
     fail::inject(Seam::CompareAttr)?;
     let spec = &norm.spec;
-    let (labels, d1, d2) =
-        subpop_counts(store, spec.attr, other, spec.value_1, spec.value_2, spec.class)?;
+    let (labels, d1, d2) = subpop_counts(
+        store,
+        spec.attr,
+        other,
+        spec.value_1,
+        spec.value_2,
+        spec.class,
+    )?;
     let name = attr_name(store, other)?;
     Ok(score_attribute(
         other,
@@ -550,10 +556,7 @@ mod tests {
         // CubeStore::build skips continuous attributes by default.
     }
 
-    fn spec_for(
-        ds: &om_data::Dataset,
-        truth: &om_synth::GroundTruth,
-    ) -> ComparisonSpec {
+    fn spec_for(ds: &om_data::Dataset, truth: &om_synth::GroundTruth) -> ComparisonSpec {
         let s = ds.schema();
         let attr = s.attr_index(&truth.compare_attr).unwrap();
         ComparisonSpec {
@@ -563,11 +566,7 @@ mod tests {
                 .domain()
                 .get(&truth.baseline_value)
                 .unwrap(),
-            value_2: s
-                .attribute(attr)
-                .domain()
-                .get(&truth.target_value)
-                .unwrap(),
+            value_2: s.attribute(attr).domain().get(&truth.target_value).unwrap(),
             class: s.class().domain().get(&truth.target_class).unwrap(),
         }
     }
@@ -579,7 +578,8 @@ mod tests {
         let result = comparator.compare(&spec_for(&ds, &truth)).unwrap();
         let top = result.top().expect("has ranked attributes");
         assert_eq!(
-            top.attr_name, truth.expected_top_attr,
+            top.attr_name,
+            truth.expected_top_attr,
             "ranking: {:?}",
             result
                 .ranked
@@ -673,7 +673,10 @@ mod tests {
             },
         );
         let r = comparator.compare(&spec_for(&ds, &truth));
-        assert!(matches!(r, Err(CompareError::InsufficientSupport { .. })), "{r:?}");
+        assert!(
+            matches!(r, Err(CompareError::InsufficientSupport { .. })),
+            "{r:?}"
+        );
     }
 
     #[test]
@@ -686,7 +689,9 @@ mod tests {
         let r = comparator.compare_budgeted(&spec, &spent);
         assert!(matches!(r, Err(CompareError::Fault(_))), "{r:?}");
         // The same spec under no budget still works.
-        assert!(comparator.compare_budgeted(&spec, &Budget::unlimited()).is_ok());
+        assert!(comparator
+            .compare_budgeted(&spec, &Budget::unlimited())
+            .is_ok());
     }
 
     #[test]

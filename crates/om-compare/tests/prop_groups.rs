@@ -1,7 +1,9 @@
 //! Property tests for group comparison: merging sub-populations must be
 //! exactly additive and consistent with the single-value comparator.
 
-use om_compare::{compare_groups, CompareConfig, Comparator, ComparisonSpec, GroupSpec, IntervalMethod};
+use om_compare::{
+    compare_groups, Comparator, CompareConfig, ComparisonSpec, GroupSpec, IntervalMethod,
+};
 use om_cube::{CubeStore, StoreBuildOptions};
 use om_data::{Cell, Dataset, DatasetBuilder};
 use proptest::prelude::*;
@@ -21,7 +23,8 @@ fn arb_dataset() -> impl Strategy<Value = Dataset> {
         // Guarantee coverage.
         for s in sl {
             for c in cl {
-                b.push_row(&[Cell::Str(s), Cell::Str("x0"), Cell::Str(c)]).unwrap();
+                b.push_row(&[Cell::Str(s), Cell::Str("x0"), Cell::Str(c)])
+                    .unwrap();
             }
         }
         for (s, x, c) in rows {

@@ -7,8 +7,8 @@ use proptest::prelude::*;
 
 /// Random aligned sub-population counts with a usable baseline.
 fn arb_subpops() -> impl Strategy<Value = (SubPopCounts, SubPopCounts)> {
-    proptest::collection::vec(((1u64..2000, 0u64..2000), (1u64..2000, 0u64..2000)), 2..8)
-        .prop_map(|cells| {
+    proptest::collection::vec(((1u64..2000, 0u64..2000), (1u64..2000, 0u64..2000)), 2..8).prop_map(
+        |cells| {
             let mut n1 = Vec::new();
             let mut x1 = Vec::new();
             let mut n2 = Vec::new();
@@ -20,7 +20,8 @@ fn arb_subpops() -> impl Strategy<Value = (SubPopCounts, SubPopCounts)> {
                 x2.push(b_x % (b_n + 1));
             }
             (SubPopCounts::new(n1, x1), SubPopCounts::new(n2, x2))
-        })
+        },
+    )
 }
 
 fn overall_cf(d: &SubPopCounts) -> f64 {

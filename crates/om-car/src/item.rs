@@ -46,8 +46,14 @@ mod tests {
 
     #[test]
     fn distinct_attr_check() {
-        assert!(distinct_attrs(&[Condition::new(0, 1), Condition::new(2, 0)]));
-        assert!(!distinct_attrs(&[Condition::new(1, 0), Condition::new(1, 1)]));
+        assert!(distinct_attrs(&[
+            Condition::new(0, 1),
+            Condition::new(2, 0)
+        ]));
+        assert!(!distinct_attrs(&[
+            Condition::new(1, 0),
+            Condition::new(1, 1)
+        ]));
         assert!(distinct_attrs(&[]));
     }
 

@@ -119,7 +119,10 @@ pub fn mine(ds: &Dataset, config: &MinerConfig) -> Result<Vec<CarRule>> {
     // Level 1: tid-lists per (attr, value).
     let mut level: Vec<Node> = Vec::new();
     for &a in &attrs {
-        let col = ds.column(a).as_categorical().expect("validated categorical");
+        let col = ds
+            .column(a)
+            .as_categorical()
+            .expect("validated categorical");
         let card = schema.attribute(a).cardinality();
         let mut lists: Vec<Vec<u32>> = vec![Vec::new(); card];
         for (r, &v) in col.iter().enumerate() {
@@ -177,12 +180,11 @@ pub fn mine(ds: &Dataset, config: &MinerConfig) -> Result<Vec<CarRule>> {
                 if a.conditions[..depth - 1] != b.conditions[..depth - 1] {
                     continue;
                 }
-                let (first, second) =
-                    if a.conditions[depth - 1] <= b.conditions[depth - 1] {
-                        (a, b)
-                    } else {
-                        (b, a)
-                    };
+                let (first, second) = if a.conditions[depth - 1] <= b.conditions[depth - 1] {
+                    (a, b)
+                } else {
+                    (b, a)
+                };
                 let mut conditions = first.conditions.clone();
                 conditions.push(second.conditions[depth - 1]);
                 if !distinct_attrs(&conditions) {
@@ -232,7 +234,9 @@ fn validate(ds: &Dataset, config: &MinerConfig) -> Result<()> {
     if let Some(attrs) = &config.attrs {
         for &a in attrs {
             if a >= ds.schema().n_attributes() {
-                return Err(DataError::Invalid(format!("attribute index {a} out of range")));
+                return Err(DataError::Invalid(format!(
+                    "attribute index {a} out of range"
+                )));
             }
             if a == ds.schema().class_index() {
                 return Err(DataError::Invalid(
@@ -271,7 +275,8 @@ mod tests {
             ("a1", "b1", "n"),
             ("a1", "b1", "y"),
         ] {
-            b.push_row(&[Cell::Str(a), Cell::Str(bb), Cell::Str(c)]).unwrap();
+            b.push_row(&[Cell::Str(a), Cell::Str(bb), Cell::Str(c)])
+                .unwrap();
         }
         b.finish().unwrap()
     }
@@ -290,12 +295,15 @@ mod tests {
         )
         .unwrap();
         // A=a0 -> y has support 3/8, confidence 3/4. A=a1 -> n same.
-        assert!(rules.iter().any(|r| {
-            r.conditions == vec![Condition::new(0, 0)]
-                && r.class == 0
-                && r.support_count == 3
-                && r.cond_count == 4
-        }), "{rules:?}");
+        assert!(
+            rules.iter().any(|r| {
+                r.conditions == vec![Condition::new(0, 0)]
+                    && r.class == 0
+                    && r.support_count == 3
+                    && r.cond_count == 4
+            }),
+            "{rules:?}"
+        );
         assert!(rules
             .iter()
             .all(|r| r.confidence() >= 0.7 && r.support() >= 0.25));
@@ -399,7 +407,9 @@ mod tests {
             },
         )
         .unwrap();
-        assert!(rules.iter().all(|r| r.conditions.iter().all(|c| c.attr == 1)));
+        assert!(rules
+            .iter()
+            .all(|r| r.conditions.iter().all(|c| c.attr == 1)));
     }
 
     #[test]
@@ -414,16 +424,55 @@ mod tests {
     #[test]
     fn validation_errors() {
         let ds = toy();
-        assert!(mine(&ds, &MinerConfig { min_support: 1.5, ..Default::default() }).is_err());
-        assert!(mine(&ds, &MinerConfig { min_confidence: -0.1, ..Default::default() }).is_err());
-        assert!(mine(&ds, &MinerConfig { max_conditions: 0, ..Default::default() }).is_err());
-        assert!(mine(&ds, &MinerConfig { attrs: Some(vec![2]), ..Default::default() }).is_err());
-        assert!(mine(&ds, &MinerConfig { attrs: Some(vec![99]), ..Default::default() }).is_err());
+        assert!(mine(
+            &ds,
+            &MinerConfig {
+                min_support: 1.5,
+                ..Default::default()
+            }
+        )
+        .is_err());
+        assert!(mine(
+            &ds,
+            &MinerConfig {
+                min_confidence: -0.1,
+                ..Default::default()
+            }
+        )
+        .is_err());
+        assert!(mine(
+            &ds,
+            &MinerConfig {
+                max_conditions: 0,
+                ..Default::default()
+            }
+        )
+        .is_err());
+        assert!(mine(
+            &ds,
+            &MinerConfig {
+                attrs: Some(vec![2]),
+                ..Default::default()
+            }
+        )
+        .is_err());
+        assert!(mine(
+            &ds,
+            &MinerConfig {
+                attrs: Some(vec![99]),
+                ..Default::default()
+            }
+        )
+        .is_err());
     }
 
     #[test]
     fn empty_dataset_yields_no_rules() {
-        let ds = DatasetBuilder::new().categorical("A").class("C").finish().unwrap();
+        let ds = DatasetBuilder::new()
+            .categorical("A")
+            .class("C")
+            .finish()
+            .unwrap();
         let rules = mine(&ds, &MinerConfig::default()).unwrap();
         assert!(rules.is_empty());
     }

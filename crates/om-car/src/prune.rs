@@ -17,8 +17,7 @@ pub fn prune_redundant(rules: &[CarRule]) -> Vec<CarRule> {
         .iter()
         .filter(|r| {
             !rules.iter().any(|general| {
-                r.is_specialization_of(general)
-                    && general.confidence() >= r.confidence() - 1e-12
+                r.is_specialization_of(general) && general.confidence() >= r.confidence() - 1e-12
             })
         })
         .cloned()
@@ -32,11 +31,7 @@ pub fn prune_redundant(rules: &[CarRule]) -> Vec<CarRule> {
 /// Needs each rule's complement counts, derived from `n_records` and the
 /// per-class total `class_total` (records of the rule's class in the whole
 /// dataset).
-pub fn prune_insignificant(
-    rules: &[CarRule],
-    class_totals: &[u64],
-    alpha: f64,
-) -> Vec<CarRule> {
+pub fn prune_insignificant(rules: &[CarRule], class_totals: &[u64], alpha: f64) -> Vec<CarRule> {
     rules
         .iter()
         .filter(|r| {
@@ -44,10 +39,7 @@ pub fn prune_insignificant(
             let a = r.support_count; // cond ∧ class
             let b = r.cond_count - r.support_count; // cond ∧ ¬class
             let c = class_total.saturating_sub(r.support_count); // ¬cond ∧ class
-            let d = r
-                .n_records
-                .saturating_sub(r.cond_count)
-                .saturating_sub(c); // ¬cond ∧ ¬class
+            let d = r.n_records.saturating_sub(r.cond_count).saturating_sub(c); // ¬cond ∧ ¬class
             let table = vec![vec![a, b], vec![c, d]];
             chi2_independence(&table).p_value < alpha
         })

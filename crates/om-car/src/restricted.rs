@@ -29,8 +29,7 @@ pub fn mine_restricted(
 ) -> Result<Vec<CarRule>> {
     if fixed.is_empty() {
         return Err(DataError::Invalid(
-            "restricted mining requires at least one fixed condition; use mine() otherwise"
-                .into(),
+            "restricted mining requires at least one fixed condition; use mine() otherwise".into(),
         ));
     }
     let mut sorted = fixed.to_vec();
@@ -86,9 +85,7 @@ pub fn mine_restricted(
         None => schema
             .non_class_indices()
             .into_iter()
-            .filter(|a| {
-                !fixed_attrs.contains(a) && schema.attribute(*a).is_categorical()
-            })
+            .filter(|a| !fixed_attrs.contains(a) && schema.attribute(*a).is_categorical())
             .collect(),
     };
     let sub_support = if sub.n_rows() == 0 {
@@ -221,9 +218,9 @@ mod tests {
         )
         .unwrap();
         for r in &restricted {
-            let matching = full.iter().find(|f| {
-                f.conditions == r.conditions && f.class == r.class
-            });
+            let matching = full
+                .iter()
+                .find(|f| f.conditions == r.conditions && f.class == r.class);
             let f = matching.unwrap_or_else(|| panic!("rule not found in full mining: {r:?}"));
             assert_eq!(f.support_count, r.support_count);
             assert_eq!(f.cond_count, r.cond_count);
@@ -255,12 +252,7 @@ mod tests {
         let ds = toy();
         let cfg = MinerConfig::default();
         assert!(mine_restricted(&ds, &[], &cfg).is_err());
-        assert!(mine_restricted(
-            &ds,
-            &[Condition::new(0, 0), Condition::new(0, 1)],
-            &cfg
-        )
-        .is_err());
+        assert!(mine_restricted(&ds, &[Condition::new(0, 0), Condition::new(0, 1)], &cfg).is_err());
         assert!(mine_restricted(&ds, &[Condition::new(3, 0)], &cfg).is_err());
         assert!(mine_restricted(&ds, &[Condition::new(0, 99)], &cfg).is_err());
         assert!(mine_restricted(

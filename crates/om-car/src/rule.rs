@@ -68,11 +68,7 @@ impl CarRule {
                 .collect::<Vec<_>>()
                 .join(", ")
         };
-        let class_label = schema
-            .class()
-            .domain()
-            .label(self.class)
-            .unwrap_or("?");
+        let class_label = schema.class().domain().label(self.class).unwrap_or("?");
         format!(
             "{conds} -> {}={} [sup={:.4}, conf={:.4}]",
             schema.class().name(),

@@ -123,7 +123,8 @@ mod tests {
             let a = if i % 2 == 0 { "a0" } else { "a1" };
             let bb = if i % 4 < 2 { "b0" } else { "b1" };
             let c = if i % 2 == 0 { "y" } else { "n" };
-            b.push_row(&[Cell::Str(a), Cell::Str(bb), Cell::Str(c)]).unwrap();
+            b.push_row(&[Cell::Str(a), Cell::Str(bb), Cell::Str(c)])
+                .unwrap();
         }
         b.finish().unwrap()
     }
@@ -164,10 +165,7 @@ mod tests {
         // Re-play coverage: each record is either covered by some selected
         // rule or in the uncovered list.
         for row in 0..ds.n_rows() {
-            let covered = selection
-                .rules
-                .iter()
-                .any(|r| covers(r, &ds, row).unwrap());
+            let covered = selection.rules.iter().any(|r| covers(r, &ds, row).unwrap());
             let listed = selection.uncovered.contains(&row);
             assert!(covered || listed, "record {row} lost");
         }
@@ -178,7 +176,10 @@ mod tests {
         let ds = toy();
         // Only one very specific rule: most records stay uncovered.
         let rules = vec![CarRule {
-            conditions: vec![crate::item::Condition::new(0, 0), crate::item::Condition::new(1, 0)],
+            conditions: vec![
+                crate::item::Condition::new(0, 0),
+                crate::item::Condition::new(1, 0),
+            ],
             class: 0,
             support_count: 10,
             cond_count: 10,
@@ -210,6 +211,9 @@ mod tests {
             n_records: 40,
         };
         let selection = select_by_coverage(&[wrong], &ds).unwrap();
-        assert!(selection.rules.is_empty(), "incorrect rule must not be kept");
+        assert!(
+            selection.rules.is_empty(),
+            "incorrect rule must not be kept"
+        );
     }
 }

@@ -913,7 +913,7 @@ impl Coordinator {
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     fetch_store_once(&shard, expect, &metrics).map_err(ReplicaFailure::Shard)
                 }))
-                .unwrap_or_else(|_| Err(ReplicaFailure::FetchPanicked));
+                .unwrap_or(Err(ReplicaFailure::FetchPanicked));
                 record_fetch_outcome(&health, &metrics, g, &result);
                 let _ = tx.send((g, result));
             });

@@ -149,8 +149,8 @@ impl std::fmt::Debug for ColumnIndex {
     }
 }
 
-/// Which pair cubes a kernel-built store materializes during its one
-/// shared scan; everything else builds lazily from the selector.
+/// Which pair cubes a kernel-built store fills during its one shared
+/// scan. The store holds those pairs and no others.
 enum PairPlan {
     /// The pairs involving one anchor attribute — exactly the set a
     /// ranked comparison against that attribute reads.
@@ -228,8 +228,9 @@ impl PopulationSelector {
     /// Build the cube store a drill level or comparison ranked against
     /// `anchor` reads, in one shared masked scan: all 1-D cubes plus the
     /// pair cubes involving `anchor` — exactly the cubes that ranking
-    /// reads. Other pairs build lazily from this selector on first
-    /// access. `attrs: None` = every categorical non-class attribute
+    /// reads. The store holds no other pair: asking it for one is
+    /// [`CubeError::NoSuchDim`], as on a decoded level store.
+    /// `attrs: None` = every categorical non-class attribute
     /// (same contract as
     /// [`StoreBuildOptions::attrs`](crate::StoreBuildOptions)).
     ///
@@ -252,18 +253,6 @@ impl PopulationSelector {
     /// The same validation errors as [`CubeStore::build`].
     pub fn build_store_eager(&self, attrs: Option<Vec<usize>>) -> Result<CubeStore, CubeError> {
         self.build_store_with(attrs, PairPlan::All)
-    }
-
-    /// The conditioned pair cube `A_a × A_b × C` (dimensions in the given
-    /// order) — the lazy build behind kernel-backed stores.
-    ///
-    /// # Errors
-    /// Fails if either attribute is the class, continuous, or out of
-    /// range.
-    pub(crate) fn pair_cube(&self, a: usize, b: usize) -> Result<RuleCube, CubeError> {
-        let mut unit = self.scan_unit(&[a, b])?;
-        self.scan(std::slice::from_mut(&mut unit))?;
-        Ok(unit.cube)
     }
 
     fn build_store_with(
@@ -320,18 +309,13 @@ impl PopulationSelector {
             }
         }
 
-        let lazy_source = match plan {
-            PairPlan::All => None,
-            PairPlan::Anchored(_) => Some(self.clone()),
-        };
-        Ok(CubeStore::from_kernel(
+        Ok(CubeStore::assemble(
             attrs,
             schema.class().domain().labels().to_vec(),
             class_counts,
             self.count(),
             one_d,
             pairs,
-            lazy_source,
         ))
     }
 
@@ -486,14 +470,19 @@ mod tests {
                 *walk_store.one_dim(a).unwrap()
             );
         }
-        // Non-anchor pair cubes build lazily through the selector; counts
-        // must still match the record walk exactly.
+        // The anchor's pairs match the record walk exactly; a non-anchor
+        // pair is not held and is refused, not built.
         assert_eq!(kernel_store.n_pair_cubes(), 4);
+        for &b in &[0, 3, 4, 5] {
+            assert_eq!(
+                *kernel_store.pair(1, b).unwrap(),
+                *walk_store.pair(1, b).unwrap()
+            );
+        }
         assert_eq!(
-            *kernel_store.pair(0, 3).unwrap(),
-            *walk_store.pair(0, 3).unwrap()
+            kernel_store.pair(0, 3).unwrap_err().to_string(),
+            CubeError::NoSuchDim("pair cube (0, 3)".into()).to_string()
         );
-        assert_eq!(kernel_store.lazy_builds(), 1);
     }
 
     #[test]
@@ -502,11 +491,6 @@ mod tests {
         let sel = kernel(&ds).selector().narrow(5, 0).unwrap();
         let store = sel.build_store_anchored(None, 1).unwrap();
         assert_eq!(store.n_pair_cubes(), 5, "one pair per non-anchor attribute");
-        assert_eq!(
-            store.lazy_builds(),
-            0,
-            "anchor pairs came from the shared scan"
-        );
         let sub = ds.sub_population(5, 0).unwrap();
         for b in [0usize, 2, 3, 4] {
             assert_eq!(
@@ -514,12 +498,9 @@ mod tests {
                 build_cube(&sub, &[1.min(b), 1.max(b)]).unwrap()
             );
         }
-        // A non-anchor pair still resolves — lazily.
-        assert_eq!(
-            *store.pair(2, 3).unwrap(),
-            build_cube(&sub, &[2, 3]).unwrap()
-        );
-        assert_eq!(store.lazy_builds(), 1);
+        // A non-anchor pair is refused, and asking builds nothing.
+        assert!(matches!(store.pair(2, 3), Err(CubeError::NoSuchDim(_))));
+        assert_eq!(store.n_pair_cubes(), 5);
     }
 
     #[test]

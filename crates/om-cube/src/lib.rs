@@ -13,8 +13,8 @@
 //! 2-dimensional cubes (one attribute × class); longer rules are produced
 //! on demand by restricted mining (`om-car`). [`store::CubeStore`]
 //! implements exactly that layout, with a parallel eager build (the paper
-//! generates cubes "off-line, e.g., in the evening") and an optional lazy
-//! mode.
+//! generates cubes "off-line, e.g., in the evening"); a drill level's
+//! store holds the 1-D cubes and one anchor's pairs, and nothing else.
 //!
 //! OLAP operations — slice, dice, roll-up — are in [`olap`], implemented
 //! without multiple aggregation levels ("our cubes have no hierarchy",

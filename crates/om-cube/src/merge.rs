@@ -63,10 +63,8 @@ impl CubeStore {
     /// cover the same attributes (same schema positions and domains) and
     /// classes — i.e. two batches of the *same* data feed — and hold the
     /// same pair cubes ([`CubeStore::held_pairs`]): two full stores, or
-    /// two partial stores anchored alike. Merging builds nothing; a cold
-    /// pair of a lazy side is simply not held.
-    ///
-    /// The result is always an eager store.
+    /// two partial stores anchored alike. The result holds the same pair
+    /// cubes as either side.
     ///
     /// # Errors
     /// Fails on attribute/class mismatches, and on two sides that hold
@@ -124,16 +122,15 @@ impl CubeStore {
     /// Merge another store's counts into `self` in place. Cubes shared
     /// with a published snapshot (their `Arc` has other owners) are
     /// copied once via `Arc::make_mut`; uniquely-owned cubes are updated
-    /// with zero allocation. `self` must be an eager store. Every cube
-    /// `self` holds is added to `other`'s cube over the same attributes,
-    /// so a lazy `other` builds each pair cube it has not built yet.
-    /// Live ingest does not merge stores: it folds each sealed segment's
-    /// rows straight in with [`CubeStore::fold`].
+    /// with zero allocation. Both stores must hold every pair cube: each
+    /// cube `self` holds is added to `other`'s cube over the same
+    /// attributes. Live ingest does not merge stores: it folds each
+    /// sealed segment's rows straight in with [`CubeStore::fold`].
     ///
     /// # Errors
-    /// Fails on attribute/class/domain mismatches or a lazy `self`. All
-    /// structure is validated before any count is touched, so `self` is
-    /// unchanged on error.
+    /// Fails on attribute/class/domain mismatches, or when either side
+    /// lacks a pair cube. All structure is validated before any count is
+    /// touched, so `self` is unchanged on error.
     pub fn merge_from(&mut self, other: &CubeStore) -> Result<(), CubeError> {
         if self.attrs() != other.attrs() {
             return Err(CubeError::Invalid(
@@ -143,11 +140,6 @@ impl CubeStore {
         if self.class_labels() != other.class_labels() {
             return Err(CubeError::Invalid(
                 "cannot merge stores with different class labels".into(),
-            ));
-        }
-        if !self.is_eager() {
-            return Err(CubeError::Invalid(
-                "merge_from requires an eager destination store".into(),
             ));
         }
         let attrs = self.attrs().to_vec();
@@ -169,7 +161,7 @@ impl CubeStore {
                 check(&*self.pair(a, b)?, &*other.pair(a, b)?)?;
             }
         }
-        let (one_d, pairs) = self.cubes_mut()?;
+        let (one_d, pairs) = self.cubes_mut();
         for (a, cube) in one_d {
             Arc::make_mut(cube).merge_into(&*other.one_dim(a)?)?;
         }
@@ -186,13 +178,14 @@ impl CubeStore {
     /// attributes, but no store is built for the batch. One pass over the
     /// batch's row blocks counts its rows straight into every held cube's
     /// tensor, with the same copy-on-write as [`CubeStore::merge_from`].
+    /// A partial store counts the batch into the cubes it holds.
     ///
     /// # Errors
-    /// Fails on a lazy `self`, or on a batch whose schema disagrees with
-    /// the store: different class labels, or an analysis attribute that
-    /// is missing, continuous, the class, or named or labelled otherwise.
-    /// Everything is checked before the first count moves, so `self` is
-    /// unchanged on error.
+    /// Fails on a batch whose schema disagrees with the store: different
+    /// class labels, or an analysis attribute that is missing,
+    /// continuous, the class, or named or labelled otherwise. Everything
+    /// is checked before the first count moves, so `self` is unchanged
+    /// on error.
     pub fn fold(&mut self, batch: &Dataset) -> Result<(), CubeError> {
         let schema = batch.schema();
         if schema.class().domain().labels() != self.class_labels() {
@@ -244,7 +237,7 @@ impl CubeStore {
 
         // One kernel pass over the segment fills every held cube: each
         // 1-D cube with the pairs it is the later attribute of.
-        let (one_d, pairs) = self.cubes_mut()?;
+        let (one_d, pairs) = self.cubes_mut();
         let mut demands: HashMap<usize, HiCubes<'_>> = one_d
             .into_iter()
             .map(|(a, one_d)| {
@@ -508,16 +501,21 @@ mod tests {
     }
 
     #[test]
-    fn merge_from_rejects_lazy_destination() {
+    fn merge_from_rejects_a_partial_destination() {
         let (a, b, _) = halves();
-        let mut lazy = Arc::new(crate::ColumnIndex::build(&a).unwrap())
+        let mut partial = Arc::new(crate::ColumnIndex::build(&a).unwrap())
             .selector()
             .build_store_anchored(None, 0)
             .unwrap();
-        assert!(!lazy.is_eager());
         let sb = CubeStore::build(&b, &StoreBuildOptions::default()).unwrap();
-        assert!(lazy.merge_from(&sb).is_err());
-        assert!(lazy.fold(&b).is_err());
+        let refused = partial.merge_from(&sb).unwrap_err();
+        assert!(matches!(refused, CubeError::NoSuchDim(_)), "{refused}");
+        assert_eq!(partial.total_records(), a.n_rows() as u64);
+        // A fold counts the batch into the cubes the store holds.
+        let held = partial.n_pair_cubes();
+        partial.fold(&b).unwrap();
+        assert_eq!(partial.n_pair_cubes(), held);
+        assert_eq!(partial.total_records(), (a.n_rows() + b.n_rows()) as u64);
     }
 
     #[test]
@@ -546,10 +544,5 @@ mod tests {
             let refused = x.merge(y).err().expect("pair sets differ").to_string();
             assert!(refused.contains("hold different pair cubes"), "{refused}");
         }
-        assert_eq!(
-            on_0.lazy_builds() + on_1.lazy_builds(),
-            0,
-            "a refusal built a pair"
-        );
     }
 }

@@ -257,8 +257,8 @@ fn encode_store_body(store: &crate::store::CubeStore) -> Result<BytesMut, DataEr
     for &a in store.attrs() {
         put_cube(&mut buf, &store.one_dim(a).expect("attr present"))?;
     }
-    // The held pairs only, in key order: asking `pair()` for every key
-    // would make a lazy store *build* its cold pairs, one scan each.
+    // The held pairs only, in key order: a partial store writes the pairs
+    // it holds, not every key of its attribute set.
     let held = store.held_pairs();
     buf.put_u32_le(held.len() as u32);
     for ((a, b), cube) in &held {
@@ -272,10 +272,9 @@ fn encode_store_body(store: &crate::store::CubeStore) -> Result<BytesMut, DataEr
 /// Serialize an entire cube store (the paper's overnight artifact): the
 /// attribute list, class metadata, every 2-D cube, and the 3-D cubes the
 /// store holds ([`CubeStore::held_pairs`](crate::store::CubeStore::held_pairs)
-/// — encoding never builds a cold pair of a lazy store, so a partial
-/// store round-trips as the same partial store). Each nested cube keeps
-/// its own integrity frame, so corruption is localized to a cube when
-/// reported.
+/// — a partial store round-trips as the same partial store). Each
+/// nested cube keeps its own integrity frame, so corruption is
+/// localized to a cube when reported.
 ///
 /// # Errors
 /// Fails if any label is too large for its length prefix.
@@ -379,8 +378,8 @@ fn decode_store_body(mut buf: Bytes) -> Result<crate::store::CubeStore, DataErro
     ))
 }
 
-/// Deserialize a cube store written by [`encode_store`]. The result is
-/// always an eager store.
+/// Deserialize a cube store written by [`encode_store`]. The result
+/// holds exactly the cubes the bytes carry.
 ///
 /// # Errors
 /// Fails on bad magic/version, truncation, checksum mismatch, or
@@ -472,7 +471,6 @@ mod store_tests {
     fn anchored_store_round_trips_without_building_a_pair() {
         let original = anchored_store();
         let back = decode_store(encode_store(&original).unwrap()).unwrap();
-        assert_eq!(original.lazy_builds(), 0, "encoding built a cold pair");
         let (held, sent) = (back.held_pairs(), original.held_pairs());
         let keys: Vec<_> = held.iter().map(|(k, _)| *k).collect();
         assert_eq!(keys, [(0, 2), (1, 2), (2, 3), (2, 4)]);

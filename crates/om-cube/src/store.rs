@@ -13,22 +13,23 @@
 //! Figs. 10–11 ("the generation is done off-line, e.g., in the evening");
 //! [`CubeStore::build`] counts every cube in one pass over row blocks
 //! ([`crate::build::count_blocks`]), with each thread owning the cubes of
-//! a disjoint set of attributes. Kernel-built stores
-//! ([`PopulationSelector::build_store_anchored`]) instead materialize
-//! the pair cubes their scan did not fill on first use, behind a
-//! `parking_lot::RwLock`.
+//! a disjoint set of attributes.
+//!
+//! A store is a plain value: it holds exactly the cubes it was built,
+//! merged, folded or decoded with, and computes nothing on read. A
+//! kernel-built level store
+//! ([`PopulationSelector::build_store_anchored`](crate::PopulationSelector::build_store_anchored))
+//! holds every 1-D cube and the anchor's pairs, the same value a
+//! coordinator decodes from a shard's anchored level reply.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
-
-use parking_lot::RwLock;
+use std::sync::Arc;
 
 use om_data::{Dataset, Schema};
 
 use crate::build::{count_blocks, HiCubes};
 use crate::cube::{CubeDim, CubeError, RuleCube};
-use crate::kernel::{ColumnIndex, PopulationSelector};
+use crate::kernel::ColumnIndex;
 
 /// Options for building a [`CubeStore`].
 #[derive(Debug, Clone)]
@@ -58,24 +59,6 @@ impl Default for StoreBuildOptions {
     }
 }
 
-/// One lazily-built pair cube. `OnceLock` guarantees exactly-once
-/// initialization: the first thread to reach a cold slot runs the build
-/// while any concurrent reader of the same slot blocks until the result
-/// (or the build error, which `CubeError: Clone` lets us retain) lands.
-type PairSlot = OnceLock<Result<Arc<RuleCube>, CubeError>>;
-
-enum PairCubes {
-    /// All pair cubes prebuilt (offline mode).
-    Eager(HashMap<(usize, usize), Arc<RuleCube>>),
-    /// Pair cubes built on first access by a masked column scan through
-    /// the selector the store was cut from.
-    Lazy {
-        source: PopulationSelector,
-        cache: RwLock<HashMap<(usize, usize), Arc<PairSlot>>>,
-        builds: AtomicU64,
-    },
-}
-
 /// A store's held cubes, mutably: the 1-D cubes by attribute, then the
 /// pair cubes by key ([`CubeStore::cubes_mut`]).
 pub(crate) type HeldCubesMut<'a> = (
@@ -84,13 +67,21 @@ pub(crate) type HeldCubesMut<'a> = (
 );
 
 /// All 2-D and 3-D rule cubes over the analysis attributes of a dataset.
+///
+/// `Clone` is shallow: the flat count tensors stay shared behind their
+/// `Arc`s, so cloning a store of hundreds of cubes is a map copy, not a
+/// data copy. This is what makes snapshot publication cheap — see
+/// [`crate::snapshot::SharedStore`].
+#[derive(Clone)]
 pub struct CubeStore {
     attrs: Vec<usize>,
     class_labels: Vec<String>,
     class_counts: Vec<u64>,
     total_records: u64,
     one_d: HashMap<usize, Arc<RuleCube>>,
-    pairs: PairCubes,
+    /// The pair cubes held, keyed `(lo, hi)` in schema order: every pair
+    /// for a full store, the anchor's pairs for a level store.
+    pairs: HashMap<(usize, usize), Arc<RuleCube>>,
     /// The counting-kernel index over the generation this store was built
     /// from, when one was built ([`StoreBuildOptions::index`]). `None`
     /// for merged, decoded, or folded-into stores — their cube counts no
@@ -248,7 +239,7 @@ impl CubeStore {
             class_counts: ds.class_counts(),
             total_records: ds.n_rows() as u64,
             one_d,
-            pairs: PairCubes::Eager(pairs),
+            pairs,
             index: Self::maybe_index(ds, opts)?,
         })
     }
@@ -262,48 +253,8 @@ impl CubeStore {
             .transpose()
     }
 
-    /// Assemble a kernel-built store: cubes already filled by one shared
-    /// masked scan; missing pair cubes build lazily through `lazy_source`
-    /// when one is given, otherwise the store is fully eager.
-    pub(crate) fn from_kernel(
-        attrs: Vec<usize>,
-        class_labels: Vec<String>,
-        class_counts: Vec<u64>,
-        total_records: u64,
-        one_d: HashMap<usize, Arc<RuleCube>>,
-        pairs: HashMap<(usize, usize), Arc<RuleCube>>,
-        lazy_source: Option<PopulationSelector>,
-    ) -> Self {
-        let pairs = match lazy_source {
-            None => PairCubes::Eager(pairs),
-            Some(sel) => {
-                let cache = pairs
-                    .into_iter()
-                    .map(|(key, cube)| {
-                        let slot = Arc::new(PairSlot::new());
-                        let _ = slot.set(Ok(cube));
-                        (key, slot)
-                    })
-                    .collect();
-                PairCubes::Lazy {
-                    source: sel,
-                    cache: RwLock::new(cache),
-                    builds: AtomicU64::new(0),
-                }
-            }
-        };
-        Self {
-            attrs,
-            class_labels,
-            class_counts,
-            total_records,
-            one_d,
-            pairs,
-            index: None,
-        }
-    }
-
-    /// Assemble a store from prebuilt parts (used by `merge`).
+    /// Assemble a store from prebuilt parts: the counting kernel's one
+    /// scan, [`CubeStore::merge`] and the codec all end here.
     pub(crate) fn assemble(
         attrs: Vec<usize>,
         class_labels: Vec<String>,
@@ -318,7 +269,7 @@ impl CubeStore {
             class_counts,
             total_records,
             one_d,
-            pairs: PairCubes::Eager(pairs),
+            pairs,
             index: None,
         }
     }
@@ -377,84 +328,44 @@ impl CubeStore {
                 key.0, key.1
             )));
         }
-        match &self.pairs {
-            PairCubes::Eager(map) => map
-                .get(&key)
-                .cloned()
-                .ok_or_else(|| CubeError::NoSuchDim(format!("pair cube {key:?}"))),
-            PairCubes::Lazy {
-                source,
-                cache,
-                builds,
-            } => {
-                // Two-phase: grab (or create) the slot under the map lock,
-                // then build outside it via `get_or_init`, so a slow build
-                // neither holds the map lock nor runs more than once. The
-                // read guard must be fully dropped before taking the write
-                // lock — holding both self-deadlocks.
-                let existing = cache.read().get(&key).cloned();
-                let slot = match existing {
-                    Some(s) => s,
-                    None => cache.write().entry(key).or_default().clone(),
-                };
-                slot.get_or_init(|| {
-                    builds.fetch_add(1, Ordering::Relaxed);
-                    source.pair_cube(key.0, key.1).map(Arc::new)
-                })
-                .clone()
-            }
-        }
+        self.pairs
+            .get(&key)
+            .cloned()
+            .ok_or_else(|| CubeError::NoSuchDim(format!("pair cube {key:?}")))
     }
 
-    /// The pair cubes this store holds right now, in ascending key order
-    /// — a view, never a build: a lazy store lists only the slots already
-    /// filled. This is what makes a partial store (a kernel-built level
-    /// anchored on one attribute) a value of its own: the codec writes
-    /// exactly these cubes and [`CubeStore::merge`] adds exactly these.
+    /// The pair cubes this store holds, in ascending key order. A
+    /// partial store (a level anchored on one attribute) is a value of
+    /// its own: the codec writes exactly these cubes and
+    /// [`CubeStore::merge`] adds exactly these.
     pub fn held_pairs(&self) -> Vec<((usize, usize), Arc<RuleCube>)> {
-        let mut held: Vec<_> = match &self.pairs {
-            PairCubes::Eager(map) => map.iter().map(|(k, c)| (*k, Arc::clone(c))).collect(),
-            PairCubes::Lazy { cache, .. } => cache
-                .read()
-                .iter()
-                .filter_map(|(k, slot)| match slot.get() {
-                    Some(Ok(c)) => Some((*k, Arc::clone(c))),
-                    _ => None,
-                })
-                .collect(),
-        };
+        let mut held: Vec<_> = self
+            .pairs
+            .iter()
+            .map(|(k, c)| (*k, Arc::clone(c)))
+            .collect();
         held.sort_unstable_by_key(|(k, _)| *k);
         held
     }
 
-    /// Number of pair cubes currently materialized.
+    /// Number of pair cubes held.
     pub fn n_pair_cubes(&self) -> usize {
-        self.held_pairs().len()
+        self.pairs.len()
     }
 
-    /// Approximate heap memory of all materialized cube tensors, in bytes.
+    /// Approximate heap memory of all held cube tensors, in bytes.
     pub fn memory_bytes(&self) -> usize {
-        let held = self.held_pairs();
         self.one_d
             .values()
-            .chain(held.iter().map(|(_, c)| c))
+            .chain(self.pairs.values())
             .map(|c| c.n_cells() * std::mem::size_of::<u64>())
             .sum()
     }
 
-    /// Whether every cube is materialized up front (no retained selector).
-    pub fn is_eager(&self) -> bool {
-        matches!(self.pairs, PairCubes::Eager(_))
-    }
-
-    /// How many lazy pair-cube builds have run (0 for eager stores).
-    /// Exactly-once materialization means this never exceeds the number
-    /// of distinct pairs requested, however many threads race on them.
+    /// Pair cubes built on first read: always 0, since a store computes
+    /// nothing on read. Kept because the benchmark still reports it.
     pub fn lazy_builds(&self) -> u64 {
-        match &self.pairs {
-            PairCubes::Eager(_) => 0,
-            PairCubes::Lazy { builds, .. } => builds.load(Ordering::Relaxed),
-        }
+        0
     }
 
     /// Every held cube's `Arc`, mutably: the 1-D cubes by attribute and
@@ -464,18 +375,10 @@ impl CubeStore {
     /// `Arc::make_mut`: a cube a published snapshot still pins is copied
     /// once — its counts, since the labels are shared — and a uniquely
     /// owned one is updated in place.
-    ///
-    /// # Errors
-    /// Fails on a lazy store.
-    pub(crate) fn cubes_mut(&mut self) -> Result<HeldCubesMut<'_>, CubeError> {
-        let PairCubes::Eager(pairs) = &mut self.pairs else {
-            return Err(CubeError::Invalid(
-                "only an eager store can be added into".into(),
-            ));
-        };
+    pub(crate) fn cubes_mut(&mut self) -> HeldCubesMut<'_> {
         let one_d = self.one_d.iter_mut().map(|(&a, cube)| (a, cube));
-        let pairs = pairs.iter_mut().map(|(&key, cube)| (key, cube));
-        Ok((one_d.collect(), pairs.collect()))
+        let pairs = self.pairs.iter_mut().map(|(&key, cube)| (key, cube));
+        (one_d.collect(), pairs.collect())
     }
 
     pub(crate) fn add_totals(&mut self, class_counts: &[u64], total_records: u64) {
@@ -487,37 +390,6 @@ impl CubeStore {
         // indexed row set; a stale index answering conditioned queries
         // would silently drop the folded records.
         self.index = None;
-    }
-}
-
-/// Shallow clone: the flat count tensors stay shared behind their `Arc`s,
-/// so cloning a store of hundreds of cubes is a map copy, not a data copy.
-/// This is what makes snapshot publication cheap — see
-/// [`crate::snapshot::SharedStore`]. A lazy clone shares the in-flight
-/// build slots too, so two clones racing on the same cold pair still
-/// build it once.
-impl Clone for CubeStore {
-    fn clone(&self) -> Self {
-        Self {
-            attrs: self.attrs.clone(),
-            class_labels: self.class_labels.clone(),
-            class_counts: self.class_counts.clone(),
-            total_records: self.total_records,
-            one_d: self.one_d.clone(),
-            pairs: match &self.pairs {
-                PairCubes::Eager(map) => PairCubes::Eager(map.clone()),
-                PairCubes::Lazy {
-                    source,
-                    cache,
-                    builds,
-                } => PairCubes::Lazy {
-                    source: source.clone(),
-                    cache: RwLock::new(cache.read().clone()),
-                    builds: AtomicU64::new(builds.load(Ordering::Relaxed)),
-                },
-            },
-            index: self.index.clone(),
-        }
     }
 }
 
@@ -592,72 +464,6 @@ mod tests {
         assert_eq!(margin, ds.class_counts());
     }
 
-    /// A kernel-built lazy store anchored on attribute 4: its scan fills
-    /// the four `(4, _)` pairs, every other pair is cold.
-    fn lazy_store(ds: &Dataset) -> CubeStore {
-        Arc::new(ColumnIndex::build(ds).unwrap())
-            .selector()
-            .build_store_anchored(None, 4)
-            .unwrap()
-    }
-
-    #[test]
-    fn lazy_store_builds_on_demand() {
-        let ds = generate_scaleup(&ScaleUpConfig {
-            n_attrs: 5,
-            n_records: 1_000,
-            seed: 9,
-            ..ScaleUpConfig::default()
-        });
-        let store = lazy_store(&ds);
-        assert_eq!(store.n_pair_cubes(), 4);
-        assert_eq!(store.lazy_builds(), 0);
-        let c1 = store.pair(0, 3).unwrap();
-        assert_eq!(store.n_pair_cubes(), 5);
-        assert_eq!(store.lazy_builds(), 1);
-        // Second fetch hits the cache (same Arc).
-        let c2 = store.pair(3, 0).unwrap();
-        assert!(Arc::ptr_eq(&c1, &c2));
-        // Must agree with an eager build.
-        let eager = CubeStore::build(&ds, &StoreBuildOptions::default()).unwrap();
-        assert_eq!(*c1, *eager.pair(0, 3).unwrap());
-    }
-
-    #[test]
-    fn lazy_cold_pair_builds_exactly_once_under_contention() {
-        // 8 threads released together onto the same cold pair cube: the
-        // build must run exactly once, every thread must get the same
-        // Arc, and nothing may deadlock.
-        let ds = generate_scaleup(&ScaleUpConfig {
-            n_attrs: 5,
-            n_records: 20_000,
-            seed: 11,
-            ..ScaleUpConfig::default()
-        });
-        let store = lazy_store(&ds);
-        let barrier = std::sync::Barrier::new(8);
-        let cubes: Vec<Arc<RuleCube>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..8)
-                .map(|_| {
-                    scope.spawn(|| {
-                        barrier.wait();
-                        store.pair(1, 3).unwrap()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        assert_eq!(
-            store.lazy_builds(),
-            1,
-            "cold pair cube built more than once"
-        );
-        assert_eq!(store.n_pair_cubes(), 5);
-        for c in &cubes[1..] {
-            assert!(Arc::ptr_eq(&cubes[0], c), "threads saw different cubes");
-        }
-    }
-
     #[test]
     fn shallow_clone_shares_cube_tensors() {
         let (_, store) = small_store(1);
@@ -671,7 +477,7 @@ mod tests {
             &copy.pair(0, 1).unwrap()
         ));
         assert_eq!(copy.total_records(), store.total_records());
-        assert!(store.is_eager() && copy.is_eager());
+        assert_eq!(copy.held_pairs().len(), store.held_pairs().len());
     }
 
     #[test]

@@ -219,8 +219,10 @@ proptest! {
         prop_assert_eq!(encode_store(&folded).unwrap(), encode_store(&build(&ds, None, 2)).unwrap());
     }
 
-    /// A partial store — the pairs of one anchor, decoded into an eager
-    /// store — folds exactly the cubes it holds.
+    /// A partial store — the pairs of one anchor — is one value whether
+    /// the kernel built it or a coordinator decoded it: both hold the
+    /// same pairs, refuse an unheld pair alike, and a fold counts
+    /// exactly the cubes held.
     #[test]
     fn folding_into_a_partial_store_counts_its_held_pairs(
         ds in arb_dataset(),
@@ -231,13 +233,18 @@ proptest! {
         let anchor = attrs[anchor % attrs.len()];
         let parts = segments(&ds, &cuts);
         let anchored = |part: &Dataset| {
-            let store = Arc::new(ColumnIndex::build(part).unwrap())
+            Arc::new(ColumnIndex::build(part).unwrap())
                 .selector()
                 .build_store_anchored(None, anchor)
-                .unwrap();
-            decode_store(encode_store(&store).unwrap()).unwrap()
+                .unwrap()
         };
         let mut folded = anchored(&parts[0]);
+        let decoded = decode_store(encode_store(&folded).unwrap()).unwrap();
+        prop_assert_eq!(folded.held_pairs(), decoded.held_pairs());
+        if let [a, b, ..] = *attrs.iter().filter(|&&x| x != anchor).collect::<Vec<_>>() {
+            let refusal = |store: &CubeStore| store.pair(*a, *b).unwrap_err().to_string();
+            prop_assert_eq!(refusal(&folded), refusal(&decoded));
+        }
         for part in &parts[1..] {
             folded.fold(part).unwrap();
             assert_laws(&folded);

@@ -13,7 +13,7 @@ pub enum IngestError {
     /// The whole batch is rejected: either every row is durable or none.
     BadRow { row: usize, reason: String },
     /// The serving schema cannot accept live rows (e.g. an attribute is
-    /// still continuous, or the store is lazy).
+    /// still continuous).
     Schema(String),
     /// Write-ahead log I/O failure.
     Io(std::io::Error),

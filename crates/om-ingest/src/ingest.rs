@@ -206,8 +206,8 @@ impl IngestHandle {
     /// this returns; the active segment's rows are reloaded into staging.
     ///
     /// # Errors
-    /// Schema rejection (continuous attributes, lazy store), WAL I/O,
-    /// or a fold failure on corrupted history.
+    /// Schema rejection (continuous attributes), WAL I/O, or a fold
+    /// failure on corrupted history.
     pub fn start(
         schema: Schema,
         cuts: &[(usize, CutPoints)],
@@ -218,11 +218,6 @@ impl IngestHandle {
             return Err(IngestError::Schema("seal_rows must be at least 1".into()));
         }
         let base = shared.snapshot();
-        if !base.is_eager() {
-            return Err(IngestError::Schema(
-                "live ingestion requires an eager cube store".into(),
-            ));
-        }
         let parser = RowParser::new(schema, cuts)?;
 
         let (wal, recovery) = Wal::open(&config.wal_dir, config.sync_writes)?;

@@ -147,18 +147,6 @@ fn store(
             return Ok(Response::json((*body).clone()));
         }
     }
-    // The codec writes the pair cubes a store holds and builds none;
-    // force every pair so the coordinator's merged store answers the
-    // same pair queries a resident store would (lazily-built shards
-    // would otherwise ship holes).
-    let attrs = snapshot.attrs().to_vec();
-    for (i, &a) in attrs.iter().enumerate() {
-        for &b in attrs.iter().skip(i + 1) {
-            snapshot
-                .pair(a, b)
-                .map_err(failed(Internal, "pair materialization failed"))?;
-        }
-    }
     let encoded =
         encode_store(snapshot.store()).map_err(failed(Internal, "store encode failed"))?;
     let body = Arc::new(

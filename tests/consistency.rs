@@ -4,7 +4,7 @@
 
 use opportunity_map::car::{mine, MinerConfig};
 use opportunity_map::cube::olap::slice;
-use opportunity_map::cube::{build_cube, ColumnIndex, CubeStore, StoreBuildOptions};
+use opportunity_map::cube::{build_cube, CubeStore, StoreBuildOptions};
 use opportunity_map::synth::{generate_call_log, generate_scaleup, CallLogConfig, ScaleUpConfig};
 
 #[test]
@@ -117,30 +117,6 @@ fn confidence_equation_one_holds_everywhere() {
                 assert!((cf - count as f64 / denom as f64).abs() < 1e-12);
             }
             None => assert_eq!(denom, 0),
-        }
-    }
-}
-
-#[test]
-fn lazy_and_eager_stores_identical() {
-    use std::sync::Arc;
-    let ds = generate_scaleup(&ScaleUpConfig {
-        n_attrs: 5,
-        n_records: 2_000,
-        seed: 31,
-        ..ScaleUpConfig::default()
-    });
-    let eager = CubeStore::build(&ds, &StoreBuildOptions::default()).unwrap();
-    // Kernel-built lazy store: the scan fills the pairs of anchor 0,
-    // every other pair builds on first access.
-    let lazy = Arc::new(ColumnIndex::build(&ds).unwrap())
-        .selector()
-        .build_store_anchored(None, 0)
-        .unwrap();
-    assert!(!lazy.is_eager());
-    for i in 0..5 {
-        for j in (i + 1)..5 {
-            assert_eq!(*eager.pair(i, j).unwrap(), *lazy.pair(i, j).unwrap());
         }
     }
 }

@@ -10,18 +10,14 @@
 //! The miner ([`miner`]) is an Eclat-style level-wise algorithm over
 //! tid-lists, which makes *restricted mining* (Section III-B: "when longer
 //! rules for some attributes or values are needed, a restricted mining can
-//! be carried out") a natural special case ([`restricted`]). Post-mining
-//! pruning operators live in [`prune`].
+//! be carried out") a natural special case ([`restricted`]).
 
 pub mod item;
 pub mod miner;
-pub mod prune;
 pub mod restricted;
 pub mod rule;
-pub mod select;
 
 pub use item::Condition;
 pub use miner::{mine, MinerConfig};
 pub use restricted::mine_restricted;
 pub use rule::CarRule;
-pub use select::{select_by_coverage, CoverageSelection};

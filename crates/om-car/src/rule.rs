@@ -49,14 +49,6 @@ impl CarRule {
         self.conditions.is_empty()
     }
 
-    /// Whether `other`'s conditions are a subset of this rule's (same
-    /// class), i.e. `other` is more general.
-    pub fn is_specialization_of(&self, other: &CarRule) -> bool {
-        self.class == other.class
-            && other.len() < self.len()
-            && other.conditions.iter().all(|c| self.conditions.contains(c))
-    }
-
     /// Render as `X=1, Y=2 -> C=c [sup=…, conf=…]`.
     pub fn display(&self, schema: &Schema) -> String {
         let conds = if self.conditions.is_empty() {
@@ -113,17 +105,6 @@ mod tests {
         assert_eq!(r.support(), 0.0);
         assert_eq!(r.confidence(), 0.0);
         assert!(r.is_empty());
-    }
-
-    #[test]
-    fn specialization_relation() {
-        let general = rule(vec![Condition::new(0, 1)], 0, 10, 20);
-        let specific = rule(vec![Condition::new(0, 1), Condition::new(2, 0)], 0, 5, 8);
-        let other_class = rule(vec![Condition::new(0, 1), Condition::new(2, 0)], 1, 5, 8);
-        assert!(specific.is_specialization_of(&general));
-        assert!(!general.is_specialization_of(&specific));
-        assert!(!other_class.is_specialization_of(&general));
-        assert!(!specific.is_specialization_of(&specific));
     }
 
     #[test]

@@ -74,16 +74,6 @@ pub struct ValueContribution {
     pub w: f64,
 }
 
-impl ValueContribution {
-    /// Two-proportion z-test of this value's raw confidences between the
-    /// two sub-populations — a plain "are these two bars different?"
-    /// check, reported alongside the measure in the views. Returns the
-    /// two-sided p-value (1.0 when either side is empty).
-    pub fn excess_p_value(&self) -> f64 {
-        om_stats::two_proportion_z(self.x2, self.n2, self.x1, self.n1).p_value
-    }
-}
-
 /// The score of one candidate attribute.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AttrScore {
@@ -393,49 +383,5 @@ mod tests {
     #[should_panic(expected = "cannot exceed totals")]
     fn subpop_counts_class_bounded() {
         SubPopCounts::new(vec![1], vec![2]);
-    }
-}
-
-#[cfg(test)]
-mod significance_tests {
-    use super::*;
-
-    #[test]
-    fn excess_p_value_tracks_the_gap() {
-        let d1 = SubPopCounts::new(vec![5_000; 2], vec![100, 100]); // 2%
-        let d2 = SubPopCounts::new(vec![5_000; 2], vec![500, 105]); // 10% / 2.1%
-        let s = score_attribute(
-            0,
-            "A",
-            &["hot".into(), "cold".into()],
-            &d1,
-            &d2,
-            0.02,
-            0.0605,
-            IntervalMethod::None,
-        );
-        let hot = &s.contributions[0];
-        let cold = &s.contributions[1];
-        assert!(hot.excess_p_value() < 1e-6, "p = {}", hot.excess_p_value());
-        assert!(cold.excess_p_value() > 0.1, "p = {}", cold.excess_p_value());
-    }
-
-    #[test]
-    fn empty_sides_are_vacuous() {
-        let c = ValueContribution {
-            value: 0,
-            label: "x".into(),
-            n1: 0,
-            n2: 0,
-            x1: 0,
-            x2: 0,
-            cf1: None,
-            cf2: None,
-            rcf1: 0.0,
-            rcf2: 0.0,
-            f: 0.0,
-            w: 0.0,
-        };
-        assert_eq!(c.excess_p_value(), 1.0);
     }
 }

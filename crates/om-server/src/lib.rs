@@ -56,7 +56,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::TrySendError;
-use om_api::ErrorCode::{Internal, Overloaded, RequestTimeout};
+use om_api::ErrorCode::{Internal, Overloaded, RequestTimeout, StaleGeneration};
 use om_api::ErrorEnvelope;
 use om_engine::{IngestHandle, OpportunityMap};
 use om_fault::fail::{self, Seam};
@@ -351,7 +351,9 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     };
 
     shared.metrics.record_request(endpoint);
-    if response.status >= 400 {
+    // A shard's stale-generation 409 asks the caller to re-pin: the
+    // epoch protocol at work, not a failure.
+    if response.status >= 400 && response.status != StaleGeneration.http_status() {
         shared.metrics.record_error();
     }
     let mut out = stream;

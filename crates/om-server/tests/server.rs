@@ -321,6 +321,25 @@ fn metrics_reflect_requests() {
 }
 
 #[test]
+fn a_stale_generation_409_is_not_counted_as_an_error() {
+    let server = start_server();
+    let addr = server.local_addr();
+    let errors = || {
+        let (_, metrics) = get(addr, "/metrics");
+        let line = metrics.lines().find(|l| l.starts_with("om_errors_total "));
+        line.expect("om_errors_total is exposed").to_owned()
+    };
+    // The engine serves generation 0, so a pin on 7 is stale.
+    let stale = get(addr, "/internal/store?expect=7");
+    assert_eq!(error_code(stale), ErrorCode::StaleGeneration);
+    assert_eq!(errors(), "om_errors_total 0");
+    let malformed = get(addr, "/internal/store?expect=seven");
+    assert_eq!(error_code(malformed), ErrorCode::BadRequest);
+    assert_eq!(errors(), "om_errors_total 1");
+    server.shutdown();
+}
+
+#[test]
 fn stalled_request_times_out_with_408() {
     let server = Server::start(
         engine(),

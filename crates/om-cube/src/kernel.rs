@@ -473,7 +473,7 @@ mod tests {
         // The anchor's pairs match the record walk exactly; a non-anchor
         // pair is not held and is refused, not built.
         assert_eq!(kernel_store.n_pair_cubes(), 4);
-        for &b in &[0, 3, 4, 5] {
+        for b in [0usize, 3, 4, 5] {
             assert_eq!(
                 *kernel_store.pair(1, b).unwrap(),
                 *walk_store.pair(1, b).unwrap()

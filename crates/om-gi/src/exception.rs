@@ -232,7 +232,8 @@ mod tests {
         let mut b = DatasetBuilder::new().categorical("A").class("C");
         // v_outlier has only 3 records, all drops — noisy, must be skipped.
         for _ in 0..3 {
-            b.push_row(&[Cell::Str("v_outlier"), Cell::Str("drop")]).unwrap();
+            b.push_row(&[Cell::Str("v_outlier"), Cell::Str("drop")])
+                .unwrap();
         }
         for i in 0..500 {
             b.push_row(&[
@@ -285,11 +286,19 @@ mod fdr_tests {
         let store = CubeStore::build(&ds, &StoreBuildOptions::default()).unwrap();
         let loose = mine_exceptions(
             &store,
-            &ExceptionConfig { alpha: 0.05, min_cell_count: 30, use_fdr: false },
+            &ExceptionConfig {
+                alpha: 0.05,
+                min_cell_count: 30,
+                use_fdr: false,
+            },
         );
         let fdr = mine_exceptions(
             &store,
-            &ExceptionConfig { alpha: 0.05, min_cell_count: 30, use_fdr: true },
+            &ExceptionConfig {
+                alpha: 0.05,
+                min_cell_count: 30,
+                use_fdr: true,
+            },
         );
         assert!(
             fdr.len() <= loose.len(),
@@ -313,10 +322,15 @@ mod fdr_tests {
         let store = CubeStore::build(&ds, &StoreBuildOptions::default()).unwrap();
         let fdr = mine_exceptions(
             &store,
-            &ExceptionConfig { alpha: 0.01, min_cell_count: 30, use_fdr: true },
+            &ExceptionConfig {
+                alpha: 0.01,
+                min_cell_count: 30,
+                use_fdr: true,
+            },
         );
         assert!(
-            fdr.iter().any(|e| e.value_label == "v2" && e.kind == ExceptionKind::High),
+            fdr.iter()
+                .any(|e| e.value_label == "v2" && e.kind == ExceptionKind::High),
             "{fdr:?}"
         );
     }

@@ -101,7 +101,10 @@ mod tests {
         assert_eq!(ranking[0].attr_name, "Strong");
         assert!(ranking[0].chi2 > ranking[1].chi2 * 10.0);
         assert!(ranking[0].p_value < 1e-10);
-        assert!(ranking[0].info_gain > 0.99, "perfect predictor gains ~1 bit");
+        assert!(
+            ranking[0].info_gain > 0.99,
+            "perfect predictor gains ~1 bit"
+        );
         assert!(ranking[1].info_gain < 0.05);
     }
 

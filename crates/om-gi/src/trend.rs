@@ -110,8 +110,7 @@ pub fn classify_series(confidences: &[Option<f64>], config: &TrendConfig) -> (Tr
 
 /// Mine trends for every (attribute, class) pair in the store.
 pub fn mine_trends(store: &CubeStore, config: &TrendConfig) -> Vec<TrendResult> {
-    mine_trends_budgeted(store, config, &Budget::unlimited())
-        .expect("unlimited budget never trips")
+    mine_trends_budgeted(store, config, &Budget::unlimited()).expect("unlimited budget never trips")
 }
 
 /// [`mine_trends`] under a cooperative [`Budget`]: the deadline is
@@ -176,16 +175,14 @@ mod tests {
 
     #[test]
     fn stable_series() {
-        let series: Vec<Option<f64>> =
-            vec![Some(0.50), Some(0.51), Some(0.495), Some(0.505)];
+        let series: Vec<Option<f64>> = vec![Some(0.50), Some(0.51), Some(0.495), Some(0.505)];
         let (t, ..) = classify_series(&series, &cfg());
         assert_eq!(t, Trend::Stable);
     }
 
     #[test]
     fn noisy_series_is_none() {
-        let series: Vec<Option<f64>> =
-            vec![Some(0.1), Some(0.9), Some(0.2), Some(0.8), Some(0.15)];
+        let series: Vec<Option<f64>> = vec![Some(0.1), Some(0.9), Some(0.2), Some(0.8), Some(0.15)];
         let (t, ..) = classify_series(&series, &cfg());
         assert_eq!(t, Trend::None);
     }
@@ -202,8 +199,7 @@ mod tests {
     fn empty_cells_skipped_not_zeroed() {
         // With Nones treated as 0 this would read as noisy; skipping them
         // reveals the clean increase.
-        let series: Vec<Option<f64>> =
-            vec![Some(0.1), None, Some(0.3), None, Some(0.5), Some(0.7)];
+        let series: Vec<Option<f64>> = vec![Some(0.1), None, Some(0.3), None, Some(0.5), Some(0.7)];
         let (t, ..) = classify_series(&series, &cfg());
         assert_eq!(t, Trend::Increasing);
     }
@@ -229,14 +225,10 @@ mod tests {
             }
         }
         let ds = b.finish().unwrap();
-        let store =
-            om_cube::CubeStore::build(&ds, &om_cube::StoreBuildOptions::default()).unwrap();
+        let store = om_cube::CubeStore::build(&ds, &om_cube::StoreBuildOptions::default()).unwrap();
         let trends = mine_trends(&store, &cfg());
         assert_eq!(trends.len(), 2, "one result per (attr, class)");
-        let drop_trend = trends
-            .iter()
-            .find(|t| t.class_label == "drop")
-            .unwrap();
+        let drop_trend = trends.iter().find(|t| t.class_label == "drop").unwrap();
         assert_eq!(drop_trend.trend, Trend::Increasing);
         let ok_trend = trends.iter().find(|t| t.class_label == "ok").unwrap();
         assert_eq!(ok_trend.trend, Trend::Decreasing);
@@ -271,8 +263,14 @@ mod mann_kendall_tests {
 
     #[test]
     fn mk_gate_rejects_noise() {
-        let series: Vec<Option<f64>> =
-            vec![Some(0.3), Some(0.9), Some(0.1), Some(0.8), Some(0.2), Some(0.7)];
+        let series: Vec<Option<f64>> = vec![
+            Some(0.3),
+            Some(0.9),
+            Some(0.1),
+            Some(0.8),
+            Some(0.2),
+            Some(0.7),
+        ];
         let mk = TrendConfig {
             mann_kendall_alpha: Some(0.01),
             ..TrendConfig::default()

@@ -71,10 +71,7 @@ pub fn render_detailed(view: &CubeView, options: &DetailedOptions) -> String {
                     );
                 }
                 None => {
-                    let _ = writeln!(
-                        out,
-                        "    {label:<value_w$}  n={n:<8} (no data)",
-                    );
+                    let _ = writeln!(out, "    {label:<value_w$}  n={n:<8} (no data)",);
                 }
             }
         }

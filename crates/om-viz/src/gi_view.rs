@@ -78,7 +78,10 @@ pub fn render_influence(influence: &[InfluenceResult], n: usize) -> String {
 /// Render interaction exceptions from the pair cubes (top `n`).
 pub fn render_pair_exceptions(exceptions: &[PairException], n: usize) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "Interaction exceptions (pair-cube cells beyond independence):");
+    let _ = writeln!(
+        out,
+        "Interaction exceptions (pair-cube cells beyond independence):"
+    );
     if exceptions.is_empty() {
         let _ = writeln!(out, "  (none)");
         return out;
@@ -106,8 +109,8 @@ mod tests {
     use super::*;
     use om_cube::{CubeStore, StoreBuildOptions};
     use om_gi::{
-        mine_exceptions, mine_influence, mine_pair_exceptions, mine_trends,
-        ExceptionConfig, PairExceptionConfig, TrendConfig,
+        mine_exceptions, mine_influence, mine_pair_exceptions, mine_trends, ExceptionConfig,
+        PairExceptionConfig, TrendConfig,
     };
     use om_synth::paper_scenario;
 
@@ -154,9 +157,6 @@ mod tests {
         let text = render_pair_exceptions(&pe, 5);
         assert!(text.contains("Interaction exceptions"));
         // The planted ph2 × morning interaction shows up in the rendering.
-        assert!(
-            text.contains("morning") || pe.is_empty(),
-            "{text}"
-        );
+        assert!(text.contains("morning") || pe.is_empty(), "{text}");
     }
 }

@@ -57,8 +57,7 @@ pub fn render_overall(store: &CubeStore, options: &OverallOptions) -> String {
         .attrs()
         .iter()
         .map(|&a| {
-            CubeView::from_cube(&store.one_dim(a).expect("attr in store"))
-                .expect("one-dim cube")
+            CubeView::from_cube(&store.one_dim(a).expect("attr in store")).expect("one-dim cube")
         })
         .collect();
     let trends: Vec<TrendResult> = mine_trends(store, &options.trend_config);

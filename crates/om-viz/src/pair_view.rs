@@ -165,8 +165,7 @@ mod tests {
                 s.attr_index("NetworkLoad").unwrap(),
             )
             .unwrap();
-        let text =
-            render_pair_heatmap(&cube, 1, &PairViewOptions::default()).unwrap();
+        let text = render_pair_heatmap(&cube, 1, &PairViewOptions::default()).unwrap();
         assert!(text.contains("NetworkLoad"), "{text}");
     }
 

@@ -70,9 +70,10 @@ pub fn grouped_bar_chart(labels: &[String], series: &[Series], options: &ChartOp
     let max_val = series
         .iter()
         .flat_map(|s| {
-            s.values.iter().enumerate().map(|(i, &v)| {
-                v + s.margins.as_ref().map_or(0.0, |m| m[i])
-            })
+            s.values
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| v + s.margins.as_ref().map_or(0.0, |m| m[i]))
         })
         .fold(0.0f64, f64::max)
         .max(1e-9);
@@ -83,10 +84,7 @@ pub fn grouped_bar_chart(labels: &[String], series: &[Series], options: &ChartOp
         r#"<svg xmlns="http://www.w3.org/2000/svg" width="{}" height="{}" viewBox="0 0 {} {}">"#,
         options.width, options.height, options.width, options.height
     );
-    let _ = writeln!(
-        out,
-        r#"<rect width="100%" height="100%" fill="white"/>"#
-    );
+    let _ = writeln!(out, r#"<rect width="100%" height="100%" fill="white"/>"#);
     if !options.title.is_empty() {
         let _ = writeln!(
             out,

@@ -7,6 +7,8 @@
 //! `D_2` likewise, then applies the identical Section IV measure — counts
 //! add, so everything downstream is unchanged.
 
+use std::sync::Arc;
+
 use om_cube::olap::slice;
 use om_cube::CubeStore;
 use om_data::ValueId;
@@ -57,14 +59,14 @@ fn group_counts(
     other: usize,
     group: &[ValueId],
     class: ValueId,
-) -> Result<(Vec<String>, SubPopCounts), CompareError> {
+) -> Result<(Arc<[String]>, SubPopCounts), CompareError> {
     let pair = store.pair(sel, other)?;
     let sel_dim = pair
         .dims()
         .iter()
         .position(|d| d.attr_index == sel)
         .expect("pair cube contains the selected attribute");
-    let labels = pair.dims()[1 - sel_dim].labels.clone();
+    let labels = Arc::clone(&pair.dims()[1 - sel_dim].labels);
     let card = labels.len();
     let mut n = vec![0u64; card];
     let mut x = vec![0u64; card];
@@ -175,7 +177,7 @@ pub fn compare_groups(
 
     Ok(ComparisonResult {
         attr: spec.attr,
-        attr_name: dim.name.clone(),
+        attr_name: dim.name.to_string(),
         value_1: g1[0],
         value_1_label: group_label(dim, &g1),
         value_2: g2[0],

@@ -11,6 +11,7 @@
 //! set size".
 
 use std::fmt;
+use std::sync::Arc;
 
 use om_cube::olap::slice;
 use om_cube::{CubeError, CubeStore, RuleCube};
@@ -350,7 +351,7 @@ pub fn normalize(
         },
         swapped,
         base: BaseStats {
-            attr_name: dim.name.clone(),
+            attr_name: dim.name.to_string(),
             v1_label: dim.labels[v1 as usize].clone(),
             v2_label: dim.labels[v2 as usize].clone(),
             class_label: one.class_labels()[spec.class as usize].clone(),
@@ -463,7 +464,7 @@ pub fn assemble(
 /// # Errors
 /// [`CubeError`] if the store has no cube for `attr`.
 pub fn attr_name(store: &CubeStore, attr: usize) -> Result<String, CubeError> {
-    Ok(store.one_dim(attr)?.dims()[0].name.clone())
+    Ok(store.one_dim(attr)?.dims()[0].name.to_string())
 }
 
 /// Extract the per-value counts of both sub-populations for `other` from
@@ -479,7 +480,7 @@ pub fn subpop_counts(
     v1: ValueId,
     v2: ValueId,
     class: ValueId,
-) -> Result<(Vec<String>, SubPopCounts, SubPopCounts), CompareError> {
+) -> Result<(Arc<[String]>, SubPopCounts, SubPopCounts), CompareError> {
     let (labels, d1, d2) = subpop_slices(store, sel, other, v1, v2)?;
     Ok((
         labels,
@@ -501,7 +502,7 @@ pub fn subpop_slices(
     other: usize,
     v1: ValueId,
     v2: ValueId,
-) -> Result<(Vec<String>, RuleCube, RuleCube), CompareError> {
+) -> Result<(Arc<[String]>, RuleCube, RuleCube), CompareError> {
     let pair = store.pair(sel, other)?;
     // A store assembled from a corrupt or hand-built artifact can hold a
     // pair cube that doesn't mention `sel`; this path is reachable from
@@ -515,7 +516,7 @@ pub fn subpop_slices(
                 "pair cube ({sel}, {other}) lacks the selected attribute dimension"
             )))
         })?;
-    let labels = pair.dims()[1 - sel_dim].labels.clone();
+    let labels = Arc::clone(&pair.dims()[1 - sel_dim].labels);
     let d1 = slice(&pair, sel_dim, v1)?;
     let d2 = slice(&pair, sel_dim, v2)?;
     Ok((labels, d1, d2))

@@ -54,14 +54,18 @@ impl From<FaultError> for CubeError {
 
 /// One non-class dimension of a rule cube: which attribute it came from and
 /// the value labels, making cubes self-contained for visualization.
+///
+/// The name and labels sit behind `Arc`s, so every cube over an attribute
+/// can share one copy of them: a store's builders, its codec and the
+/// OLAP operations clone the `Arc`s, and copy no label.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CubeDim {
     /// Index of the attribute in the originating dataset's schema.
     pub attr_index: usize,
     /// Attribute name.
-    pub name: String,
+    pub name: Arc<str>,
     /// Value labels in id order.
-    pub labels: Vec<String>,
+    pub labels: Arc<[String]>,
 }
 
 impl CubeDim {
@@ -78,14 +82,64 @@ impl CubeDim {
         );
         Self {
             attr_index,
-            name: attr.name().to_owned(),
-            labels: attr.domain().labels().to_vec(),
+            name: attr.name().into(),
+            labels: attr.domain().labels().into(),
         }
     }
 
     /// Number of values.
     pub fn cardinality(&self) -> usize {
         self.labels.len()
+    }
+}
+
+/// The labels every cube of one build shares: each analysis attribute's
+/// [`CubeDim`], made once from the schema, and the class labels. A cube
+/// made here clones their `Arc`s, so a store of `n` attributes holds one
+/// copy of each label however many of its `n·(n+1)/2` cubes name it.
+pub(crate) struct SchemaDims {
+    /// By schema index; `None` for an attribute outside the build.
+    dims: Vec<Option<CubeDim>>,
+    class_labels: Arc<[String]>,
+}
+
+impl SchemaDims {
+    /// The dimensions of `attrs` and the class labels of `schema`.
+    ///
+    /// # Panics
+    /// Panics if an attribute of `attrs` is continuous or outside the
+    /// schema (resolve the attribute list first).
+    pub(crate) fn new(schema: &Schema, attrs: &[usize]) -> Self {
+        let mut dims = vec![None; schema.n_attributes()];
+        for &a in attrs {
+            dims[a] = Some(CubeDim::from_schema(schema, a));
+        }
+        Self {
+            dims,
+            class_labels: schema.class().domain().labels().into(),
+        }
+    }
+
+    /// The class labels every cube of the build shares.
+    pub(crate) fn class_labels(&self) -> &Arc<[String]> {
+        &self.class_labels
+    }
+
+    /// An all-zero cube over the attributes `over`, sharing the labels.
+    ///
+    /// # Errors
+    /// [`CubeError::NoSuchDim`] for an attribute outside the build.
+    pub(crate) fn cube(&self, over: &[usize]) -> Result<RuleCube, CubeError> {
+        let dims = over
+            .iter()
+            .map(|&a| {
+                self.dims
+                    .get(a)
+                    .and_then(Option::clone)
+                    .ok_or_else(|| CubeError::NoSuchDim(format!("attribute index {a}")))
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(RuleCube::new(dims, Arc::clone(&self.class_labels)))
     }
 }
 
@@ -110,12 +164,15 @@ pub struct RuleCube {
 }
 
 impl RuleCube {
-    /// An all-zero cube over the given dimensions and class labels.
+    /// An all-zero cube over the given dimensions and class labels. Pass
+    /// an `Arc<[String]>` to share the class labels with other cubes; a
+    /// `Vec<String>` becomes this cube's own copy.
     ///
     /// # Panics
     /// Panics if any dimension or the class has zero cardinality, or if the
     /// tensor would overflow `usize`.
-    pub fn new(dims: Vec<CubeDim>, class_labels: Vec<String>) -> Self {
+    pub fn new(dims: Vec<CubeDim>, class_labels: impl Into<Arc<[String]>>) -> Self {
+        let class_labels: Arc<[String]> = class_labels.into();
         assert!(!class_labels.is_empty(), "cube needs at least one class");
         for d in &dims {
             assert!(
@@ -138,7 +195,7 @@ impl RuleCube {
         }
         Self {
             dims: dims.into(),
-            class_labels: class_labels.into(),
+            class_labels,
             counts: vec![0; size],
             strides: strides.into(),
             total: 0,
@@ -157,6 +214,11 @@ impl RuleCube {
 
     /// Class labels in id order.
     pub fn class_labels(&self) -> &[String] {
+        &self.class_labels
+    }
+
+    /// The class labels' `Arc`, for a cube derived from this one to share.
+    pub(crate) fn shared_class_labels(&self) -> &Arc<[String]> {
         &self.class_labels
     }
 
@@ -193,7 +255,7 @@ impl RuleCube {
         for ((&v, d), &s) in values.iter().zip(self.dims.iter()).zip(self.strides.iter()) {
             if v as usize >= d.cardinality() {
                 return Err(CubeError::OutOfRange {
-                    dim: d.name.clone(),
+                    dim: d.name.to_string(),
                     value: v,
                     card: d.cardinality(),
                 });
@@ -326,12 +388,12 @@ mod tests {
             CubeDim {
                 attr_index: 0,
                 name: "A1".into(),
-                labels: vec!["a".into(), "b".into(), "c".into(), "d".into()],
+                labels: vec!["a".into(), "b".into(), "c".into(), "d".into()].into(),
             },
             CubeDim {
                 attr_index: 1,
                 name: "A2".into(),
-                labels: vec!["e".into(), "f".into(), "g".into()],
+                labels: vec!["e".into(), "f".into(), "g".into()].into(),
             },
         ];
         let mut cube = RuleCube::new(dims, vec!["yes".into(), "no".into()]);
@@ -424,7 +486,7 @@ mod tests {
         let dim = CubeDim {
             attr_index: 0,
             name: "X".into(),
-            labels: vec!["p".into(), "q".into()],
+            labels: vec!["p".into(), "q".into()].into(),
         };
         let mut cube = RuleCube::new(vec![dim], vec!["y".into(), "n".into()]);
         cube.add(&[0], 0, 3).unwrap();
@@ -447,7 +509,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one class")]
     fn rejects_empty_class() {
-        RuleCube::new(vec![], vec![]);
+        RuleCube::new(vec![], Vec::new());
     }
 
     #[test]
@@ -456,7 +518,7 @@ mod tests {
         let dim = CubeDim {
             attr_index: 0,
             name: "X".into(),
-            labels: vec![],
+            labels: Vec::new().into(),
         };
         RuleCube::new(vec![dim], vec!["y".into()]);
     }

@@ -111,7 +111,7 @@ impl CubeStore {
             .collect();
         Ok(CubeStore::assemble(
             self.attrs().to_vec(),
-            self.class_labels().to_vec(),
+            Arc::clone(self.shared_class_labels()),
             class_counts,
             self.total_records() + other.total_records(),
             one_d,
@@ -205,8 +205,8 @@ impl CubeStore {
                 return Err(differs());
             };
             if a == schema.class_index()
-                || attr.name() != dim.name
-                || attr.domain().labels() != dim.labels.as_slice()
+                || attr.name() != &*dim.name
+                || attr.domain().labels() != &*dim.labels
             {
                 return Err(differs());
             }
@@ -486,7 +486,7 @@ mod tests {
         let store = CubeStore::build(&wide, &StoreBuildOptions::default()).unwrap();
         let mut mixed = CubeStore::assemble(
             store.attrs().to_vec(),
-            store.class_labels().to_vec(),
+            Arc::clone(store.shared_class_labels()),
             store.class_counts().to_vec(),
             store.total_records(),
             store

@@ -162,7 +162,7 @@ mod tests {
         let dims = vec![CubeDim {
             attr_index: 0,
             name: "Time".into(),
-            labels: vec!["am".into(), "pm".into(), "eve".into()],
+            labels: vec!["am".into(), "pm".into(), "eve".into()].into(),
         }];
         let mut c = RuleCube::new(dims, vec!["ok".into(), "drop".into()]);
         c.add(&[0], 0, 80).unwrap();
@@ -221,7 +221,7 @@ mod tests {
         let dims = vec![CubeDim {
             attr_index: 0,
             name: "X".into(),
-            labels: vec!["a".into()],
+            labels: vec!["a".into()].into(),
         }];
         let c = RuleCube::new(dims, vec!["y".into()]);
         assert!(top_k_by_confidence(&c, 0, 5, 1).unwrap().is_empty());

@@ -28,7 +28,7 @@ use std::sync::Arc;
 use om_data::{Dataset, Schema};
 
 use crate::build::{count_blocks, HiCubes};
-use crate::cube::{CubeDim, CubeError, RuleCube};
+use crate::cube::{CubeError, RuleCube, SchemaDims};
 use crate::kernel::ColumnIndex;
 
 /// Options for building a [`CubeStore`].
@@ -72,10 +72,14 @@ pub(crate) type HeldCubesMut<'a> = (
 /// `Arc`s, so cloning a store of hundreds of cubes is a map copy, not a
 /// data copy. This is what makes snapshot publication cheap — see
 /// [`crate::snapshot::SharedStore`].
+///
+/// The labels are shared too: the builders and the codec give every cube
+/// over an attribute that attribute's one [`CubeDim`](crate::CubeDim)
+/// `Arc`s, and every cube and the store itself one class-label `Arc`.
 #[derive(Clone)]
 pub struct CubeStore {
     attrs: Vec<usize>,
-    class_labels: Vec<String>,
+    class_labels: Arc<[String]>,
     class_counts: Vec<u64>,
     total_records: u64,
     one_d: HashMap<usize, Arc<RuleCube>>,
@@ -155,7 +159,7 @@ impl CubeStore {
         // attributes before it.
         let mut sorted = attrs.clone();
         sorted.sort_unstable();
-        let class_labels = schema.class().domain().labels().to_vec();
+        let shared = SchemaDims::new(schema, &attrs);
         let classes = ds.class_values();
         let column = |a: usize| {
             ds.column(a)
@@ -163,8 +167,9 @@ impl CubeStore {
                 .expect("resolve_attrs admits categorical attributes only")
         };
         let new_cube = |over: &[usize]| {
-            let dims = over.iter().map(|&a| CubeDim::from_schema(schema, a));
-            RuleCube::new(dims.collect(), class_labels.clone())
+            shared
+                .cube(over)
+                .expect("the shared dimensions cover every resolved attribute")
         };
         // One `hi`'s 1-D cube and its pair cubes, in `sorted` order of `lo`.
         type HiGroup = (Arc<RuleCube>, Vec<Arc<RuleCube>>);
@@ -235,7 +240,7 @@ impl CubeStore {
         }
         Ok(Self {
             attrs,
-            class_labels,
+            class_labels: Arc::clone(shared.class_labels()),
             class_counts: ds.class_counts(),
             total_records: ds.n_rows() as u64,
             one_d,
@@ -254,10 +259,11 @@ impl CubeStore {
     }
 
     /// Assemble a store from prebuilt parts: the counting kernel's one
-    /// scan, [`CubeStore::merge`] and the codec all end here.
+    /// scan, [`CubeStore::merge`] and the codec all end here. Each passes
+    /// the class-label `Arc` its cubes share.
     pub(crate) fn assemble(
         attrs: Vec<usize>,
-        class_labels: Vec<String>,
+        class_labels: Arc<[String]>,
         class_counts: Vec<u64>,
         total_records: u64,
         one_d: HashMap<usize, Arc<RuleCube>>,
@@ -288,6 +294,11 @@ impl CubeStore {
 
     /// Class labels, in id order.
     pub fn class_labels(&self) -> &[String] {
+        &self.class_labels
+    }
+
+    /// The class labels' `Arc`, for a store derived from this one to share.
+    pub(crate) fn shared_class_labels(&self) -> &Arc<[String]> {
         &self.class_labels
     }
 
@@ -353,7 +364,10 @@ impl CubeStore {
         self.pairs.len()
     }
 
-    /// Approximate heap memory of all held cube tensors, in bytes.
+    /// Heap bytes of the held cubes' count tensors: `8 × cells`, summed.
+    /// Nothing else is counted. The labels are shared per schema (one
+    /// copy of each attribute's, and of the class labels, for the whole
+    /// store), and the strides and maps are small beside the tensors.
     pub fn memory_bytes(&self) -> usize {
         self.one_d
             .values()

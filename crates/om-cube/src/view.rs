@@ -4,6 +4,8 @@
 //! this view: per-(value, class) counts, confidences and supports, plus
 //! the per-value data distribution shown at the top of each Fig. 5 column.
 
+use std::sync::Arc;
+
 use om_data::ValueId;
 
 use crate::cube::{CubeError, RuleCube};
@@ -12,9 +14,9 @@ use crate::store::CubeStore;
 /// A materialized `value × class` table of one attribute's rule cube.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CubeView {
-    attr_name: String,
-    value_labels: Vec<String>,
-    class_labels: Vec<String>,
+    attr_name: Arc<str>,
+    value_labels: Arc<[String]>,
+    class_labels: Arc<[String]>,
     /// `counts[value][class]`.
     counts: Vec<Vec<u64>>,
     /// Row totals (`sup(A = v)`).
@@ -45,7 +47,7 @@ impl CubeView {
         Ok(Self {
             attr_name: dim.name.clone(),
             value_labels: dim.labels.clone(),
-            class_labels: cube.class_labels().to_vec(),
+            class_labels: Arc::clone(cube.shared_class_labels()),
             counts,
             value_totals,
             total: cube.total(),
@@ -162,7 +164,7 @@ mod tests {
         let dim = CubeDim {
             attr_index: 0,
             name: "Time".into(),
-            labels: vec!["am".into(), "pm".into(), "eve".into()],
+            labels: vec!["am".into(), "pm".into(), "eve".into()].into(),
         };
         let mut cube = RuleCube::new(vec![dim], vec!["ok".into(), "drop".into()]);
         cube.add(&[0], 0, 90).unwrap();
@@ -216,7 +218,7 @@ mod tests {
         let dim = CubeDim {
             attr_index: 0,
             name: "X".into(),
-            labels: vec!["a".into()],
+            labels: vec!["a".into()].into(),
         };
         let cube = RuleCube::new(vec![dim], vec!["c".into()]);
         let v = CubeView::from_cube(&cube).unwrap();

@@ -45,11 +45,11 @@ fn arb_cube() -> impl Strategy<Value = RuleCube> {
                 .enumerate()
                 .map(|(i, &card)| CubeDim {
                     attr_index: i,
-                    name: format!("A{i}"),
+                    name: format!("A{i}").into(),
                     labels: (0..card).map(|v| format!("a{i}_{v}")).collect(),
                 })
                 .collect();
-            let classes = (0..n_classes).map(|c| format!("c{c}")).collect();
+            let classes: Vec<String> = (0..n_classes).map(|c| format!("c{c}")).collect();
             let mut cube = RuleCube::new(dims, classes);
             let cells: Vec<_> = cube
                 .iter_cells()

@@ -193,7 +193,7 @@ fn resolve_slice(cs: &CubeStore, slice: &[(String, String)]) -> Result<Option<Co
 pub(crate) fn attr_by_name(cs: &CubeStore, name: &str) -> Result<usize, ExploreError> {
     for &a in cs.attrs() {
         let one = cs.one_dim(a)?;
-        if one.dims().first().is_some_and(|d| d.name == name) {
+        if one.dims().first().is_some_and(|d| &*d.name == name) {
             return Ok(a);
         }
     }

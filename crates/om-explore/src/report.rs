@@ -99,7 +99,7 @@ pub(crate) fn row_for(
             ))
         })?;
         conds.push(CondLabel {
-            attr: dim.name.clone(),
+            attr: dim.name.to_string(),
             value,
         });
     }

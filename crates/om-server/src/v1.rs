@@ -408,8 +408,8 @@ fn cube_slice(
                     .dims()
                     .iter()
                     .map(|dim| PairDimWire {
-                        attr: dim.name.clone(),
-                        labels: dim.labels.clone(),
+                        attr: dim.name.to_string(),
+                        labels: dim.labels.to_vec(),
                     })
                     .collect(),
                 classes: cube.class_labels().to_vec(),

@@ -1464,7 +1464,7 @@ impl EngineOps for Coordinator {
         let mut parts: Vec<Vec<usize>> = vec![Vec::new(); self.n_partitions];
         for (i, row) in rows.iter().enumerate() {
             self.parser
-                .parse_fields(row, i + 1)
+                .validate_fields(row, i + 1)
                 .map_err(|e| OpsError::Envelope(ingest_envelope(&e)))?;
             if let Some(part) = parts.get_mut(route_fields(row, self.n_partitions)) {
                 part.push(i);

@@ -85,6 +85,35 @@ impl RowParser {
         fields: &[S],
         row: usize,
     ) -> Result<Vec<ValueId>, IngestError> {
+        let mut ids = Vec::with_capacity(fields.len());
+        self.resolve_fields(fields, row, |id| ids.push(id))?;
+        Ok(ids)
+    }
+
+    /// Check one already-split row exactly as
+    /// [`parse_fields`](Self::parse_fields) does — the same verdict and,
+    /// on a bad row, the same error — but keep no ids, so a good row
+    /// costs no allocation. For a caller that only vets rows another
+    /// process will parse.
+    ///
+    /// # Errors
+    /// [`IngestError::BadRow`] on wrong arity, unknown labels, or
+    /// unbinnable numerics.
+    pub fn validate_fields<S: AsRef<str>>(
+        &self,
+        fields: &[S],
+        row: usize,
+    ) -> Result<(), IngestError> {
+        self.resolve_fields(fields, row, |_| {})
+    }
+
+    /// Resolve a row's fields in schema order, handing each id to `each`.
+    fn resolve_fields<S: AsRef<str>>(
+        &self,
+        fields: &[S],
+        row: usize,
+        mut each: impl FnMut(ValueId),
+    ) -> Result<(), IngestError> {
         if fields.len() != self.schema.n_attributes() {
             return Err(IngestError::BadRow {
                 row,
@@ -95,11 +124,10 @@ impl RowParser {
                 ),
             });
         }
-        let mut ids = Vec::with_capacity(fields.len());
         for (attr, field) in fields.iter().enumerate() {
-            ids.push(self.resolve(attr, field.as_ref(), row)?);
+            each(self.resolve(attr, field.as_ref(), row)?);
         }
-        Ok(ids)
+        Ok(())
     }
 
     fn resolve(&self, attr: usize, field: &str, row: usize) -> Result<ValueId, IngestError> {
@@ -226,6 +254,33 @@ mod tests {
         assert!(parser
             .parse_fields(&fields(["red", "uphill", "yes"]), 1)
             .is_err());
+    }
+
+    #[test]
+    fn validating_gives_the_verdict_and_message_of_parsing() {
+        let (schema, cuts) = live_schema();
+        let parser = RowParser::new(schema, &cuts).unwrap();
+        let rows = [
+            // Good: labels, a number to bin, a missing number.
+            fields(["red", "1.5", "yes"]),
+            fields(["blue", "", "no"]),
+            fields(["blue", "NaN", "yes"]),
+            // Bad: arity, an unknown label, a non-numeric field.
+            fields(["red", "1.5"]),
+            fields(["red", "1.5", "yes", "extra"]),
+            fields(["chartreuse", "1.5", "yes"]),
+            fields(["red", "1.5", "maybe"]),
+            fields(["red", "uphill", "yes"]),
+        ];
+        for (i, row) in rows.iter().enumerate() {
+            let parsed = parser.parse_fields(row, i + 1).map(|_| ());
+            let validated = parser.validate_fields(row, i + 1);
+            assert_eq!(validated.is_ok(), i < 3, "row {row:?}");
+            assert_eq!(
+                validated.map_err(|e| e.to_string()),
+                parsed.map_err(|e| e.to_string()),
+            );
+        }
     }
 
     #[test]

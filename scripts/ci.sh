@@ -15,7 +15,7 @@ if git grep -nE 'om[-_]bench|vendor/[c]riterion|[c]riterion::|BENCH_[6-9]\.json|
 fi
 
 echo "==> cargo fmt --check, one crate at a time (the rest of the tree predates rustfmt)"
-for crate in om-ingest om-api om-fault om-lint om-server om-cluster om-cube om-cli om-exec om-explore om-data om-compare om-car; do
+for crate in om-ingest om-api om-fault om-lint om-server om-cluster om-cube om-cli om-exec om-explore om-data om-compare om-car om-gi om-viz; do
     cargo fmt -p "$crate" --check
 done
 

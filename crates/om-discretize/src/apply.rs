@@ -39,9 +39,7 @@ fn cuts_for(ds: &Dataset, idx: usize, method: &Method) -> Result<CutPoints> {
     Ok(match method {
         Method::EqualWidth(k) => equal_width_cuts(values, *k),
         Method::EqualFrequency(k) => equal_freq_cuts(values, *k),
-        Method::EntropyMdl => {
-            mdl_cuts(values, ds.class_values(), ds.schema().n_classes(), 8)
-        }
+        Method::EntropyMdl => mdl_cuts(values, ds.class_values(), ds.schema().n_classes(), 8),
         Method::ChiMerge { alpha, max_bins } => crate::chimerge::chimerge_cuts(
             values,
             ds.class_values(),
@@ -78,11 +76,7 @@ fn cuts_for(ds: &Dataset, idx: usize, method: &Method) -> Result<CutPoints> {
 ///
 /// # Errors
 /// Fails if the attribute is already categorical or is the class.
-pub fn discretize_attribute(
-    ds: &mut Dataset,
-    idx: usize,
-    method: &Method,
-) -> Result<CutPoints> {
+pub fn discretize_attribute(ds: &mut Dataset, idx: usize, method: &Method) -> Result<CutPoints> {
     if idx == ds.schema().class_index() {
         return Err(DataError::Invalid(
             "cannot discretize the class attribute".into(),
@@ -122,9 +116,7 @@ pub fn discretize_attribute(
 /// Propagates any per-attribute failure.
 pub fn discretize_all(ds: &mut Dataset, method: &Method) -> Result<Vec<(usize, CutPoints)>> {
     let continuous: Vec<usize> = (0..ds.schema().n_attributes())
-        .filter(|&i| {
-            i != ds.schema().class_index() && !ds.schema().attribute(i).is_categorical()
-        })
+        .filter(|&i| i != ds.schema().class_index() && !ds.schema().attribute(i).is_categorical())
         .collect();
     let mut out = Vec::with_capacity(continuous.len());
     for idx in continuous {
@@ -185,8 +177,7 @@ mod tests {
     #[test]
     fn manual_cuts_respected() {
         let mut ds = mixed();
-        let cuts =
-            discretize_attribute(&mut ds, 2, &Method::Manual(vec![25.0, 75.0])).unwrap();
+        let cuts = discretize_attribute(&mut ds, 2, &Method::Manual(vec![25.0, 75.0])).unwrap();
         assert_eq!(cuts.cuts(), &[25.0, 75.0]);
         assert_eq!(ds.schema().attribute(2).cardinality(), 3);
     }
@@ -230,7 +221,10 @@ mod tests {
         let mut ds = b.finish().unwrap();
         discretize_attribute(&mut ds, 0, &Method::EqualWidth(2)).unwrap();
         let attr = ds.schema().attribute(0);
-        let missing_id = attr.domain().get(MISSING_LABEL).expect("missing bin exists");
+        let missing_id = attr
+            .domain()
+            .get(MISSING_LABEL)
+            .expect("missing bin exists");
         let ids = ds.column(0).as_categorical().unwrap();
         assert_eq!(ids[1], missing_id);
         assert_ne!(ids[0], missing_id);
@@ -248,8 +242,11 @@ mod tests {
     fn constant_column_single_bin() {
         let mut b = DatasetBuilder::new().continuous("X").class("C");
         for i in 0..10 {
-            b.push_row(&[Cell::Num(5.0), Cell::Str(if i % 2 == 0 { "a" } else { "b" })])
-                .unwrap();
+            b.push_row(&[
+                Cell::Num(5.0),
+                Cell::Str(if i % 2 == 0 { "a" } else { "b" }),
+            ])
+            .unwrap();
         }
         let mut ds = b.finish().unwrap();
         let cuts = discretize_attribute(&mut ds, 0, &Method::EqualWidth(4)).unwrap();
@@ -275,7 +272,10 @@ mod chimerge_apply_tests {
         let cuts = discretize_attribute(
             &mut ds,
             0,
-            &Method::ChiMerge { alpha: 0.01, max_bins: 8 },
+            &Method::ChiMerge {
+                alpha: 0.01,
+                max_bins: 8,
+            },
         )
         .unwrap();
         assert_eq!(cuts.n_bins(), 2, "cuts {:?}", cuts.cuts());

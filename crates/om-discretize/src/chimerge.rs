@@ -160,7 +160,9 @@ mod tests {
     #[test]
     fn binning_beats_random_on_structured_data() {
         let values: Vec<f64> = (0..300).map(|i| i as f64).collect();
-        let classes: Vec<u32> = (0..300).map(|i| u32::from((100..200).contains(&i))).collect();
+        let classes: Vec<u32> = (0..300)
+            .map(|i| u32::from((100..200).contains(&i)))
+            .collect();
         let cm = chimerge_cuts(&values, &classes, 2, 0.01, 10);
         let cm_entropy = binning_entropy(&values, &classes, 2, &cm);
         // Fixed-width binning cannot match the supervised boundary.
@@ -188,8 +190,14 @@ mod tests {
         assert_eq!(chimerge_cuts(&[], &[], 2, 0.05, 5).n_bins(), 1);
         assert_eq!(chimerge_cuts(&[1.0], &[0], 2, 0.05, 5).n_bins(), 1);
         assert_eq!(
-            chimerge_cuts(&[3.0; 50], &(0..50).map(|i| (i % 2) as u32).collect::<Vec<_>>(), 2, 0.05, 5)
-                .n_bins(),
+            chimerge_cuts(
+                &[3.0; 50],
+                &(0..50).map(|i| (i % 2) as u32).collect::<Vec<_>>(),
+                2,
+                0.05,
+                5
+            )
+            .n_bins(),
             1
         );
     }

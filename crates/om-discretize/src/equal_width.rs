@@ -45,10 +45,7 @@ mod tests {
     #[test]
     fn empty_and_nonfinite_inputs() {
         assert_eq!(equal_width_cuts(&[], 3).n_bins(), 1);
-        assert_eq!(
-            equal_width_cuts(&[f64::NAN, f64::INFINITY], 3).n_bins(),
-            1
-        );
+        assert_eq!(equal_width_cuts(&[f64::NAN, f64::INFINITY], 3).n_bins(), 1);
         // Finite values among garbage still work.
         let c = equal_width_cuts(&[f64::NAN, 0.0, 10.0], 2);
         assert_eq!(c.cuts(), &[5.0]);

@@ -26,11 +26,7 @@ use crate::cuts::CutPoints;
 /// Panics if `values` and `classes` have different lengths or a class id
 /// is out of range.
 pub fn mdl_cuts(values: &[f64], classes: &[u32], n_classes: usize, max_depth: usize) -> CutPoints {
-    assert_eq!(
-        values.len(),
-        classes.len(),
-        "values and classes must align"
-    );
+    assert_eq!(values.len(), classes.len(), "values and classes must align");
     assert!(
         classes.iter().all(|&c| (c as usize) < n_classes),
         "class id out of range"
@@ -177,14 +173,16 @@ mod tests {
     fn degenerate_inputs() {
         assert_eq!(mdl_cuts(&[], &[], 2, 8).n_bins(), 1);
         assert_eq!(mdl_cuts(&[1.0], &[0], 2, 8).n_bins(), 1);
-        assert_eq!(
-            mdl_cuts(&[f64::NAN, f64::NAN], &[0, 1], 2, 8).n_bins(),
-            1
-        );
+        assert_eq!(mdl_cuts(&[f64::NAN, f64::NAN], &[0, 1], 2, 8).n_bins(), 1);
         // Constant values cannot split regardless of labels.
         assert_eq!(
-            mdl_cuts(&[5.0; 50], &(0..50).map(|i| (i % 2) as u32).collect::<Vec<_>>(), 2, 8)
-                .n_bins(),
+            mdl_cuts(
+                &[5.0; 50],
+                &(0..50).map(|i| (i % 2) as u32).collect::<Vec<_>>(),
+                2,
+                8
+            )
+            .n_bins(),
             1
         );
     }

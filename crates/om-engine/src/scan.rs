@@ -8,7 +8,7 @@
 //! pairs, and runs the full Section IV comparison on the top ones — a
 //! one-call "where should I look?" for a fresh dataset.
 
-use om_compare::{CompareError, Comparator, ComparisonResult, ComparisonSpec};
+use om_compare::{Comparator, CompareError, ComparisonResult, ComparisonSpec};
 use om_cube::CubeView;
 use om_data::ValueId;
 use om_stats::two_proportion_z;
@@ -97,9 +97,7 @@ impl OpportunityMap {
                     let xb = view.count(b, class_id);
                     let t = two_proportion_z(xa, na, xb, nb);
                     let z = t.z.abs();
-                    if z >= config.min_z
-                        && best.as_ref().is_none_or(|c| z > c.z)
-                    {
+                    if z >= config.min_z && best.as_ref().is_none_or(|c| z > c.z) {
                         // Orient so value_1 has the lower confidence.
                         let (v1, v2) = if t.z <= 0.0 { (a, b) } else { (b, a) };
                         best = Some(Candidate { attr, v1, v2, z });
@@ -110,14 +108,11 @@ impl OpportunityMap {
                 candidates.push(c);
             }
         }
-        candidates.sort_by(|a, b| {
-            b.z.partial_cmp(&a.z).unwrap_or(std::cmp::Ordering::Equal)
-        });
+        candidates.sort_by(|a, b| b.z.partial_cmp(&a.z).unwrap_or(std::cmp::Ordering::Equal));
         candidates.truncate(config.max_results);
 
         // Phase 2: run the full comparison on each surviving pair.
-        let comparator =
-            Comparator::with_config(&snapshot, self.config().compare.clone());
+        let comparator = Comparator::with_config(&snapshot, self.config().compare.clone());
         let mut findings = Vec::with_capacity(candidates.len());
         for c in candidates {
             let spec = ComparisonSpec {
@@ -131,8 +126,7 @@ impl OpportunityMap {
                 // A pair can fail the comparator's own gates (e.g. zero
                 // baseline confidence); skip it rather than abort the scan.
                 Err(
-                    CompareError::ZeroBaselineConfidence
-                    | CompareError::InsufficientSupport { .. },
+                    CompareError::ZeroBaselineConfidence | CompareError::InsufficientSupport { .. },
                 ) => continue,
                 Err(e) => return Err(e.into()),
             };

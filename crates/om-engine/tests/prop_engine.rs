@@ -16,7 +16,13 @@ fn arb_dataset() -> impl Strategy<Value = Dataset> {
         let cl = ["c0", "c1"];
         for (i, (a, x, c)) in rows.iter().enumerate() {
             // Force both classes to appear at least once.
-            let class = if i == 0 { 0 } else if i == 1 { 1 } else { *c as usize };
+            let class = if i == 0 {
+                0
+            } else if i == 1 {
+                1
+            } else {
+                *c as usize
+            };
             b.push_row(&[
                 Cell::Str(al[*a as usize]),
                 Cell::Num(*x),
@@ -75,8 +81,16 @@ fn collapse_option_reduces_cardinality() {
         } else {
             // 50 singleton-ish rare values
             match i % 10 {
-                0 => "r0", 1 => "r1", 2 => "r2", 3 => "r3", 4 => "r4",
-                5 => "r5", 6 => "r6", 7 => "r7", 8 => "r8", _ => "r9",
+                0 => "r0",
+                1 => "r1",
+                2 => "r2",
+                3 => "r3",
+                4 => "r4",
+                5 => "r5",
+                6 => "r6",
+                7 => "r7",
+                8 => "r8",
+                _ => "r9",
             }
         };
         b.push_row(&[Cell::Str(a), Cell::Str(if i % 2 == 0 { "y" } else { "n" })])
@@ -97,7 +111,12 @@ fn collapse_option_reduces_cardinality() {
     assert_eq!(card(&plain), 11);
     assert_eq!(card(&collapsed), 2, "common + other");
     assert_eq!(
-        collapsed.dataset().value_counts(0).unwrap().iter().sum::<u64>(),
+        collapsed
+            .dataset()
+            .value_counts(0)
+            .unwrap()
+            .iter()
+            .sum::<u64>(),
         400
     );
 }

@@ -47,14 +47,22 @@ mod tests {
 
     #[test]
     fn variance_basic() {
-        close(population_variance(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]), 4.0, 1e-12);
+        close(
+            population_variance(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]),
+            4.0,
+            1e-12,
+        );
         close(sample_variance(&[2.0, 4.0]), 2.0, 1e-12);
         close(sample_variance(&[5.0]), 0.0, 1e-12);
     }
 
     #[test]
     fn std_dev_basic() {
-        close(std_dev(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]), 2.0, 1e-12);
+        close(
+            std_dev(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]),
+            2.0,
+            1e-12,
+        );
     }
 
     #[test]

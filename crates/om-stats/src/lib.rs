@@ -35,8 +35,6 @@ pub use entropy::{entropy, info_gain, split_entropy};
 pub use fdr::{bh_adjust, bh_reject};
 pub use mann_kendall::{mann_kendall, MannKendallTest};
 pub use normal::{erf, inverse_normal_cdf, normal_cdf, normal_pdf, z_for_confidence};
-pub use proportion::{
-    proportion_margin, wald_interval, wilson_interval, ProportionInterval,
-};
+pub use proportion::{proportion_margin, wald_interval, wilson_interval, ProportionInterval};
 pub use regression::{linear_regression, LinearFit};
 pub use ztest::{two_proportion_z, TwoProportionTest};

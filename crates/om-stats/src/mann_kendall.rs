@@ -24,7 +24,11 @@ pub struct MannKendallTest {
 pub fn mann_kendall(ys: &[f64]) -> MannKendallTest {
     let n = ys.len();
     if n < 3 {
-        return MannKendallTest { s: 0, z: 0.0, p_value: 1.0 };
+        return MannKendallTest {
+            s: 0,
+            z: 0.0,
+            p_value: 1.0,
+        };
     }
     let mut s: i64 = 0;
     for i in 0..n - 1 {
@@ -55,7 +59,11 @@ pub fn mann_kendall(ys: &[f64]) -> MannKendallTest {
     let n_f = n as f64;
     let var = (n_f * (n_f - 1.0) * (2.0 * n_f + 5.0) - tie_term) / 18.0;
     if var <= 0.0 {
-        return MannKendallTest { s, z: 0.0, p_value: 1.0 };
+        return MannKendallTest {
+            s,
+            z: 0.0,
+            p_value: 1.0,
+        };
     }
     // Continuity correction.
     let z = if s > 0 {

@@ -57,7 +57,10 @@ impl ProportionInterval {
 /// # Panics
 /// Panics if `p` is outside `[0, 1]` or `level` outside `(0, 1)`.
 pub fn proportion_margin(p: f64, n: u64, level: f64) -> f64 {
-    assert!((0.0..=1.0).contains(&p), "proportion must be in [0,1], got {p}");
+    assert!(
+        (0.0..=1.0).contains(&p),
+        "proportion must be in [0,1], got {p}"
+    );
     if n == 0 {
         return 0.0;
     }
@@ -173,7 +176,10 @@ mod tests {
     fn wilson_contains_estimate() {
         for s in 0..=50u64 {
             let iv = wilson_interval(s, 50, 0.95);
-            assert!(iv.contains(iv.estimate), "estimate outside interval for s={s}");
+            assert!(
+                iv.contains(iv.estimate),
+                "estimate outside interval for s={s}"
+            );
         }
     }
 

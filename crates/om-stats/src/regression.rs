@@ -66,7 +66,11 @@ pub fn linear_regression(xs: &[f64], ys: &[f64]) -> LinearFit {
         };
     }
     let slope = sxy / sxx;
-    let r = if syy == 0.0 { 0.0 } else { sxy / (sxx * syy).sqrt() };
+    let r = if syy == 0.0 {
+        0.0
+    } else {
+        sxy / (sxx * syy).sqrt()
+    };
     LinearFit {
         slope,
         intercept: mean_y - slope * mean_x,

@@ -24,14 +24,20 @@ pub fn two_proportion_z(x1: u64, n1: u64, x2: u64, n2: u64) -> TwoProportionTest
     assert!(x1 <= n1, "x1 ({x1}) must be <= n1 ({n1})");
     assert!(x2 <= n2, "x2 ({x2}) must be <= n2 ({n2})");
     if n1 == 0 || n2 == 0 {
-        return TwoProportionTest { z: 0.0, p_value: 1.0 };
+        return TwoProportionTest {
+            z: 0.0,
+            p_value: 1.0,
+        };
     }
     let p1 = x1 as f64 / n1 as f64;
     let p2 = x2 as f64 / n2 as f64;
     let pooled = (x1 + x2) as f64 / (n1 + n2) as f64;
     let var = pooled * (1.0 - pooled) * (1.0 / n1 as f64 + 1.0 / n2 as f64);
     if var <= 0.0 {
-        return TwoProportionTest { z: 0.0, p_value: 1.0 };
+        return TwoProportionTest {
+            z: 0.0,
+            p_value: 1.0,
+        };
     }
     let z = (p1 - p2) / var.sqrt();
     let p_value = 2.0 * normal_cdf(-z.abs());

@@ -198,12 +198,9 @@ pub fn generate_call_log(config: &CallLogConfig) -> Dataset {
     // Hardware version is a pure function of the phone model: odd-numbered
     // models use hw-v1, even-numbered hw-v2 (so ph1 vs ph2 is exactly the
     // paper's property-attribute situation).
-    let hw_col: Option<Vec<ValueId>> = config.include_hardware_version.then(|| {
-        cat_cols[0]
-            .iter()
-            .map(|&m| (m % 2) as ValueId)
-            .collect()
-    });
+    let hw_col: Option<Vec<ValueId>> = config
+        .include_hardware_version
+        .then(|| cat_cols[0].iter().map(|&m| (m % 2) as ValueId).collect());
 
     // ---- continuous columns ------------------------------------------------
     let mut signal = Vec::with_capacity(n);
@@ -314,9 +311,7 @@ pub fn generate_call_log(config: &CallLogConfig) -> Dataset {
                     class,
                     log_odds,
                 } => {
-                    if cat_cols[col_a][r] == value_a
-                        && cat_cols[col_b][r] == value_b
-                        && class >= 1
+                    if cat_cols[col_a][r] == value_a && cat_cols[col_b][r] == value_b && class >= 1
                     {
                         lo[class - 1] += log_odds;
                     }
@@ -326,9 +321,7 @@ pub fn generate_call_log(config: &CallLogConfig) -> Dataset {
                     class,
                     log_odds,
                 } => {
-                    if class >= 1
-                        && conditions.iter().all(|&(col, v)| cat_cols[col][r] == v)
-                    {
+                    if class >= 1 && conditions.iter().all(|&(col, v)| cat_cols[col][r] == v) {
                         lo[class - 1] += log_odds;
                     }
                 }
@@ -405,14 +398,7 @@ pub fn paper_scenario(n_records: usize, seed: u64) -> (Dataset, GroundTruth) {
         seed,
         effects: vec![
             Effect::value("PhoneModel", "ph2", "dropped", 0.35),
-            Effect::interaction(
-                "PhoneModel",
-                "ph2",
-                "TimeOfCall",
-                "morning",
-                "dropped",
-                2.2,
-            ),
+            Effect::interaction("PhoneModel", "ph2", "TimeOfCall", "morning", "dropped", 2.2),
             Effect::value("NetworkLoad", "high", "dropped", 0.8),
         ],
         ..CallLogConfig::default()

@@ -246,7 +246,12 @@ mod tests {
             }
             c as f64 / n.max(1) as f64
         };
-        assert!(rate(0) > 1.5 * rate(1), "morning {} afternoon {}", rate(0), rate(1));
+        assert!(
+            rate(0) > 1.5 * rate(1),
+            "morning {} afternoon {}",
+            rate(0),
+            rate(1)
+        );
     }
 
     #[test]
@@ -267,12 +272,20 @@ mod tests {
             }
             c as f64 / n.max(1) as f64
         };
-        assert!(rate(1) > 2.0 * rate(0), "line2 {} line1 {}", rate(1), rate(0));
+        assert!(
+            rate(1) > 2.0 * rate(0),
+            "line2 {} line1 {}",
+            rate(1),
+            rate(0)
+        );
     }
 
     #[test]
     fn generators_deterministic() {
-        assert_eq!(network_diagnostics(1000, 9).0, network_diagnostics(1000, 9).0);
+        assert_eq!(
+            network_diagnostics(1000, 9).0,
+            network_diagnostics(1000, 9).0
+        );
         assert_eq!(
             manufacturing_quality(1000, 9).0,
             manufacturing_quality(1000, 9).0

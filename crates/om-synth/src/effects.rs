@@ -94,9 +94,7 @@ impl Effect {
     /// `(attr name, value label)` lookups.
     pub fn matches(&self, lookup: &dyn Fn(&str) -> Option<String>) -> bool {
         match &self.target {
-            EffectTarget::Value { attr, value } => {
-                lookup(attr).as_deref() == Some(value.as_str())
-            }
+            EffectTarget::Value { attr, value } => lookup(attr).as_deref() == Some(value.as_str()),
             EffectTarget::Interaction {
                 attr_a,
                 value_a,
@@ -138,13 +136,9 @@ mod tests {
     #[test]
     fn value_effect_matches() {
         let e = Effect::value("Phone", "ph2", "drop", 1.0);
-        let lookup = |a: &str| -> Option<String> {
-            (a == "Phone").then(|| "ph2".to_string())
-        };
+        let lookup = |a: &str| -> Option<String> { (a == "Phone").then(|| "ph2".to_string()) };
         assert!(e.matches(&lookup));
-        let lookup = |a: &str| -> Option<String> {
-            (a == "Phone").then(|| "ph1".to_string())
-        };
+        let lookup = |a: &str| -> Option<String> { (a == "Phone").then(|| "ph1".to_string()) };
         assert!(!e.matches(&lookup));
     }
 

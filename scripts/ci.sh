@@ -14,8 +14,8 @@ if git grep -nE 'om[-_]bench|vendor/[c]riterion|[c]riterion::|BENCH_[6-9]\.json|
     exit 1
 fi
 
-echo "==> cargo fmt --check, one crate at a time (the rest of the tree predates rustfmt)"
-for crate in om-ingest om-api om-fault om-lint om-server om-cluster om-cube om-cli om-exec om-explore om-data om-compare om-car om-gi om-viz; do
+echo "==> cargo fmt --check, one crate at a time (every crate under crates/)"
+for crate in om-ingest om-api om-fault om-lint om-server om-cluster om-cube om-cli om-exec om-explore om-data om-compare om-car om-gi om-viz om-discretize om-engine om-stats om-synth; do
     cargo fmt -p "$crate" --check
 done
 

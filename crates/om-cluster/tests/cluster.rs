@@ -314,7 +314,7 @@ fn coordinator_is_byte_identical_to_single_node() {
 }
 
 /// The kernel path through a 2-shard cluster: fixed-path drills and
-/// shared-prefix batches condition sub-populations via bitmap ANDs on
+/// shared-prefix batches condition sub-populations via row masks on
 /// both sides — `SelectorPopulation` on the single node,
 /// `/internal/level` + `/internal/count` (now selector-backed) on each
 /// shard with the coordinator merging the partial stores — and every

@@ -12,8 +12,8 @@
 //! Conditioning on a third attribute needs counts beyond the stored 3-D
 //! cubes; the deployed system recounted from the records on demand. Here
 //! the recount goes through the counting kernel instead: conditioning is
-//! a bitmap AND over a [`ColumnIndex`] and each level's cubes come from
-//! one shared masked scan ([`PopulationSelector::build_store_anchored`]),
+//! one pass over a column of a [`ColumnIndex`] into a row mask, and each
+//! level's cubes come from one shared masked scan ([`PopulationSelector::build_store_anchored`]),
 //! so drilling no longer copies a single record. Counts — and therefore
 //! every ranked result — are byte-identical to the record walk.
 
@@ -166,9 +166,10 @@ pub enum Descent {
 }
 
 /// Kernel-backed [`DrillPopulation`] — the one single-node way to
-/// condition a drill. `descend` is a bitmap AND; each level's store is
-/// one shared masked scan anchored on the compared attribute, so the
-/// scan fills exactly the pair cubes the level's ranking reads.
+/// condition a drill. `descend` narrows the row mask by one condition;
+/// each level's store is one shared masked scan anchored on the
+/// compared attribute, so the scan fills exactly the pair cubes the
+/// level's ranking reads.
 pub struct SelectorPopulation {
     current: PopulationSelector,
     anchor: usize,

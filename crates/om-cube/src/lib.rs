@@ -20,7 +20,6 @@
 //! without multiple aggregation levels ("our cubes have no hierarchy",
 //! Section II).
 
-pub mod bitmap;
 pub mod build;
 pub mod cube;
 pub mod kernel;
@@ -33,7 +32,6 @@ pub mod snapshot;
 pub mod store;
 pub mod view;
 
-pub use bitmap::Bitmap;
 pub use build::build_cube;
 pub use cube::{CubeDim, CubeError, RuleCube};
 pub use kernel::{ColumnIndex, PopulationSelector};

@@ -42,10 +42,11 @@ pub struct StoreBuildOptions {
     /// its own attributes over every row block; `0` = use available
     /// parallelism.
     pub n_threads: usize,
-    /// Build the per-column bitmap [`ColumnIndex`] alongside the cubes
-    /// (one extra pass per column), so conditioned queries go through
-    /// the counting kernel instead of record walks. On by default; turn
-    /// off for throwaway stores nothing conditions on.
+    /// Keep a [`ColumnIndex`] over the dataset's columns alongside the
+    /// cubes, so conditioned queries go through the counting kernel
+    /// instead of record walks. It copies nothing, but it keeps the
+    /// columns alive as long as the store. On by default; turn off for
+    /// throwaway stores nothing conditions on.
     pub index: bool,
 }
 

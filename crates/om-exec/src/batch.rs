@@ -12,9 +12,9 @@
 //!   of once per request;
 //! * **drill items** sharing a condition-path prefix reuse the
 //!   per-level comparison result, so 32 children of one parent compute
-//!   the parent's comparison once (re-narrowing a prefix is a bitmap AND
-//!   per condition — microseconds against the masked scan a memo hit
-//!   skips);
+//!   the parent's comparison once (re-narrowing a prefix is one column
+//!   pass per condition — well under a millisecond against the masked
+//!   scan a memo hit skips);
 //! * each item carries an optional budget narrowing; a deadline marks
 //!   the *remaining* items overloaded while completed items are still
 //!   returned — partial results, never all-or-nothing.

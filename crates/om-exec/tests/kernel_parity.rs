@@ -54,7 +54,7 @@ fn record_walk_store(ds: &Dataset) -> Arc<CubeStore> {
     )
 }
 
-/// The kernel path: one shared column scan through the bitmap index.
+/// The kernel path: one shared column scan through the column index.
 fn kernel_store(ds: &Dataset) -> Arc<CubeStore> {
     let index = Arc::new(ColumnIndex::build(ds).unwrap());
     Arc::new(index.selector().build_store_eager(None).unwrap())

@@ -42,7 +42,7 @@ fn workspace_head_is_clean() {
 }
 
 /// No panic reachable from input on a request path. Each request-path
-/// crate root (and om-cube's `bitmap.rs` and `kernel.rs`) denies
+/// crate root (and om-cube's `kernel.rs`) denies
 /// clippy's panicking-construct lints outside unit tests, and a site
 /// that cannot fire carries `#[expect(clippy::indexing_slicing, reason
 /// = "…")]`. An expectation whose site is gone is denied here as

@@ -161,8 +161,8 @@ fn store(
 }
 
 /// Narrow the shard's base partition by resolved conditions, in order —
-/// one bitmap AND per condition over the engine's counting kernel, no
-/// record copies. The kernel indexes the same base dataset the old
+/// one pass over the condition's column per condition, through the
+/// engine's counting kernel, no record copies. The kernel indexes the same base dataset the old
 /// record walk read, and [`PopulationSelector::narrow`] raises the same
 /// errors `Dataset::sub_population` did, so wire responses (status and
 /// message) are unchanged.

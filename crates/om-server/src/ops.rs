@@ -14,8 +14,8 @@
 //! * [`EngineOps::pin_store`] — where the pinned store comes from (the
 //!   engine's current snapshot; a generation-pinned merge of shard
 //!   stores, possibly partial);
-//! * [`EngineOps::drill_root`] — how a drill population narrows (bitmap
-//!   ANDs over the resident kernel; `/internal/level` and
+//! * [`EngineOps::drill_root`] — how a drill population narrows (row
+//!   masks over the resident kernel; `/internal/level` and
 //!   `/internal/count` fan-outs);
 //! * ingestion and the backend's own `/metrics` families.
 //!

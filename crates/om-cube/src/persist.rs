@@ -16,7 +16,7 @@
 //! flip (including in the length field) is rejected with a typed error —
 //! never a panic and never a silently-wrong cube.
 
-use std::collections::hash_map::{Entry, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -74,7 +74,9 @@ fn put_str(buf: &mut BytesMut, s: &str) -> Result<(), DataError> {
     Ok(())
 }
 
-fn get_str(buf: &mut Bytes) -> Result<String, DataError> {
+/// One length-prefixed string's bytes, not yet checked as UTF-8: a
+/// view into `buf`, not a copy.
+fn get_raw_str(buf: &mut Bytes) -> Result<Bytes, DataError> {
     if buf.remaining() < 4 {
         return Err(DataError::Decode("truncated string length".into()));
     }
@@ -82,8 +84,44 @@ fn get_str(buf: &mut Bytes) -> Result<String, DataError> {
     if buf.remaining() < len {
         return Err(DataError::Decode("truncated string payload".into()));
     }
-    let raw = buf.copy_to_bytes(len);
-    String::from_utf8(raw.to_vec()).map_err(|e| DataError::Decode(format!("invalid UTF-8: {e}")))
+    Ok(buf.copy_to_bytes(len))
+}
+
+fn utf8(raw: &[u8]) -> Result<&str, DataError> {
+    std::str::from_utf8(raw).map_err(|e| DataError::Decode(format!("invalid UTF-8: {e}")))
+}
+
+/// `n` length-prefixed labels: `seen` itself when they equal it byte
+/// for byte, else a new copy. Nothing is allocated while every label
+/// read so far matches `seen`.
+fn get_labels(
+    buf: &mut Bytes,
+    n: usize,
+    seen: Option<&Arc<[String]>>,
+) -> Result<Arc<[String]>, DataError> {
+    let seen = seen.filter(|s| s.len() == n);
+    // `None` while every label so far equals `seen`'s.
+    let mut own: Option<Vec<String>> = None;
+    for i in 0..n {
+        let raw = get_raw_str(buf)?;
+        let matches = own.is_none()
+            && seen
+                .and_then(|s| s.get(i))
+                .is_some_and(|l| *l.as_bytes() == *raw);
+        if !matches {
+            let labels = own.get_or_insert_with(|| {
+                // Every label takes at least its 4-byte length prefix.
+                let mut v = Vec::with_capacity(n.min(1 + buf.remaining() / 4));
+                v.extend(seen.iter().flat_map(|s| s.iter().take(i)).cloned());
+                v
+            });
+            labels.push(utf8(&raw)?.to_owned());
+        }
+    }
+    Ok(match (own, seen) {
+        (None, Some(s)) => Arc::clone(s),
+        (own, _) => own.unwrap_or_default().into(),
+    })
 }
 
 /// Wrap `payload` in the integrity frame.
@@ -164,6 +202,8 @@ fn encode_cube_body(cube: &RuleCube) -> Result<BytesMut, DataError> {
 /// decoded for each attribute, and the store's class labels. A cube
 /// whose dimension or class labels equal these takes their `Arc`s; one
 /// that differs keeps its own copy, so sharing changes no decode verdict.
+/// The encoded bytes are compared with the shared labels before any
+/// string is allocated, so a shared dimension costs no allocation.
 #[derive(Default)]
 struct SharedLabels {
     dims: HashMap<usize, CubeDim>,
@@ -171,27 +211,44 @@ struct SharedLabels {
 }
 
 impl SharedLabels {
-    fn dim(&mut self, attr_index: usize, name: String, labels: Vec<String>) -> CubeDim {
-        let own = |name: String, labels: Vec<String>| CubeDim {
-            attr_index,
-            name: name.into(),
-            labels: labels.into(),
+    /// The dimension over `attr_index` that `buf` encodes next (its name,
+    /// label count and labels).
+    fn get_dim(&mut self, attr_index: usize, buf: &mut Bytes) -> Result<CubeDim, DataError> {
+        let seen = self.dims.get(&attr_index).cloned();
+        let raw = get_raw_str(buf)?;
+        let name: Arc<str> = match &seen {
+            Some(d) if *d.name.as_bytes() == *raw => Arc::clone(&d.name),
+            _ => utf8(&raw)?.into(),
         };
-        match self.dims.entry(attr_index) {
-            Entry::Occupied(seen) if *seen.get().name == *name && *seen.get().labels == *labels => {
-                seen.get().clone()
-            }
-            Entry::Occupied(_) => own(name, labels),
-            Entry::Vacant(slot) => slot.insert(own(name, labels)).clone(),
+        if buf.remaining() < 4 {
+            return Err(DataError::Decode("truncated label count".into()));
         }
+        let n_labels = buf.get_u32_le() as usize;
+        if n_labels == 0 {
+            return Err(DataError::Decode(format!(
+                "dimension {name:?} has no labels"
+            )));
+        }
+        let same_name = seen.as_ref().filter(|d| Arc::ptr_eq(&d.name, &name));
+        let labels = get_labels(buf, n_labels, same_name.map(|d| &d.labels))?;
+        let dim = CubeDim {
+            attr_index,
+            name,
+            labels,
+        };
+        if seen.is_none() {
+            self.dims.insert(attr_index, dim.clone());
+        }
+        Ok(dim)
     }
 
-    fn class_labels(&mut self, labels: Vec<String>) -> Arc<[String]> {
-        match &self.class_labels {
-            Some(seen) if **seen == *labels => Arc::clone(seen),
-            Some(_) => labels.into(),
-            None => Arc::clone(self.class_labels.insert(labels.into())),
+    /// The `n` class labels that `buf` encodes next.
+    fn get_class_labels(&mut self, buf: &mut Bytes, n: usize) -> Result<Arc<[String]>, DataError> {
+        let labels = get_labels(buf, n, self.class_labels.as_ref())?;
+        if self.class_labels.is_none() {
+            self.class_labels = Some(Arc::clone(&labels));
         }
+        Ok(labels)
     }
 }
 
@@ -206,21 +263,7 @@ fn decode_cube_body(mut buf: Bytes, shared: &mut SharedLabels) -> Result<RuleCub
             return Err(DataError::Decode("truncated dim header".into()));
         }
         let attr_index = buf.get_u32_le() as usize;
-        let name = get_str(&mut buf)?;
-        if buf.remaining() < 4 {
-            return Err(DataError::Decode("truncated label count".into()));
-        }
-        let n_labels = buf.get_u32_le() as usize;
-        let mut labels = Vec::with_capacity(n_labels);
-        for _ in 0..n_labels {
-            labels.push(get_str(&mut buf)?);
-        }
-        if labels.is_empty() {
-            return Err(DataError::Decode(format!(
-                "dimension {name:?} has no labels"
-            )));
-        }
-        dims.push(shared.dim(attr_index, name, labels));
+        dims.push(shared.get_dim(attr_index, &mut buf)?);
     }
     if buf.remaining() < 4 {
         return Err(DataError::Decode("truncated class count".into()));
@@ -229,11 +272,8 @@ fn decode_cube_body(mut buf: Bytes, shared: &mut SharedLabels) -> Result<RuleCub
     if n_classes == 0 {
         return Err(DataError::Decode("cube has no classes".into()));
     }
-    let mut class_labels = Vec::with_capacity(n_classes);
-    for _ in 0..n_classes {
-        class_labels.push(get_str(&mut buf)?);
-    }
-    let mut cube = RuleCube::new(dims, shared.class_labels(class_labels));
+    let class_labels = shared.get_class_labels(&mut buf, n_classes)?;
+    let mut cube = RuleCube::new(dims, class_labels);
     let n_cells = cube.n_cells();
     if buf.remaining() < n_cells * 8 {
         return Err(DataError::Decode("truncated count tensor".into()));
@@ -338,10 +378,10 @@ fn decode_store_body(mut buf: Bytes) -> Result<crate::store::CubeStore, DataErro
     }
     need(&buf, 4, "class count")?;
     let n_classes = buf.get_u32_le() as usize;
-    let mut class_labels = Vec::with_capacity(n_classes);
-    for _ in 0..n_classes {
-        class_labels.push(get_str(&mut buf)?);
-    }
+    // The 1-D cubes come first, so each attribute's shared dimension is
+    // its 1-D cube's, and every pair cube that agrees with it takes it.
+    let mut shared = SharedLabels::default();
+    let class_labels = shared.get_class_labels(&mut buf, n_classes)?;
     let mut class_counts = Vec::with_capacity(n_classes);
     for _ in 0..n_classes {
         need(&buf, 8, "class counts")?;
@@ -350,10 +390,6 @@ fn decode_store_body(mut buf: Bytes) -> Result<crate::store::CubeStore, DataErro
     need(&buf, 8, "total records")?;
     let total_records = buf.get_u64_le();
 
-    // The 1-D cubes come first, so each attribute's shared dimension is
-    // its 1-D cube's, and every pair cube that agrees with it takes it.
-    let mut shared = SharedLabels::default();
-    let class_labels = shared.class_labels(class_labels);
     let mut get_cube = |buf: &mut Bytes| -> Result<RuleCube, DataError> {
         if buf.remaining() < 8 {
             return Err(DataError::Decode("truncated cube length".into()));

@@ -2,7 +2,9 @@
 //! `CubeStore::build` and `CubeStore::fold`: every cube it fills equals
 //! the one-cube reference `build_cube`, whatever the schema, the row count
 //! relative to the block size, the thread count or the attribute order;
-//! and every store it fills obeys the cube algebra's laws.
+//! and every store it fills obeys the cube algebra's laws. The
+//! conditioned kernel (`PopulationSelector`'s row mask) is checked
+//! against `Dataset::sub_population` the same way.
 
 use om_cube::build::BLOCK;
 use om_cube::olap::rollup;
@@ -118,6 +120,29 @@ fn assert_laws(store: &CubeStore) {
         assert_eq!(rollup(&pair, 1).unwrap(), *store.one_dim(a).unwrap());
         assert_eq!(rollup(&pair, 0).unwrap(), *store.one_dim(b).unwrap());
     }
+}
+
+/// `ds` with one more label on `attr`'s domain, which no row holds, and
+/// that label's id.
+fn with_unheld_value(ds: &Dataset, attr: usize) -> (Dataset, ValueId) {
+    let schema = ds.schema();
+    let attrs = schema
+        .attributes()
+        .iter()
+        .enumerate()
+        .map(|(i, a)| {
+            if i != attr {
+                return a.clone();
+            }
+            let mut labels = a.domain().labels().to_vec();
+            labels.push("unheld".into());
+            Attribute::categorical(a.name(), Domain::from_labels(labels))
+        })
+        .collect();
+    let widened = Schema::new(attrs, schema.class_index()).unwrap();
+    let columns = ds.columns().cloned().collect();
+    let unheld = schema.attribute(attr).cardinality() as ValueId;
+    (Dataset::from_columns(widened, columns).unwrap(), unheld)
 }
 
 /// `ds`'s rows cut at `cuts` (sorted, clamped to the row count) into
@@ -255,5 +280,62 @@ proptest! {
         }
         assert_matches_reference(&folded, &ds);
         prop_assert_eq!(encode_store(&folded).unwrap(), encode_store(&anchored(&ds)).unwrap());
+    }
+
+    /// A selector narrowed by up to three conditions holds exactly the
+    /// rows `sub_population` keeps, and its stores are the build over
+    /// those rows. `twist` makes the last condition repeat the first,
+    /// conflict with it, or name a value no row holds.
+    #[test]
+    fn a_narrowed_selector_is_the_sub_population(
+        ds in arb_dataset(),
+        picks in proptest::collection::vec((0usize..6, 0usize..9), 0..=3),
+        twist in 0usize..4,
+        anchor in 0usize..5
+    ) {
+        let attrs = ds.schema().non_class_indices();
+        let (ds, unheld) = with_unheld_value(&ds, attrs[0]);
+        let schema = ds.schema();
+        let mut conditions: Vec<(usize, ValueId)> = picks
+            .iter()
+            .map(|&(a, v)| {
+                let a = a % schema.n_attributes();
+                (a, (v % schema.attribute(a).cardinality()) as ValueId)
+            })
+            .collect();
+        if let (Some(&(a, v)), Some(last)) = (conditions.first(), conditions.len().checked_sub(1)) {
+            let card = schema.attribute(a).cardinality() as ValueId;
+            conditions[last] = match twist {
+                1 => (a, v),
+                2 => (a, (v + 1) % card),
+                3 => (attrs[0], unheld),
+                _ => conditions[last],
+            };
+        }
+
+        let mut sel = Arc::new(ColumnIndex::build(&ds).unwrap()).selector();
+        let mut sub = ds.clone();
+        for &(a, v) in &conditions {
+            sel = sel.narrow(a, v).unwrap();
+            sub = sub.sub_population(a, v).unwrap();
+            prop_assert_eq!(sel.count(), sub.n_rows() as u64);
+        }
+        prop_assert_eq!(sel.conditions(), conditions.as_slice());
+
+        let full = build(&sub, None, 1);
+        let eager = sel.build_store_eager(None).unwrap();
+        prop_assert_eq!(encode_store(&eager).unwrap(), encode_store(&full).unwrap());
+        let anchor = attrs[anchor % attrs.len()];
+        let anchored = sel.build_store_anchored(None, anchor).unwrap();
+        prop_assert_eq!(anchored.total_records(), full.total_records());
+        prop_assert_eq!(anchored.class_counts(), full.class_counts());
+        for &a in &attrs {
+            prop_assert_eq!(anchored.one_dim(a).unwrap(), full.one_dim(a).unwrap());
+        }
+        prop_assert_eq!(anchored.n_pair_cubes(), attrs.len() - 1);
+        for ((a, b), cube) in anchored.held_pairs() {
+            prop_assert!(a == anchor || b == anchor);
+            prop_assert_eq!(cube, full.pair(a, b).unwrap());
+        }
     }
 }
